@@ -166,8 +166,13 @@ obs::Json Compilation::buildRunReport(const SpmdSimulator* sim) const {
 
     root.set("target", compileTarget().describe(target_));
 
+    // Price the lowering once per target: the compiled target's pricing
+    // is the cost prediction, and both feed the target comparison.
+    const CostBreakdown mp = predictCostFor(TargetKind::MessagePassing);
+    const CostBreakdown shm = predictCostFor(TargetKind::SharedMemory);
     {
-        const CostBreakdown cb = predictCost();
+        const CostBreakdown& cb =
+            target_.targetKind == TargetKind::SharedMemory ? shm : mp;
         obs::Json cj = obs::Json::object();
         cj.set("compute_sec", cb.computeSec);
         cj.set("comm_sec", cb.commSec);
@@ -194,8 +199,6 @@ obs::Json Compilation::buildRunReport(const SpmdSimulator* sim) const {
             cj.set("comm_bytes", cb.commBytes);
             return cj;
         };
-        const CostBreakdown mp = predictCostFor(TargetKind::MessagePassing);
-        const CostBreakdown shm = predictCostFor(TargetKind::SharedMemory);
         cmp.set("mp", breakdownJson(mp));
         cmp.set("shm", breakdownJson(shm));
         const TargetKind winner = shm.totalSec() < mp.totalSec()

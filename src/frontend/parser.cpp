@@ -1,10 +1,36 @@
 #include "frontend/parser.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/affine.h"
 
 namespace phpf {
+
+namespace {
+
+/// Value of an integer constant expression (literals, which PARAMETERs
+/// already are, under unary minus, +, - and *), read without folding
+/// the tree.
+std::optional<std::int64_t> constantValue(const Expr* e) {
+    if (e->kind == ExprKind::IntLit) return e->ival;
+    if (e->kind == ExprKind::Unary && e->uop == UnaryOp::Neg) {
+        const auto v = constantValue(e->args[0]);
+        return v ? std::optional(-*v) : std::nullopt;
+    }
+    if (e->kind != ExprKind::Binary) return std::nullopt;
+    const auto a = constantValue(e->args[0]);
+    const auto b = constantValue(e->args[1]);
+    if (!a || !b) return std::nullopt;
+    switch (e->bop) {
+        case BinaryOp::Add: return *a + *b;
+        case BinaryOp::Sub: return *a - *b;
+        case BinaryOp::Mul: return *a * *b;
+        default: return std::nullopt;
+    }
+}
+
+}  // namespace
 
 Parser::Parser(std::string source, DiagEngine& diags) : diags_(diags) {
     Lexer lexer(std::move(source), diags);
@@ -469,7 +495,15 @@ void Parser::parseDo(int label) {
     expect(TokKind::Comma, ",");
     Expr* ub = parseExpr();
     Expr* step = nullptr;
-    if (accept(TokKind::Comma)) step = parseExpr();
+    if (accept(TokKind::Comma)) {
+        const SourceLoc stepLoc = peek().loc;
+        const int errors = diags_.errorCount();
+        step = parseExpr();
+        // The step stays as parsed: the printed-source round trip
+        // compares programs.
+        if (diags_.errorCount() == errors && constantValue(step) == 0)
+            diags_.error(stepLoc, "DO step must not be zero");
+    }
     expectNewline();
 
     Stmt* s = prog_.newStmt(StmtKind::Do);

@@ -15,22 +15,6 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-/// The cost evaluator's flop count of an expression tree (its own
-/// flopsOf is private): one flop per Unary/Binary node, intrinsics
-/// charge 8 for Sqrt/Exp and 1 otherwise.
-double flopsOf(const Expr* e) {
-    if (e == nullptr) return 0.0;
-    double flops = 0.0;
-    Program::walkExpr(const_cast<Expr*>(e), [&](Expr* n) {
-        if (n->kind == ExprKind::Binary || n->kind == ExprKind::Unary)
-            flops += 1.0;
-        else if (n->kind == ExprKind::Call)
-            flops += n->fn == Intrinsic::Sqrt || n->fn == Intrinsic::Exp ? 8.0
-                                                                        : 1.0;
-    });
-    return flops;
-}
-
 std::string fmtSec(double s) {
     std::ostringstream os;
     os.precision(4);

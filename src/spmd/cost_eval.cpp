@@ -1,128 +1,80 @@
 #include "spmd/cost_eval.h"
 
 #include <algorithm>
-#include <map>
 #include <cmath>
 
 #include "support/diagnostics.h"
 
 namespace phpf {
 
-CostEvaluator::CostEvaluator(const SpmdLowering& low, const CostModel& cm,
-                             const ShmCostModel* shm)
-    : low_(low), cm_(cm), shm_(shm), prog_(low.program()),
-      aff_(prog_, &low.ssa()) {
-    for (const CommOp& op : low_.commOps()) {
-        if (op.placementLevel == 0) {
-            topOps_.push_back(&op);
+namespace {
+
+/// Number of processors the executor set of `desc` divides loop `l`'s
+/// iterations across (1 if the loop doesn't traverse a partitioned dim
+/// of `desc`).
+std::int64_t divisorFor(const RefDesc& desc, const Stmt* l) {
+    std::int64_t div = 1;
+    for (const auto& dim : desc.dims) {
+        if (!dim.partitioned()) continue;
+        if (dim.subscript.affine && dim.subscript.coeffOf(l) != 0)
+            div *= dim.dist.procs();
+    }
+    return std::max<std::int64_t>(div, 1);
+}
+
+/// True when the bounds of a loop nested anywhere in `block` read `var`.
+bool boundsRead(const std::vector<Stmt*>& block, SymbolId var) {
+    for (const Stmt* s : block) {
+        if (s->kind == StmtKind::If) {
+            if (boundsRead(s->thenBody, var) || boundsRead(s->elseBody, var))
+                return true;
             continue;
         }
-        const Stmt* loop =
-            prog_.enclosingLoopAtLevel(op.atStmt, op.placementLevel);
-        PHPF_ASSERT(loop != nullptr, "comm op placed deeper than its nest");
-        opsByLoop_[loop].push_back(&op);
+        if (s->kind != StmtKind::Do) continue;
+        bool reads = false;
+        for (const Expr* b : {s->lb, s->ub, s->step})
+            Program::walkExpr(const_cast<Expr*>(b), [&](Expr* e) {
+                reads = reads || (e->kind == ExprKind::VarRef && e->sym == var);
+            });
+        if (reads || boundsRead(s->body, var)) return true;
     }
+    return false;
 }
 
-CostBreakdown CostEvaluator::evaluate() { return evaluateDetailed().totals; }
+CostBreakdown& totalsOf(CostBreakdown& acc) { return acc; }
+CostBreakdown& totalsOf(DetailedCost& acc) { return acc.totals; }
 
-DetailedCost CostEvaluator::evaluateDetailed() {
-    DetailedCost out;
-    Env env;
-    chargeOpsAt(topOps_, env, out);
-    auto& top = const_cast<Program&>(prog_).top;
-    evalBlock(top, env, out);
-    return out;
+void attribute(CostBreakdown&, const Stmt*, double) {}
+void attribute(DetailedCost& acc, const Stmt* s, double sec) {
+    acc.stmtCompute[s] += sec;
+}
+void attribute(CostBreakdown&, int, double) {}
+void attribute(DetailedCost& acc, int opId, double sec) {
+    acc.opComm[opId] += sec;
+    acc.opEvents[opId] += 1;
 }
 
-void CostEvaluator::evalBlock(const std::vector<Stmt*>& block, Env& env,
-                              DetailedCost& out) {
-    for (const Stmt* s : block) {
-        switch (s->kind) {
-            case StmtKind::Assign:
-                evalStmtCompute(s, out);
-                break;
-            case StmtKind::If:
-                evalStmtCompute(s, out);
-                evalBlock(s->thenBody, env, out);
-                evalBlock(s->elseBody, env, out);
-                break;
-            case StmtKind::Do:
-                evalLoop(s, env, out);
-                break;
-            case StmtKind::Goto:
-            case StmtKind::Continue:
-                break;
-        }
-    }
+/// Add `one` iteration's charges `trips` times over.
+void scaleInto(CostBreakdown& out, const CostBreakdown& one,
+               std::int64_t trips) {
+    const double t = static_cast<double>(trips);
+    out.computeSec += one.computeSec * t;
+    out.commSec += one.commSec * t;
+    out.messageEvents += one.messageEvents * trips;
+    out.commBytes += one.commBytes * t;
+}
+void scaleInto(DetailedCost& out, const DetailedCost& one,
+               std::int64_t trips) {
+    scaleInto(out.totals, one.totals, trips);
+    const double t = static_cast<double>(trips);
+    for (const auto& [st, v] : one.stmtCompute) out.stmtCompute[st] += v * t;
+    for (const auto& [id, v] : one.opComm) out.opComm[id] += v * t;
+    for (const auto& [id, n] : one.opEvents) out.opEvents[id] += n * trips;
 }
 
-bool CostEvaluator::bodyDependsOnVar(const Stmt* loop) const {
-    auto it = bodyDepCache_.find(loop);
-    if (it != bodyDepCache_.end()) return it->second != 0;
-    bool depends = false;
-    std::function<void(const std::vector<Stmt*>&)> walk =
-        [&](const std::vector<Stmt*>& blk) {
-            for (const Stmt* s : blk) {
-                if (s->kind == StmtKind::Do) {
-                    for (const Expr* b : {s->lb, s->ub, s->step}) {
-                        if (b == nullptr) continue;
-                        Program::walkExpr(const_cast<Expr*>(b), [&](Expr* e) {
-                            if (e->kind == ExprKind::VarRef &&
-                                e->sym == loop->loopVar)
-                                depends = true;
-                        });
-                    }
-                    walk(s->body);
-                } else if (s->kind == StmtKind::If) {
-                    walk(s->thenBody);
-                    walk(s->elseBody);
-                }
-            }
-        };
-    walk(loop->body);
-    bodyDepCache_[loop] = depends ? 1 : 0;
-    return depends;
-}
+}  // namespace
 
-void CostEvaluator::evalLoop(const Stmt* loop, Env& env, DetailedCost& out) {
-    const std::int64_t lb = evalInt(loop->lb, env);
-    const std::int64_t ub = evalInt(loop->ub, env);
-    const std::int64_t step =
-        loop->step != nullptr ? evalInt(loop->step, env) : 1;
-    PHPF_ASSERT(step != 0, "zero loop step");
-    const std::int64_t trips =
-        step > 0 ? (ub >= lb ? (ub - lb) / step + 1 : 0)
-                 : (lb >= ub ? (lb - ub) / (-step) + 1 : 0);
-    if (trips <= 0) return;
-
-    auto perIteration = [&](std::int64_t iv, DetailedCost& acc) {
-        env[loop->loopVar] = iv;
-        auto it = opsByLoop_.find(loop);
-        if (it != opsByLoop_.end()) chargeOpsAt(it->second, env, acc);
-        evalBlock(loop->body, env, acc);
-        env.erase(loop->loopVar);
-    };
-
-    if (!bodyDependsOnVar(loop)) {
-        DetailedCost one;
-        perIteration(lb, one);
-        const double t = static_cast<double>(trips);
-        out.totals.computeSec += one.totals.computeSec * t;
-        out.totals.commSec += one.totals.commSec * t;
-        out.totals.messageEvents += one.totals.messageEvents * trips;
-        out.totals.commBytes += one.totals.commBytes * t;
-        for (const auto& [st, v] : one.stmtCompute) out.stmtCompute[st] += v * t;
-        for (const auto& [id, v] : one.opComm) out.opComm[id] += v * t;
-        for (const auto& [id, n] : one.opEvents) out.opEvents[id] += n * trips;
-        return;
-    }
-    for (std::int64_t iv = lb; step > 0 ? iv <= ub : iv >= ub; iv += step)
-        perIteration(iv, out);
-}
-
-double CostEvaluator::flopsOf(const Expr* e) const {
-    if (e == nullptr) return 0.0;
+double flopsOf(const Expr* e) {
     double flops = 0.0;
     Program::walkExpr(const_cast<Expr*>(e), [&](Expr* n) {
         if (n->kind == ExprKind::Binary || n->kind == ExprKind::Unary)
@@ -134,260 +86,287 @@ double CostEvaluator::flopsOf(const Expr* e) const {
     return flops;
 }
 
-std::int64_t CostEvaluator::divisorFor(const RefDesc& desc,
-                                       const Stmt* l) const {
-    std::int64_t div = 1;
-    for (const auto& dim : desc.dims) {
-        if (!dim.partitioned()) continue;
-        if (dim.subscript.affine && dim.subscript.coeffOf(l) != 0)
-            div *= dim.dist.procs();
+CostEvaluator::CostEvaluator(const SpmdLowering& low, const CostModel& cm,
+                             const ShmCostModel* shm)
+    : cm_(cm), shm_(shm), prog_(low.program()),
+      plan_(static_cast<size_t>(prog_.stmtCount())),
+      index_(prog_.symbols.size()) {
+    prog_.forEachStmt([&](const Stmt* s) {
+        StmtPlan& sp = plan_[static_cast<size_t>(s->id)];
+        if (s->kind == StmtKind::Do) {
+            sp.readsIndex = boundsRead(s->body, s->loopVar);
+            return;
+        }
+        if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) return;
+        // One instance's flops (+1 for the store/copy), divided by the
+        // processors its executor set spreads the enclosing loops over.
+        const RefDesc& desc = low.execOf(s).execDesc;
+        double div = 1.0;
+        for (const Stmt* l : prog_.enclosingLoops(s))
+            div *= static_cast<double>(divisorFor(desc, l));
+        const double flops =
+            flopsOf(s->kind == StmtKind::Assign ? s->rhs : s->cond) + 1.0;
+        sp.computeSec = cm_.compute(flops) / div;
+    });
+    for (const CommOp& op : low.commOps()) {
+        Placement* at = &topOps_;
+        if (op.placementLevel != 0) {
+            const Stmt* loop =
+                prog_.enclosingLoopAtLevel(op.atStmt, op.placementLevel);
+            PHPF_ASSERT(loop != nullptr, "comm op placed deeper than its nest");
+            at = &plan_[static_cast<size_t>(loop->id)].ops;
+        }
+        place(low, op, *at);
     }
-    return std::max<std::int64_t>(div, 1);
 }
 
-double CostEvaluator::perProcDivisor(const Stmt* s) const {
-    auto it = divisorCache_.find(s);
-    if (it != divisorCache_.end()) return it->second;
-    const RefDesc& desc = low_.execOf(s).execDesc;
-    double div = 1.0;
-    for (const Stmt* l : prog_.enclosingLoops(s))
-        div *= static_cast<double>(divisorFor(desc, l));
-    divisorCache_[s] = div;
-    return div;
-}
-
-void CostEvaluator::evalStmtCompute(const Stmt* s, DetailedCost& out) {
-    const double flops =
-        s->kind == StmtKind::Assign
-            ? flopsOf(s->rhs) + 1.0  // +1 for the store/copy
-            : flopsOf(s->cond) + 1.0;
-    const double sec = cm_.compute(flops) / perProcDivisor(s);
-    out.totals.computeSec += sec;
-    out.stmtCompute[s] += sec;
-}
-
-void CostEvaluator::chargeCommOp(const CommOp& op, const Env& env,
-                                 DetailedCost& out) {
+void CostEvaluator::place(const SpmdLowering& low, const CommOp& op,
+                          Placement& at) const {
+    const ProcGrid& grid = low.dataMapping().grid();
     if (op.isReductionCombine) {
-        chargeOpsAt({&op}, env, out);
+        int procs = 1;
+        for (int g : op.combineGridDims) procs *= grid.extent(g);
+        // Shared memory: the combine is a barrier plus log2(P)
+        // combiner-tree stages over thread-private partials, not log2(P)
+        // messages.
+        if (procs > 1)
+            at.combines.emplace_back(op.id,
+                                     shm_ != nullptr
+                                         ? shm_->combine(procs)
+                                         : cm_.reduce(procs, cm_.elemBytes));
         return;
     }
-    const OpCharge c = computeOpCharge(op, env);
-    if (!c.valid) return;
-    out.totals.commSec += c.cost;
-    out.totals.commBytes += c.bytes;
-    out.totals.messageEvents += 1;
-    out.opComm[op.id] += c.cost;
-    out.opEvents[op.id] += 1;
-}
+    OpPlan p;
+    p.op = &op;
+    for (size_t g = 0; g < op.req.dims.size(); ++g)
+        if (op.req.dims[g].pattern != CommPattern::None)
+            p.patternProcs *= grid.extent(static_cast<int>(g));
+    // A single processor along the affected dims moves nothing.
+    if (p.patternProcs <= 1 || op.req.overall == CommPattern::None) return;
 
-void CostEvaluator::chargeOpsAt(const std::vector<const CommOp*>& ops,
-                                const Env& env, DetailedCost& out) {
-    // Reduction combines are always individual.
-    std::vector<std::pair<const CommOp*, OpCharge>> charges;
-    for (const CommOp* op : ops) {
-        if (op->isReductionCombine) {
-            int procs = 1;
-            for (int g : op->combineGridDims)
-                procs *= low_.dataMapping().grid().extent(g);
-            if (procs > 1) {
-                // Shared memory: the combine is a barrier plus log2(P)
-                // combiner-tree stages over thread-private partials, not
-                // log2(P) messages.
-                const double sec = shm_ != nullptr
-                                       ? shm_->combine(procs)
-                                       : cm_.reduce(procs, cm_.elemBytes);
-                out.totals.commSec += sec;
-                out.totals.messageEvents += 1;
-                out.totals.commBytes += cm_.elemBytes;
-                out.opComm[op->id] += sec;
-                out.opEvents[op->id] += 1;
-            }
-            continue;
-        }
-        const OpCharge c = computeOpCharge(*op, env);
-        if (c.valid) charges.emplace_back(op, c);
-    }
-    if (!cm_.combineMessages) {
-        for (const auto& [op, c] : charges) {
-            out.totals.commSec += c.cost;
-            out.totals.commBytes += c.bytes;
-            out.totals.messageEvents += 1;
-            out.opComm[op->id] += c.cost;
-            out.opEvents[op->id] += 1;
-        }
-        return;
-    }
-    // Combine: messages of the same pattern/extent placed here share one
-    // latency term; payloads concatenate.
-    std::map<int, std::vector<std::pair<const CommOp*, OpCharge>>> groups;
-    for (const auto& pc : charges) groups[pc.second.key].push_back(pc);
-    for (const auto& [key, group] : groups) {
-        (void)key;
-        double maxLat = 0.0;
-        for (const auto& [op, c] : group) maxLat = std::max(maxLat, c.latency);
-        double groupCost = maxLat;
-        for (const auto& [op, c] : group) groupCost += c.cost - c.latency;
-        out.totals.commSec += groupCost;
-        out.totals.messageEvents += 1;
-        for (const auto& [op, c] : group) {
-            out.totals.commBytes += c.bytes;
-            out.opComm[op->id] +=
-                (c.cost - c.latency) +
-                maxLat / static_cast<double>(group.size());
-            out.opEvents[op->id] += 1;
-        }
-    }
-}
+    // The message is vectorized over the loops inside its placement.
+    std::vector<const Stmt*> inside;
+    for (const Stmt* l : prog_.enclosingLoops(op.atStmt))
+        if (l->loopNestingLevel() > op.placementLevel) inside.push_back(l);
 
-CostEvaluator::OpCharge CostEvaluator::computeOpCharge(const CommOp& op,
-                                                       const Env& env) const {
-    OpCharge charge;
-    if (op.isReductionCombine) {
-        return charge;  // handled by chargeOpsAt
+    // Only loops that index the communicated reference enlarge the
+    // message; other loops reuse the same data and vectorization
+    // deduplicates it. Serial (unpartitioned) dims count too.
+    std::vector<AffineForm> subs;
+    if (op.ref->kind == ExprKind::ArrayRef) {
+        const AffineAnalyzer aff(prog_, &low.ssa());
+        for (const auto& dim : op.srcDesc.dims)
+            if (dim.partitioned()) subs.push_back(dim.subscript);
+        for (const Expr* sub : op.ref->args) subs.push_back(aff.analyze(sub));
     }
-
-    // Vectorized message: aggregate over the loops between the placement
-    // level and the consuming statement — but only loops that actually
-    // index the communicated reference; other loops reuse the same data
-    // and vectorization deduplicates it.
-    const auto loops = prog_.enclosingLoops(op.atStmt);
-    double total = 1.0;     // distinct elements moved
-    double srcLocal = 1.0;  // per-source-processor share of them
-    for (const Stmt* l : loops) {
-        if (l->loopNestingLevel() <= op.placementLevel) continue;
-        bool indexes = false;
-        if (op.ref->kind == ExprKind::ArrayRef) {
-            for (const auto& dim : op.srcDesc.dims) {
-                if (!dim.partitioned()) continue;
-                if (dim.subscript.affine ? dim.subscript.coeffOf(l) != 0
-                                         : dim.subscript.varLevel >=
-                                               l->loopNestingLevel())
-                    indexes = true;
-            }
-            // Serial (unpartitioned) dims also enlarge the section.
-            for (const Expr* sub : op.ref->args) {
-                const AffineForm f = aff_.analyze(sub);
-                if (f.affine ? f.coeffOf(l) != 0
-                             : f.varLevel >= l->loopNestingLevel())
-                    indexes = true;
-            }
-        }
+    for (const Stmt* l : inside) {
+        const bool indexes = std::any_of(
+            subs.begin(), subs.end(), [&](const AffineForm& f) {
+                return f.affine ? f.coeffOf(l) != 0
+                                : f.varLevel >= l->loopNestingLevel();
+            });
         if (!indexes) continue;
-        Env inner = env;
-        const std::int64_t t = tripsOf(l, inner);
-        total *= static_cast<double>(t);
-        double local = static_cast<double>(t) /
-                       static_cast<double>(divisorFor(op.srcDesc, l));
+        SizingLoop s{l, static_cast<double>(divisorFor(op.srcDesc, l)), -1};
         // Shifted dims: only the boundary strip moves.
         for (size_t g = 0; g < op.req.dims.size(); ++g) {
-            if (op.req.dims[g].pattern != CommPattern::Shift) continue;
             const RefDim& sd = op.srcDesc.dims[g];
-            if (sd.partitioned() && sd.subscript.affine &&
-                sd.subscript.coeffOf(l) != 0) {
-                local = static_cast<double>(
-                    std::min<std::int64_t>(std::abs(op.req.dims[g].shift),
-                                           std::max<std::int64_t>(t, 1)));
-            }
+            if (op.req.dims[g].pattern == CommPattern::Shift &&
+                sd.partitioned() && sd.subscript.affine &&
+                sd.subscript.coeffOf(l) != 0)
+                s.shiftClamp = std::abs(op.req.dims[g].shift);
         }
+        p.loops.push_back(s);
+    }
+
+    auto traversedInside = [&](const AffineForm& f) {
+        return std::any_of(inside.begin(), inside.end(),
+                           [&](const Stmt* l) { return f.coeffOf(l) != 0; });
+    };
+    // A shift placed at instance level (the shifted dimension's loop is
+    // at or outside the placement) only actually crosses a processor
+    // boundary for |shift|/blockSize of the events; interior instances
+    // find the neighbour element locally.
+    double fraction = 1.0;
+    for (size_t g = 0; g < op.req.dims.size(); ++g) {
+        if (op.req.dims[g].pattern != CommPattern::Shift) continue;
+        const RefDim& sd = op.srcDesc.dims[g];
+        if (!sd.partitioned() || !sd.subscript.affine) continue;
+        if (!traversedInside(sd.subscript) && sd.dist.blockSize() > 0)
+            fraction = std::min(
+                fraction, static_cast<double>(std::abs(op.req.dims[g].shift)) /
+                              static_cast<double>(sd.dist.blockSize()));
+    }
+    p.shiftFraction = std::min(fraction, 1.0);
+    // If the source's partitioned subscripts are invariant across the
+    // loops inside, the data lives on one processor per event.
+    for (const auto& dim : op.srcDesc.dims)
+        if (dim.partitioned() &&
+            (!dim.subscript.affine || traversedInside(dim.subscript)))
+            p.srcSingle = false;
+
+    const int key =
+        cm_.combineMessages
+            ? static_cast<int>(op.req.overall) * 1024 + p.patternProcs
+            : static_cast<int>(at.groups.size());
+    at.groups[key].push_back(p);
+}
+
+CostBreakdown CostEvaluator::evaluate() { return walk<CostBreakdown>(); }
+
+DetailedCost CostEvaluator::evaluateDetailed() {
+    return walk<DetailedCost>();
+}
+
+template <class Acc>
+Acc CostEvaluator::walk() {
+    Acc out;
+    chargeAt(topOps_, out);
+    walkBlock(prog_.top, out);
+    return out;
+}
+
+template <class Acc>
+void CostEvaluator::walkBlock(const std::vector<Stmt*>& block, Acc& out) {
+    for (const Stmt* s : block) {
+        if (s->kind == StmtKind::Do) {
+            walkLoop(s, out);
+            continue;
+        }
+        if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) continue;
+        const double sec = plan_[static_cast<size_t>(s->id)].computeSec;
+        totalsOf(out).computeSec += sec;
+        attribute(out, s, sec);
+        if (s->kind == StmtKind::If) {
+            walkBlock(s->thenBody, out);
+            walkBlock(s->elseBody, out);
+        }
+    }
+}
+
+template <class Acc>
+void CostEvaluator::walkLoop(const Stmt* loop, Acc& out) {
+    std::int64_t lb = 0;
+    const std::int64_t trips = tripsOf(loop, &lb);
+    if (trips <= 0) return;
+    const StmtPlan& plan = plan_[static_cast<size_t>(loop->id)];
+    auto& index = index_[static_cast<size_t>(loop->loopVar)];
+    auto iteration = [&](std::int64_t iv, Acc& acc) {
+        index = iv;
+        chargeAt(plan.ops, acc);
+        walkBlock(loop->body, acc);
+        index.reset();
+    };
+
+    if (!plan.readsIndex) {
+        Acc one;
+        iteration(lb, one);
+        scaleInto(out, one, trips);
+        return;
+    }
+    const std::int64_t step = loop->step != nullptr ? evalInt(loop->step) : 1;
+    for (std::int64_t i = 0, iv = lb; i < trips; ++i, iv += step)
+        iteration(iv, out);
+}
+
+template <class Acc>
+void CostEvaluator::chargeAt(const Placement& at, Acc& out) {
+    CostBreakdown& totals = totalsOf(out);
+    // Reduction combines are always individual.
+    for (const auto& [id, sec] : at.combines) {
+        totals.commSec += sec;
+        totals.messageEvents += 1;
+        totals.commBytes += cm_.elemBytes;
+        attribute(out, id, sec);
+    }
+    for (const auto& [key, group] : at.groups) {
+        if (!cm_.combineMessages) {
+            const OpCharge c = chargeOf(group[0]);
+            totals.commSec += c.cost;
+            totals.commBytes += c.bytes;
+            totals.messageEvents += 1;
+            attribute(out, group[0].op->id, c.cost);
+            continue;
+        }
+        // Combine: messages of the same pattern/extent placed here share
+        // one latency term; payloads concatenate.
+        std::vector<OpCharge> charges;
+        double maxLat = 0.0;
+        for (const OpPlan& p : group) {
+            charges.push_back(chargeOf(p));
+            maxLat = std::max(maxLat, charges.back().latency);
+        }
+        double groupCost = maxLat;
+        for (const OpCharge& c : charges) groupCost += c.cost - c.latency;
+        totals.commSec += groupCost;
+        totals.messageEvents += 1;
+        for (size_t i = 0; i < group.size(); ++i) {
+            const OpCharge& c = charges[i];
+            totals.commBytes += c.bytes;
+            attribute(out, group[i].op->id,
+                      (c.cost - c.latency) +
+                          maxLat / static_cast<double>(group.size()));
+        }
+    }
+}
+
+CostEvaluator::OpCharge CostEvaluator::chargeOf(const OpPlan& p) const {
+    double total = 1.0;     // distinct elements moved
+    double srcLocal = 1.0;  // per-source-processor share of them
+    for (const SizingLoop& s : p.loops) {
+        const std::int64_t t = tripsOf(s.loop);
+        total *= static_cast<double>(t);
+        const double local =
+            s.shiftClamp >= 0
+                ? static_cast<double>(std::min<std::int64_t>(
+                      s.shiftClamp, std::max<std::int64_t>(t, 1)))
+                : static_cast<double>(t) / s.divisor;
         srcLocal *= std::max(local, 1.0);
     }
 
     const double elemBytes = static_cast<double>(cm_.elemBytes);
-    int patternProcs = 1;
-    for (size_t g = 0; g < op.req.dims.size(); ++g)
-        if (op.req.dims[g].pattern != CommPattern::None)
-            patternProcs *= low_.dataMapping().grid().extent(static_cast<int>(g));
-    if (patternProcs <= 1) return charge;  // single processor along affected dims
-
-    double cost = 0.0;
-    double bytes = 0.0;
-    double latency = 0.0;
-    switch (op.req.overall) {
-        case CommPattern::None:
-            return charge;
-        case CommPattern::Shift: {
-            bytes = srcLocal * elemBytes;
-            cost = cm_.shift(bytes);
-            latency = cm_.alphaSec;
-            // A shift placed at instance level (the shifted dimension's
-            // loop is at or outside the placement) only actually crosses
-            // a processor boundary for |shift|/blockSize of the events;
-            // interior instances find the neighbour element locally.
-            double fraction = 1.0;
-            for (size_t g = 0; g < op.req.dims.size(); ++g) {
-                if (op.req.dims[g].pattern != CommPattern::Shift) continue;
-                const RefDim& sd = op.srcDesc.dims[g];
-                if (!sd.partitioned() || !sd.subscript.affine) continue;
-                bool traversedInside = false;
-                for (const Stmt* l : loops) {
-                    if (l->loopNestingLevel() <= op.placementLevel) continue;
-                    if (sd.subscript.coeffOf(l) != 0) traversedInside = true;
-                }
-                if (!traversedInside && sd.dist.blockSize() > 0) {
-                    fraction = std::min(
-                        fraction,
-                        static_cast<double>(std::abs(op.req.dims[g].shift)) /
-                            static_cast<double>(sd.dist.blockSize()));
-                }
-            }
-            cost *= std::min(fraction, 1.0);
-            latency *= std::min(fraction, 1.0);
-            bytes *= std::min(fraction, 1.0);
+    const int procs = p.patternProcs;
+    const CommPattern pattern = p.op->req.overall;
+    OpCharge c;
+    switch (pattern) {
+        case CommPattern::None: break;  // never placed
+        case CommPattern::Shift:
+            c.bytes = srcLocal * elemBytes;
+            c.cost = cm_.shift(c.bytes) * p.shiftFraction;
+            c.latency = cm_.alphaSec * p.shiftFraction;
+            c.bytes *= p.shiftFraction;
             break;
-        }
         case CommPattern::Broadcast:
-            bytes = srcLocal * elemBytes;
-            cost = cm_.broadcast(patternProcs, bytes);
-            latency = cm_.broadcast(patternProcs, 0.0);
+            c.bytes = srcLocal * elemBytes;
+            c.cost = cm_.broadcast(procs, c.bytes);
+            c.latency = cm_.broadcast(procs, 0.0);
             break;
         case CommPattern::AllGather:
-            bytes = total * elemBytes;
-            cost = cm_.allGather(patternProcs, bytes);
-            latency = cm_.allGather(patternProcs, 0.0);
-            break;
-        case CommPattern::Gather:
-            bytes = total * elemBytes;
-            cost = cm_.gather(patternProcs, bytes);
-            latency = cm_.gather(patternProcs, 0.0);
+        case CommPattern::Gather:  // cm_.gather is cm_.allGather
+            c.bytes = total * elemBytes;
+            c.cost = cm_.allGather(procs, c.bytes);
+            c.latency = cm_.allGather(procs, 0.0);
             break;
         case CommPattern::PointToPoint:
-            bytes = srcLocal * elemBytes;
-            cost = cm_.pointToPoint(bytes);
-            latency = cm_.alphaSec;
+            c.bytes = srcLocal * elemBytes;
+            c.cost = cm_.pointToPoint(c.bytes);
+            c.latency = cm_.alphaSec;
             break;
-        case CommPattern::General: {
-            // If the source's partitioned subscripts are invariant across
-            // the traversal loops, the data lives on one processor per
-            // event: this is a one-to-many broadcast (DGEFA's pivot
-            // column / pivot index), not an all-to-all.
-            bool srcSingle = true;
-            for (const auto& dim : op.srcDesc.dims) {
-                if (!dim.partitioned()) continue;
-                if (!dim.subscript.affine) {
-                    srcSingle = false;
-                    continue;
-                }
-                for (const Stmt* l : loops) {
-                    if (l->loopNestingLevel() <= op.placementLevel) continue;
-                    if (dim.subscript.coeffOf(l) != 0) srcSingle = false;
-                }
-            }
-            bytes = total * elemBytes;
-            if (srcSingle) {
-                cost = cm_.broadcast(patternProcs, bytes);
-                latency = cm_.broadcast(patternProcs, 0.0);
+        case CommPattern::General:
+            c.bytes = total * elemBytes;
+            if (p.srcSingle) {
+                // One source per event: a one-to-many broadcast (DGEFA's
+                // pivot column / pivot index), not an all-to-all.
+                c.cost = cm_.broadcast(procs, c.bytes);
+                c.latency = cm_.broadcast(procs, 0.0);
             } else {
                 // Irregular redistribution (e.g. transpose): every
                 // processor exchanges its share with every other — α per
                 // partner plus its slice of the volume.
-                cost = static_cast<double>(patternProcs - 1) * cm_.alphaSec +
-                       bytes / static_cast<double>(patternProcs) *
-                           cm_.betaSecPerByte;
-                latency = static_cast<double>(patternProcs - 1) * cm_.alphaSec;
+                c.latency = static_cast<double>(procs - 1) * cm_.alphaSec;
+                c.cost = c.latency + c.bytes / static_cast<double>(procs) *
+                                         cm_.betaSecPerByte;
             }
             break;
-        }
     }
     if (shm_ != nullptr) {
         // Shared memory: the volume (`bytes`, shift boundary fractions
@@ -397,57 +376,51 @@ CostEvaluator::OpCharge CostEvaluator::computeOpCharge(const CommOp& op,
         // coherence read with bus contention when many threads pull the
         // same data, and a false-sharing penalty on sub-line payloads.
         const ShmCostModel& sm = *shm_;
-        const bool manyReaders = op.req.overall == CommPattern::Broadcast ||
-                                 op.req.overall == CommPattern::AllGather ||
-                                 op.req.overall == CommPattern::General;
-        const int readers = manyReaders ? patternProcs : 1;
+        const bool manyReaders = pattern == CommPattern::Broadcast ||
+                                 pattern == CommPattern::AllGather ||
+                                 pattern == CommPattern::General;
+        const int readers = manyReaders ? procs : 1;
         // A moved line always has at least producer + consumer touching
         // it, so sub-line payloads ping-pong between ≥ 2 sharers.
-        const int sharers = manyReaders ? patternProcs : 2;
-        cost = sm.barrier() + sm.sharedRead(bytes, readers) +
-               sm.falseSharing(bytes, sharers);
-        latency = sm.barrier();
+        const int sharers = manyReaders ? procs : 2;
+        c.cost = sm.barrier() + sm.sharedRead(c.bytes, readers) +
+                 sm.falseSharing(c.bytes, sharers);
+        c.latency = sm.barrier();
     }
-    charge.valid = true;
-    charge.cost = cost;
-    charge.latency = latency;
-    charge.bytes = bytes;
-    charge.key = static_cast<int>(op.req.overall) * 1024 + patternProcs;
-    return charge;
+    return c;
 }
 
-std::int64_t CostEvaluator::tripsOf(const Stmt* loop, const Env& env) const {
-    Env padded = env;
-    // A traversal loop's bound may reference a sibling traversal loop's
-    // index (rare); approximate with that loop's own lower bound.
-    std::function<std::int64_t(const Expr*)> ev = [&](const Expr* e)
-        -> std::int64_t { return evalInt(e, padded); };
-    const std::int64_t lb = ev(loop->lb);
-    const std::int64_t ub = ev(loop->ub);
-    const std::int64_t step = loop->step != nullptr ? ev(loop->step) : 1;
+std::int64_t CostEvaluator::tripsOf(const Stmt* loop,
+                                    std::int64_t* lbOut) const {
+    // A sizing loop's bound may read the index of another loop inside
+    // the placement (rare). That index is unbound while the op is
+    // charged, and evalInt reads an unbound scalar as 1.
+    const std::int64_t lb = evalInt(loop->lb);
+    const std::int64_t ub = evalInt(loop->ub);
+    const std::int64_t step = loop->step != nullptr ? evalInt(loop->step) : 1;
+    PHPF_ASSERT(step != 0, "zero loop step");
+    if (lbOut != nullptr) *lbOut = lb;
     if (step > 0) return ub >= lb ? (ub - lb) / step + 1 : 0;
     return lb >= ub ? (lb - ub) / (-step) + 1 : 0;
 }
 
-std::int64_t CostEvaluator::evalInt(const Expr* e, const Env& env) const {
+std::int64_t CostEvaluator::evalInt(const Expr* e) const {
     switch (e->kind) {
-        case ExprKind::IntLit:
-            return e->ival;
-        case ExprKind::RealLit:
-            return static_cast<std::int64_t>(e->rval);
+        case ExprKind::IntLit: return e->ival;
+        case ExprKind::RealLit: return static_cast<std::int64_t>(e->rval);
         case ExprKind::VarRef: {
-            auto it = env.find(e->sym);
-            if (it != env.end()) return it->second;
+            const size_t sym = static_cast<size_t>(e->sym);
+            if (sym < index_.size() && index_[sym]) return *index_[sym];
             // Unbound scalar in a bound expression: fall back to the
             // midpoint assumption of 1 (documented approximation).
             return 1;
         }
         case ExprKind::Unary:
-            return e->uop == UnaryOp::Neg ? -evalInt(e->args[0], env)
-                                          : !evalInt(e->args[0], env);
+            return e->uop == UnaryOp::Neg ? -evalInt(e->args[0])
+                                          : !evalInt(e->args[0]);
         case ExprKind::Binary: {
-            const std::int64_t a = evalInt(e->args[0], env);
-            const std::int64_t b = evalInt(e->args[1], env);
+            const std::int64_t a = evalInt(e->args[0]);
+            const std::int64_t b = evalInt(e->args[1]);
             switch (e->bop) {
                 case BinaryOp::Add: return a + b;
                 case BinaryOp::Sub: return a - b;
@@ -456,19 +429,14 @@ std::int64_t CostEvaluator::evalInt(const Expr* e, const Env& env) const {
                 default: return 0;
             }
         }
-        case ExprKind::Call: {
+        case ExprKind::Call:
             if (e->fn == Intrinsic::Max)
-                return std::max(evalInt(e->args[0], env),
-                                evalInt(e->args[1], env));
+                return std::max(evalInt(e->args[0]), evalInt(e->args[1]));
             if (e->fn == Intrinsic::Min)
-                return std::min(evalInt(e->args[0], env),
-                                evalInt(e->args[1], env));
-            if (e->fn == Intrinsic::Abs)
-                return std::abs(evalInt(e->args[0], env));
+                return std::min(evalInt(e->args[0]), evalInt(e->args[1]));
+            if (e->fn == Intrinsic::Abs) return std::abs(evalInt(e->args[0]));
             return 0;
-        }
-        default:
-            return 0;
+        default: return 0;
     }
 }
 

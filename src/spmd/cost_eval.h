@@ -1,5 +1,7 @@
 #pragma once
 
+#include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "comm/cost_model.h"
@@ -27,12 +29,24 @@ struct DetailedCost {
     std::unordered_map<int, std::int64_t> opEvents;  ///< by CommOp::id
 };
 
+/// Flops the evaluator charges for evaluating `e`: one per Unary/Binary
+/// node, 8 for Sqrt/Exp calls and 1 for other intrinsics.
+[[nodiscard]] double flopsOf(const Expr* e);
+
 /// Analytic performance evaluation of a lowered SPMD program: walks the
 /// loop tree, computes per-processor iteration counts from the
 /// distribution arithmetic, and charges each communication op at its
 /// vectorization level with the SP2 cost model. Loops whose bodies are
 /// iteration-independent are evaluated once and scaled by their trip
 /// count; triangular nests (DGEFA) iterate the outer loop numerically.
+///
+/// The constructor plans once everything that does not depend on
+/// loop-index values: per statement its compute seconds, per loop the
+/// ops placed there and whether its body reads its index, per comm op
+/// the loops that size its message (with their divisors and shift
+/// clamps) and its pattern's fixed terms. The walk keeps the bound
+/// indices in a flat per-SymbolId vector, so an iteration only
+/// evaluates loop bounds and trip counts.
 ///
 /// The result is the "execution time" our reproduction reports in place
 /// of the paper's wall-clock SP2 measurements.
@@ -53,49 +67,66 @@ public:
     [[nodiscard]] DetailedCost evaluateDetailed();
 
 private:
-    using Env = std::unordered_map<SymbolId, std::int64_t>;
-
-    void evalBlock(const std::vector<Stmt*>& block, Env& env,
-                   DetailedCost& out);
-    void evalLoop(const Stmt* loop, Env& env, DetailedCost& out);
-    void evalStmtCompute(const Stmt* s, DetailedCost& out);
-    void chargeCommOp(const CommOp& op, const Env& env, DetailedCost& out);
-    /// Charge a set of ops placed at the same point, combining messages
-    /// of the same pattern into one latency term when the cost model's
-    /// combineMessages optimization is on.
-    void chargeOpsAt(const std::vector<const CommOp*>& ops, const Env& env,
-                     DetailedCost& out);
+    /// A loop between an op's placement and its statement that indexes
+    /// the moved reference: its trips multiply the message volume.
+    struct SizingLoop {
+        const Stmt* loop = nullptr;
+        double divisor = 1.0;  ///< source processors sharing its iterations
+        std::int64_t shiftClamp = -1;  ///< >= 0: only a strip this wide moves
+    };
+    /// Everything about one message op that no loop index changes.
+    struct OpPlan {
+        const CommOp* op = nullptr;
+        std::vector<SizingLoop> loops;
+        int patternProcs = 1;
+        double shiftFraction = 1.0;  ///< instance-level shift crossings
+        bool srcSingle = true;       ///< General: one source per event
+    };
+    /// The ops placed at one point, in charging order: reduction combines
+    /// first, then the message groups in ascending key order. With
+    /// combineMessages the key is pattern x procs, otherwise each op is a
+    /// group of its own, keyed by its order.
+    struct Placement {
+        std::vector<std::pair<int, double>> combines;  ///< (op id, seconds)
+        std::map<int, std::vector<OpPlan>> groups;
+    };
+    /// What the walk needs of one statement, indexed by Stmt::id.
+    struct StmtPlan {
+        double computeSec = 0.0;  ///< Assign/If: one instance, per processor
+        bool readsIndex = false;  ///< Do: a nested loop bound reads its index
+        Placement ops;            ///< Do: the ops placed in this loop
+    };
     struct OpCharge {
-        bool valid = false;
         double cost = 0.0;     ///< full message cost (latency + volume)
         double latency = 0.0;  ///< the per-message latency component
         double bytes = 0.0;
-        int key = 0;           ///< combining group (pattern x procs)
     };
-    [[nodiscard]] OpCharge computeOpCharge(const CommOp& op,
-                                           const Env& env) const;
 
-    [[nodiscard]] std::int64_t evalInt(const Expr* e, const Env& env) const;
-    [[nodiscard]] std::int64_t tripsOf(const Stmt* loop, const Env& env) const;
-    [[nodiscard]] double flopsOf(const Expr* e) const;
-    /// Number of processors the executor set of `desc` divides loop
-    /// `l`'s iterations across (1 if the loop doesn't traverse a
-    /// partitioned dim of `desc`).
-    [[nodiscard]] std::int64_t divisorFor(const RefDesc& desc,
-                                          const Stmt* l) const;
-    [[nodiscard]] double perProcDivisor(const Stmt* s) const;
-    [[nodiscard]] bool bodyDependsOnVar(const Stmt* loop) const;
+    /// Plan `op` into the ops of its placement point.
+    void place(const SpmdLowering& low, const CommOp& op,
+               Placement& at) const;
 
-    const SpmdLowering& low_;
+    // Acc is CostBreakdown (evaluate) or DetailedCost (evaluateDetailed).
+    template <class Acc> [[nodiscard]] Acc walk();
+    template <class Acc>
+    void walkBlock(const std::vector<Stmt*>& block, Acc& out);
+    template <class Acc> void walkLoop(const Stmt* loop, Acc& out);
+    template <class Acc> void chargeAt(const Placement& at, Acc& out);
+    [[nodiscard]] OpCharge chargeOf(const OpPlan& p) const;
+
+    [[nodiscard]] std::int64_t evalInt(const Expr* e) const;
+    /// Trip count of `loop` under the bound indices (its lower bound in
+    /// `*lb` when given).
+    [[nodiscard]] std::int64_t tripsOf(const Stmt* loop,
+                                       std::int64_t* lb = nullptr) const;
+
     const CostModel& cm_;
     const ShmCostModel* shm_ = nullptr;  ///< non-null: shared-memory charging
     const Program& prog_;
-    AffineAnalyzer aff_;
 
-    std::unordered_map<const Stmt*, std::vector<const CommOp*>> opsByLoop_;
-    std::vector<const CommOp*> topOps_;
-    mutable std::unordered_map<const Stmt*, double> divisorCache_;
-    mutable std::unordered_map<const Stmt*, int> bodyDepCache_;
+    std::vector<StmtPlan> plan_;
+    Placement topOps_;
+    std::vector<std::optional<std::int64_t>> index_;  ///< by SymbolId
 };
 
 }  // namespace phpf

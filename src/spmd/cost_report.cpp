@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 
 #include "ir/printer.h"
 
@@ -35,6 +36,7 @@ CostReport buildCostReport(const SpmdLowering& low, const CostModel& cm,
         item.stmt = op.atStmt;
         item.seconds = it->second;
         item.isComm = true;
+        item.op = op.id;
         auto ev = detail.opEvents.find(op.id);
         item.events = ev != detail.opEvents.end() ? ev->second : 0;
         if (op.isReductionCombine)
@@ -45,9 +47,13 @@ CostReport buildCostReport(const SpmdLowering& low, const CostModel& cm,
                         std::to_string(op.placementLevel);
         report.items.push_back(std::move(item));
     }
+    // The attribution maps iterate in hash order, so equal costs need a
+    // full tie-break for the report to be a function of its inputs.
     std::sort(report.items.begin(), report.items.end(),
               [](const CostItem& a, const CostItem& b) {
-                  return a.seconds > b.seconds;
+                  if (a.seconds != b.seconds) return a.seconds > b.seconds;
+                  return std::tuple(a.stmt->id, a.isComm, a.op) <
+                         std::tuple(b.stmt->id, b.isComm, b.op);
               });
     return report;
 }

@@ -15,11 +15,14 @@ struct CostItem {
     std::string what;        ///< rendered statement / comm description
     double seconds = 0.0;
     bool isComm = false;
+    int op = -1;  ///< CommOp::id of a comm item
     std::int64_t events = 0;
 };
 
 struct CostReport {
-    std::vector<CostItem> items;  ///< sorted by cost, descending
+    /// Sorted by cost, descending; equal costs by statement id, calc
+    /// before comm, then op id.
+    std::vector<CostItem> items;
     CostBreakdown total;
 
     [[nodiscard]] std::string str(const Program& p, int topN = 10) const;

@@ -80,6 +80,44 @@ end)");
     EXPECT_TRUE(mentions(d, "constant")) << d.dump();
 }
 
+std::string loopWithStep(const std::string& step) {
+    return "program steps\n"
+           "  parameter (z = 0)\n"
+           "  real A(8)\n"
+           "  do i = 1, 8, " + step + "\n"
+           "    A(i) = 1.0\n"
+           "  end do\n"
+           "end\n";
+}
+
+TEST(FrontendErrors, ZeroDoStepReportedAtTheStep) {
+    // A literal, a PARAMETER or a constant expression that is zero.
+    for (const char* step : {"0", "z", "2 - 2", "-0"}) {
+        SCOPED_TRACE(step);
+        auto d = parseExpectingErrors(loopWithStep(step));
+        EXPECT_TRUE(mentions(d, "DO step must not be zero")) << d.dump();
+        ASSERT_EQ(d.all().size(), 1u) << d.dump();
+        EXPECT_EQ(d.all()[0].loc.line, 4);
+        EXPECT_EQ(d.all()[0].loc.column, 16);
+    }
+}
+
+TEST(FrontendErrors, NonzeroAndVariableDoStepsParse) {
+    for (const char* step : {"-1", "z + 2", "k"}) {
+        SCOPED_TRACE(step);
+        DiagEngine diags;
+        Parser parser(loopWithStep(step), diags);
+        const Program p = parser.parse();
+        EXPECT_FALSE(diags.hasErrors()) << diags.dump();
+        ASSERT_EQ(p.top.size(), 1u);
+        EXPECT_NE(p.top[0]->step, nullptr);
+    }
+    // The check reads a constant step without folding it.
+    DiagEngine diags;
+    Parser parser(loopWithStep("z + 2"), diags);
+    EXPECT_EQ(parser.parse().top[0]->step->kind, ExprKind::Binary);
+}
+
 TEST(FrontendErrors, MissingThenBlockTerminator) {
     parseExpectingErrors(R"(
 program bad

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "driver/compiler.h"
 #include "frontend/parser.h"
 #include "programs/programs.h"
@@ -23,6 +25,29 @@ TEST(CostReport, AttributionSumsToTotals) {
     // Items are sorted descending.
     for (size_t i = 1; i < report.items.size(); ++i)
         EXPECT_GE(report.items[i - 1].seconds, report.items[i].seconds);
+}
+
+TEST(CostReport, EqualCostsOrderByStatementThenOp) {
+    // TOMCATV's statements fall into a few cost classes, so many items
+    // tie; their order must not depend on hash-table iteration.
+    Program p = programs::tomcatv(65, 3);
+    TargetConfig opts;
+    opts.gridExtents = {4};
+    Compilation c = Compiler::compile(p, opts);
+    const CostReport report = buildCostReport(c.lowering(), opts.costModel);
+    int ties = 0;
+    for (size_t i = 1; i < report.items.size(); ++i) {
+        const CostItem& a = report.items[i - 1];
+        const CostItem& b = report.items[i];
+        ASSERT_GE(a.seconds, b.seconds);
+        if (a.seconds != b.seconds) continue;
+        ++ties;
+        EXPECT_LT(std::tuple(a.stmt->id, a.isComm, a.op),
+                  std::tuple(b.stmt->id, b.isComm, b.op));
+    }
+    EXPECT_GT(ties, 0);
+    for (const CostItem& item : report.items)
+        EXPECT_EQ(item.op >= 0, item.isComm) << item.what;
 }
 
 TEST(CostReport, RendersTopItems) {

@@ -321,6 +321,131 @@ TEST(Target, RunReportComparesTargetsAndRecordsAWinner) {
     EXPECT_EQ(cmp2.at("decision").at("compiled_for").stringValue(), "shm");
 }
 
+// ---------------------------------------------------------------------
+// The cost contract: predictCost(), predictDetailed().totals and
+// costReport().total agree exactly, and the run report carries the same
+// numbers.
+
+struct Cell {
+    std::string label;
+    std::function<Program()> build;
+    TargetConfig target;
+    PassOptions passes;
+};
+
+/// Every cell of Tables 1-3 at the paper's sizes and at simulation
+/// sizes (as the table benches build them), plus the figures and ADI.
+std::vector<Cell> costContractCells() {
+    std::vector<Cell> cells;
+    auto add = [&](std::string label, std::function<Program()> build,
+                   std::vector<int> grid) -> Cell& {
+        cells.push_back({std::move(label), std::move(build), {}, {}});
+        cells.back().target.gridExtents = std::move(grid);
+        return cells.back();
+    };
+    struct Sizes {
+        std::int64_t tomcatvN, tomcatvIters, dgefaN, appspN, appspIters;
+    };
+    const Sizes paper{513, 100, 1000, 64, 50}, simulation{65, 3, 64, 16, 2};
+    for (const Sizes z : {paper, simulation}) {
+        const std::string size = " n=" + std::to_string(z.tomcatvN) + " P=";
+        for (int p : {1, 2, 4, 8, 16}) {
+            const std::string at = size + std::to_string(p);
+            for (int v = 0; v < 3; ++v) {
+                auto build = [z] {
+                    return programs::tomcatv(z.tomcatvN, z.tomcatvIters);
+                };
+                MappingOptions& m =
+                    add("tomcatv v" + std::to_string(v) + at, build, {p})
+                        .passes.mapping;
+                m.privatization = v != 0;
+                if (v == 1)
+                    m.alignPolicy = MappingOptions::AlignPolicy::ProducerOnly;
+            }
+            for (bool align : {false, true})
+                add((align ? "dgefa aligned" : "dgefa replicated") + at,
+                    [z] { return programs::dgefa(z.dgefaN); }, {p})
+                    .passes.mapping.reductionAlignment = align;
+        }
+        for (int p : {2, 4, 8, 16})
+            for (int v = 0; v < 5; ++v) {
+                const bool oneD = v < 2;
+                int rows = 1, cols = p;  // Table 3's 2-D grid
+                while (rows * 2 <= cols / 2) {
+                    rows *= 2;
+                    cols /= 2;
+                }
+                Cell& c = add(
+                    "appsp v" + std::to_string(v) + size + std::to_string(p),
+                    [z, oneD] {
+                        return programs::appsp(z.appspN, z.appspN, z.appspN,
+                                               z.appspIters, oneD);
+                    },
+                    oneD ? std::vector<int>{p} : std::vector<int>{rows, cols});
+                c.target.costModel.combineMessages = v == 4;
+                c.passes.mapping.arrayPrivatization = v == 1 || v >= 3;
+                c.passes.mapping.partialPrivatization = v >= 3;
+            }
+    }
+    add("fig1", [] { return programs::fig1(32); }, {4});
+    add("fig2", [] { return programs::fig2(32); }, {4});
+    add("fig4", [] { return programs::fig4(16); }, {2, 2});
+    add("fig5", [] { return programs::fig5(16); }, {2, 2});
+    add("fig6", [] { return programs::fig6(16, 16, 16); }, {2, 2});
+    add("fig7", [] { return programs::fig7(32); }, {4});
+    add("adi", [] { return programs::adi(32, 2); }, {4});
+    return cells;
+}
+
+void expectSameCost(const CostBreakdown& a, const CostBreakdown& b) {
+    EXPECT_EQ(a.computeSec, b.computeSec);
+    EXPECT_EQ(a.commSec, b.commSec);
+    EXPECT_EQ(a.messageEvents, b.messageEvents);
+    EXPECT_EQ(a.commBytes, b.commBytes);
+}
+
+void expectReportedCost(const obs::Json& j, const char* eventsKey,
+                        const CostBreakdown& b) {
+    EXPECT_EQ(j.at("compute_sec").numberValue(), b.computeSec);
+    EXPECT_EQ(j.at("comm_sec").numberValue(), b.commSec);
+    EXPECT_EQ(j.at("total_sec").numberValue(), b.totalSec());
+    EXPECT_EQ(j.at(eventsKey).intValue(), b.messageEvents);
+    EXPECT_EQ(j.at("comm_bytes").numberValue(), b.commBytes);
+}
+
+TEST(Target, CostContractHoldsOnEveryTableCellAndFigure) {
+    constexpr TargetKind kKinds[] = {TargetKind::MessagePassing,
+                                     TargetKind::SharedMemory};
+    for (const Cell& cell : costContractCells()) {
+        SCOPED_TRACE(cell.label);
+        for (TargetKind compiled : kKinds) {
+            SCOPED_TRACE(targetKindName(compiled));
+            Program p = cell.build();
+            TargetConfig conf = cell.target;
+            conf.targetKind = compiled;
+            Compilation c = Compiler::compile(p, conf, cell.passes);
+            for (TargetKind kind : kKinds) {
+                const Target& t = targetFor(kind);
+                const CostBreakdown cb = t.predictCost(c.lowering(), conf);
+                expectSameCost(t.predictDetailed(c.lowering(), conf).totals,
+                               cb);
+                expectSameCost(t.costReport(c.lowering(), conf).total, cb);
+                expectSameCost(c.predictCostFor(kind), cb);
+            }
+            expectSameCost(c.predictCost(), c.predictCostFor(compiled));
+
+            const obs::Json r = c.buildRunReport();
+            expectReportedCost(r.at("cost_prediction"), "message_events",
+                               c.predictCost());
+            const obs::Json& cmp = r.at("target_comparison");
+            expectReportedCost(cmp.at("mp"), "sync_events",
+                               c.predictCostFor(TargetKind::MessagePassing));
+            expectReportedCost(cmp.at("shm"), "sync_events",
+                               c.predictCostFor(TargetKind::SharedMemory));
+        }
+    }
+}
+
 TEST(Target, DescribeIsSelfContainedPerBackend) {
     TargetConfig conf;
     const obs::Json mp =
