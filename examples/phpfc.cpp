@@ -12,13 +12,6 @@
 //   phpfc --batch=JOBS.json [--workers=N] [--cache-capacity=N]
 //         [--journal=FILE.jsonl] [--resume] [--faults=SPEC] [--retry=N]
 //         [--profile] [--serve-metrics=PORT] [--flight-recorder=FILE.jsonl]
-//   phpfc --worker[=PORT] [--worker-id=NAME] [--workers=N]
-//         [--cache-capacity=N] [--faults=SPEC]
-//   phpfc --coordinator --batch=JOBS.json --join=HOST:PORT [--join=...]
-//         [--cluster-cache=N] [--dispatchers=N] [--journal=FILE.jsonl]
-//         [--resume] [--faults=SPEC] [--serve-metrics=PORT]
-//         [--trace=FILE.json] [--trace-sample=N]
-//         [--flight-recorder=FILE.jsonl]
 //
 // Parses the program, runs the privatization mapping pass, and prints
 // the requested stages. With no stage flags, prints everything.
@@ -54,29 +47,6 @@
 // the batch aborts. `--faults=...` arms the recorder even without a
 // dump file so /report and post-mortem tooling can read it.
 //
-// Cluster: `--worker` serves the versioned compile wire protocol
-// (POST /compile, GET /artifact/<key>, plus /metrics and /healthz) on
-// PORT (default 0 = ephemeral; the bound port is printed on stderr as
-// "phpfc: worker ... on http://127.0.0.1:PORT") until /quitquitquit.
-// `--coordinator` runs a batch through a farm of such workers: each
-// `--join=HOST:PORT` is health-probed and added to the consistent-hash
-// ring, jobs route by fingerprint through the two-tier cache
-// (coordinator LRU of `--cluster-cache` entries -> peer fetch ->
-// compute), and a work-stealing dispatcher pool (`--dispatchers` per
-// worker) drains the batch with retry/re-route on transient failures.
-// `--journal` + `--resume` give exactly-once rows across coordinator
-// kills, same contract as plain batch mode. With `--trace=FILE` the
-// coordinator stamps a W3C-style trace context onto every request,
-// workers ship their compile-stage spans back in the response, and the
-// stitcher writes ONE Chrome trace with a named process row per worker
-// (clock offsets estimated per worker, NTP-style). `--trace-sample=N`
-// traces every Nth request (default 8, which keeps the armed tracer
-// under the 2% overhead budget; 1 = every request); with
-// `--serve-metrics`
-// the coordinator also federates GET /cluster/metrics (every live
-// worker's metrics on one page, worker-labeled, with phpf_cluster_*
-// rollups) and GET /cluster/healthz.
-//
 // Profiling: `--profile` arms the per-statement profiler inside the
 // functional simulation; the run report (schema v3) gains "profile"
 // and "calibration" sections, /metrics gains phpf_stmt_self_time_* and
@@ -107,10 +77,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "cluster/cluster_batch.h"
-#include "cluster/coordinator.h"
-#include "cluster/federation.h"
-#include "cluster/worker.h"
 #include "service/batch.h"
 #include "service/compile_service.h"
 #include "service/http_exposition.h"
@@ -155,7 +121,7 @@ void usage() {
                  "[--cost] [--spmd]\n"
                  "             [--report=FILE.json] [--trace=FILE.json] "
                  "[--no-sim]\n"
-                 "             [--sim-threads=N]  (0 = auto: "
+                 "             [--sim-threads=N]  (default 1; 0 = auto: "
                  "PHPF_SIM_THREADS, else hardware)\n"
                  "             [--target=mp|shm]  (mp = SP2 message "
                  "passing, default;\n"
@@ -177,18 +143,6 @@ void usage() {
                  "             [--journal=FILE.jsonl] [--resume] "
                  "[--faults=SPEC] [--retry=N]\n"
                  "             [--profile]  (profiled sim for every job)\n"
-                 "       phpfc --worker[=PORT] [--worker-id=NAME] "
-                 "[--workers=N]\n"
-                 "             [--cache-capacity=N]  (serve the compile "
-                 "wire protocol)\n"
-                 "       phpfc --coordinator --batch=JOBS.json "
-                 "--join=HOST:PORT [--join=...]\n"
-                 "             [--cluster-cache=N] [--dispatchers=N] "
-                 "[--journal=FILE.jsonl]\n"
-                 "             [--resume]  (distributed batch over the "
-                 "worker farm)\n"
-                 "             [--trace=FILE.json] [--trace-sample=N]  "
-                 "(one stitched cluster trace)\n"
                  "       both: [--serve-metrics=PORT]  (0 = ephemeral; "
                  "serves /metrics /healthz\n"
                  "              /report until GET /quitquitquit)\n"
@@ -268,125 +222,6 @@ int runBatchMode(const std::string& jobsFile, int workers,
     return outcome.failed == 0 ? 0 : 1;
 }
 
-/// --worker: one farm member. Serves compiles until /quitquitquit.
-int runWorkerMode(int port, const std::string& id, int workers,
-                  std::size_t cacheCapacity, int retries) {
-    cluster::WorkerConfig wc;
-    wc.port = port;
-    wc.id = id;
-    wc.service.workers = workers;
-    if (cacheCapacity > 0) wc.service.cacheCapacity = cacheCapacity;
-    if (retries >= 0) wc.service.maxRetries = retries;
-    cluster::Worker worker(wc);
-    std::string err;
-    if (!worker.start(&err)) {
-        std::fprintf(stderr, "phpfc: --worker: %s\n", err.c_str());
-        return 2;
-    }
-    std::fprintf(stderr,
-                 "phpfc: worker %s on http://127.0.0.1:%d "
-                 "(GET /quitquitquit to stop)\n",
-                 worker.id().c_str(), worker.port());
-    while (!worker.quitRequested())
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    worker.stop();
-    return 0;
-}
-
-/// --coordinator: route a jobs file through the worker farm.
-int runCoordinatorMode(const std::string& jobsFile,
-                       const std::vector<std::string>& joins,
-                       std::size_t clusterCache, int dispatchers,
-                       const std::string& journal, bool resume,
-                       int servePort, const std::string& traceFile,
-                       int traceSample, const std::string& flightFile) {
-    if (jobsFile.empty()) {
-        std::fprintf(stderr, "phpfc: --coordinator needs --batch=JOBS.json\n");
-        return 2;
-    }
-    if (joins.empty()) {
-        std::fprintf(stderr, "phpfc: --coordinator needs --join=HOST:PORT\n");
-        return 2;
-    }
-    service::BatchSpec spec;
-    std::string err;
-    if (!service::loadBatchFile(jobsFile, &spec, &err)) {
-        std::fprintf(stderr, "phpfc: %s\n", err.c_str());
-        return 1;
-    }
-    // The distributed trace timeline: workers ship their spans back on
-    // the wire and the stitcher lays them out as extra process rows, so
-    // one --trace file shows the whole farm.
-    obs::ConcurrentTracer ctracer(!traceFile.empty());
-    cluster::CoordinatorConfig cc;
-    if (clusterCache > 0) cc.cacheCapacity = clusterCache;
-    if (!traceFile.empty()) cc.tracer = &ctracer;
-    if (traceSample > 0) cc.traceSampleEvery = traceSample;
-    cluster::Coordinator coord(cc);
-    for (const std::string& ep : joins)
-        if (!coord.addWorker(ep, &err))
-            std::fprintf(stderr, "phpfc: %s (continuing)\n", err.c_str());
-    if (coord.workerCount() == 0) {
-        std::fprintf(stderr, "phpfc: no worker joined the ring\n");
-        return 1;
-    }
-
-    service::MetricsHttpServer server(servePort);
-    if (servePort >= 0) {
-        server.addRegistry("phpf", &coord.metrics());
-        // Federation: GET /cluster/metrics scrapes every live worker
-        // and re-exports one page; /cluster/healthz aggregates
-        // liveness + wire versions.
-        server.setApiHandler([&coord](const service::HttpRequest& req) {
-            return cluster::handleClusterRequest(coord, req);
-        });
-        std::string serr;
-        if (!server.start(&serr)) {
-            std::fprintf(stderr, "phpfc: --serve-metrics: %s\n", serr.c_str());
-            return 2;
-        }
-        std::fprintf(stderr, "phpfc: metrics on http://127.0.0.1:%d\n",
-                     server.port());
-    }
-
-    cluster::ClusterBatchOptions opts;
-    opts.journalPath = journal;
-    opts.resume = resume;
-    if (dispatchers > 0) opts.dispatchersPerWorker = dispatchers;
-    const cluster::ClusterBatchOutcome outcome =
-        cluster::runClusterBatch(coord, spec, std::cout, opts);
-
-    if (!traceFile.empty()) {
-        // Stitch worker span batches onto the coordinator timeline and
-        // export one Perfetto-openable file with a process row per
-        // worker.
-        const cluster::StitchStats st = coord.stitchTrace();
-        if (!obs::writeChromeTrace(ctracer, traceFile, "phpfc cluster")) {
-            std::fprintf(stderr, "phpfc: cannot write %s\n",
-                         traceFile.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "phpfc: cluster trace written to %s "
-                         "(%d worker(s), %zu span(s), %zu orphaned)\n",
-                         traceFile.c_str(), st.workers, st.spans, st.orphans);
-        }
-    }
-    if (!flightFile.empty() &&
-        obs::FlightRecorder::global().dumpJsonl(flightFile))
-        std::fprintf(stderr, "phpfc: flight recorder dumped to %s\n",
-                     flightFile.c_str());
-    std::fprintf(stderr,
-                 "phpfc: %d job(s), %d ok, %d failed, %d skipped, "
-                 "%d local / %d peer / %d worker hit(s), %d compiled, "
-                 "%d stolen, %d requeued, exactly-once=%s, %.3f s\n",
-                 outcome.jobs, outcome.ok, outcome.failed, outcome.skipped,
-                 outcome.localHits, outcome.peerHits, outcome.workerHits,
-                 outcome.compiles, outcome.steals, outcome.requeues,
-                 outcome.exactlyOnce ? "yes" : "NO", outcome.wallSec);
-    if (server.running()) serveUntilQuit(server);
-    return outcome.failed == 0 && outcome.exactlyOnce ? 0 : 1;
-}
-
 bool startsWith(const std::string& s, const char* prefix) {
     return s.rfind(prefix, 0) == 0;
 }
@@ -399,7 +234,7 @@ int main(int argc, char** argv) {
     std::vector<int> grid{4};
     bool doReport = false, doLower = false, doCost = false, doSpmd = false;
     bool runSim = true;
-    int simThreads = 0;
+    int simThreads = PassOptions{}.simThreads;
     // Every which-implementation choice funnels through the one
     // enum-backed selection block (driver/options.h).
     ExecSelection selection;
@@ -417,31 +252,11 @@ int main(int argc, char** argv) {
     bool profile = false;
     std::string foldedFile;
     std::string builtinName;
-    bool workerMode = false;
-    int workerPort = 0;
-    std::string workerId;
-    bool coordinatorMode = false;
-    std::vector<std::string> joins;
-    std::size_t clusterCache = 0;
-    int dispatchers = 0;
-    int traceSample = 0;  ///< 0 = keep the coordinator default (1 = all)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--procs" && i + 1 < argc) grid = parseGrid(argv[++i]);
         else if (startsWith(arg, "--batch=")) batchFile = arg.substr(8);
-        else if (arg == "--worker") workerMode = true;
-        else if (startsWith(arg, "--worker=")) {
-            workerMode = true;
-            workerPort = intFlag(arg, 9);
-        } else if (startsWith(arg, "--worker-id="))
-            workerId = arg.substr(12);
-        else if (arg == "--coordinator") coordinatorMode = true;
-        else if (startsWith(arg, "--join=")) joins.push_back(arg.substr(7));
-        else if (startsWith(arg, "--cluster-cache="))
-            clusterCache = static_cast<std::size_t>(intFlag(arg, 16));
-        else if (startsWith(arg, "--dispatchers="))
-            dispatchers = intFlag(arg, 14);
         else if (startsWith(arg, "--builtin=")) builtinName = arg.substr(10);
         else if (arg == "--profile") profile = true;
         else if (startsWith(arg, "--profile-folded="))
@@ -471,8 +286,6 @@ int main(int argc, char** argv) {
         else if (arg == "--report") doReport = true;
         else if (startsWith(arg, "--report=")) reportFile = arg.substr(9);
         else if (startsWith(arg, "--trace=")) traceFile = arg.substr(8);
-        else if (startsWith(arg, "--trace-sample="))
-            traceSample = intFlag(arg, 15);
         else if (arg == "--no-sim") runSim = false;
         else if (startsWith(arg, "--sim-threads="))
             simThreads = intFlag(arg, 14);
@@ -522,13 +335,6 @@ int main(int argc, char** argv) {
     if (!flightFile.empty() || FaultInjector::processIfEnabled() != nullptr)
         obs::FlightRecorder::global().setEnabled(true);
 
-    if (workerMode)
-        return runWorkerMode(workerPort, workerId, batchWorkers,
-                             batchCacheCapacity, retries);
-    if (coordinatorMode)
-        return runCoordinatorMode(batchFile, joins, clusterCache, dispatchers,
-                                  journalFile, resume, servePort, traceFile,
-                                  traceSample, flightFile);
     if (!batchFile.empty())
         return runBatchMode(batchFile, batchWorkers, batchCacheCapacity,
                             retries, journalFile, resume, servePort,

@@ -24,9 +24,9 @@ namespace phpf {
 /// overload.
 struct SimulationRequest {
     /// Lockstep worker threads: -1 inherits the compilation's
-    /// PassOptions::simThreads; 0 means auto (PHPF_SIM_THREADS, else
-    /// hardware concurrency). Results and metrics are independent of
-    /// the value.
+    /// PassOptions::simThreads (default 1); 0 means auto
+    /// (PHPF_SIM_THREADS, else hardware concurrency). Results and
+    /// metrics are independent of the value.
     int threads = -1;
     /// Element size for byte accounting: 0 inherits the compilation's
     /// CostModel::elemBytes.

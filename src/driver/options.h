@@ -45,11 +45,12 @@ struct PassOptions {
     /// Closed-form rewriting of induction variables (Section 2.1). The
     /// phpf compiler always does this; exposed for ablation.
     bool rewriteInduction = true;
-    /// Lockstep worker threads for the SPMD simulator: 0 = auto
-    /// (PHPF_SIM_THREADS environment variable, else hardware
-    /// concurrency). Simulation results and metrics are independent of
-    /// the value.
-    int simThreads = 0;
+    /// Lockstep worker threads for the SPMD simulator: 1 by default
+    /// (extra threads do not speed up the paper's kernels, and a batch
+    /// already runs jobs side by side); 0 = auto (PHPF_SIM_THREADS
+    /// environment variable, else hardware concurrency). Simulation
+    /// results and metrics are independent of the value.
+    int simThreads = 1;
     /// Default execution engine of the SPMD simulator. Both engines
     /// produce bit-identical results and metrics in strict mode, but
     /// the engine IS part of the artifact identity (the service

@@ -61,9 +61,6 @@ Json buildChromeTrace(const ConcurrentTracer& tracer,
 
     const std::vector<ConcurrentSpan> spans = tracer.snapshot();
 
-    // Process rows: pid 1 is this process; stitched remote processes
-    // (cluster workers) render under their registered pids so Perfetto
-    // shows one named row per worker.
     Json procMeta = Json::object();
     procMeta.set("name", "process_name");
     procMeta.set("ph", "M");
@@ -74,41 +71,25 @@ Json buildChromeTrace(const ConcurrentTracer& tracer,
     procMeta.set("args", std::move(procArgs));
     events.push(std::move(procMeta));
 
-    for (const auto& [pid, name] : tracer.processes()) {
-        Json m = Json::object();
-        m.set("name", "process_name");
-        m.set("ph", "M");
-        m.set("pid", pid);
-        m.set("tid", 0);
-        Json a = Json::object();
-        a.set("name", name);
-        m.set("args", std::move(a));
-        events.push(std::move(m));
-    }
-
-    // One named row per recording (pid, tid); sort index = tid keeps
-    // the main thread on top and workers in pool order. Local rows name
-    // from the in-process thread registry; remote rows carry their
-    // names in the tracer's remote registry.
-    std::set<std::pair<int, int>> rows;
-    for (const ConcurrentSpan& s : spans)
-        rows.insert({s.pid == 0 ? 1 : s.pid, s.tid});
-    for (const auto& [pid, tid] : rows) {
+    // One named row per recording thread; sort index = tid keeps the
+    // main thread on top and workers in pool order.
+    std::set<int> tids;
+    for (const ConcurrentSpan& s : spans) tids.insert(s.tid);
+    for (const int tid : tids) {
         Json nameMeta = Json::object();
         nameMeta.set("name", "thread_name");
         nameMeta.set("ph", "M");
-        nameMeta.set("pid", pid);
+        nameMeta.set("pid", 1);
         nameMeta.set("tid", tid);
         Json nameArgs = Json::object();
-        nameArgs.set("name", pid == 1 ? thread_registry::nameOf(tid)
-                                      : tracer.remoteThreadName(pid, tid));
+        nameArgs.set("name", thread_registry::nameOf(tid));
         nameMeta.set("args", std::move(nameArgs));
         events.push(std::move(nameMeta));
 
         Json sortMeta = Json::object();
         sortMeta.set("name", "thread_sort_index");
         sortMeta.set("ph", "M");
-        sortMeta.set("pid", pid);
+        sortMeta.set("pid", 1);
         sortMeta.set("tid", tid);
         Json sortArgs = Json::object();
         sortArgs.set("sort_index", tid);
@@ -125,7 +106,7 @@ Json buildChromeTrace(const ConcurrentTracer& tracer,
         e.set("ts", static_cast<double>(s.startNs) / 1000.0);
         const std::int64_t dur = s.closed() ? s.durNs : nowNs - s.startNs;
         e.set("dur", static_cast<double>(dur) / 1000.0);
-        e.set("pid", s.pid == 0 ? 1 : s.pid);
+        e.set("pid", 1);
         e.set("tid", s.tid);
         Json args = Json::object();
         args.set("span_id", static_cast<std::int64_t>(s.id));

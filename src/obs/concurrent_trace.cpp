@@ -96,7 +96,6 @@ ConcurrentTracer::Handle ConcurrentTracer::begin(const char* name,
     const int idx = static_cast<int>(buf.spans.size());
     buf.spans.push_back(std::move(s));
     buf.openIds.push_back(id);
-    buf.openIdx.push_back(idx);
     return {&buf, idx, id};
 }
 
@@ -105,24 +104,12 @@ void ConcurrentTracer::end(const Handle& h) {
     ThreadBuf& buf = *static_cast<ThreadBuf*>(h.buf);
     const std::int64_t now = nowNs();
     std::lock_guard<std::mutex> lock(buf.mu);
-    // The handle's index is a hint: drainClosed() compacts the buffer
-    // under our feet, so fall back to the open-span list when the hint
-    // no longer points at our span. clear() empties that list too, so
-    // stale handles stay no-ops instead of corrupting another span.
-    int idx = -1;
-    if (h.idx >= 0 && h.idx < static_cast<int>(buf.spans.size()) &&
-        buf.spans[static_cast<size_t>(h.idx)].id == h.id) {
-        idx = h.idx;
-    } else {
-        for (std::size_t i = 0; i < buf.openIds.size(); ++i) {
-            if (buf.openIds[i] == h.id) {
-                idx = buf.openIdx[i];
-                break;
-            }
-        }
-    }
-    if (idx < 0 || idx >= static_cast<int>(buf.spans.size())) return;
-    ConcurrentSpan& s = buf.spans[static_cast<size_t>(idx)];
+    // Spans are only ever appended, so the handle's index still points
+    // at its span unless clear() ran since begin(): then the index is
+    // past the end or names a newer span, and the stale handle is a
+    // no-op instead of corrupting another span.
+    if (h.idx < 0 || h.idx >= static_cast<int>(buf.spans.size())) return;
+    ConcurrentSpan& s = buf.spans[static_cast<size_t>(h.idx)];
     if (s.id != h.id || s.closed()) return;
     s.durNs = now - s.startNs;
     // Usually the innermost open span; a cross-thread end() may close
@@ -130,7 +117,6 @@ void ConcurrentTracer::end(const Handle& h) {
     for (int i = static_cast<int>(buf.openIds.size()) - 1; i >= 0; --i) {
         if (buf.openIds[static_cast<size_t>(i)] == h.id) {
             buf.openIds.erase(buf.openIds.begin() + i);
-            buf.openIdx.erase(buf.openIdx.begin() + i);
             break;
         }
     }
@@ -221,93 +207,6 @@ std::vector<ConcurrentSpan> ConcurrentTracer::snapshot() const {
     return out;
 }
 
-int ConcurrentTracer::registerProcess(const std::string& name) {
-    std::lock_guard<std::mutex> lock(remoteMu_);
-    for (std::size_t i = 0; i < processNames_.size(); ++i)
-        if (processNames_[i] == name) return static_cast<int>(i) + 2;
-    processNames_.push_back(name);
-    return static_cast<int>(processNames_.size()) + 1;
-}
-
-std::vector<std::pair<int, std::string>> ConcurrentTracer::processes() const {
-    std::lock_guard<std::mutex> lock(remoteMu_);
-    std::vector<std::pair<int, std::string>> out;
-    out.reserve(processNames_.size());
-    for (std::size_t i = 0; i < processNames_.size(); ++i)
-        out.emplace_back(static_cast<int>(i) + 2, processNames_[i]);
-    return out;
-}
-
-void ConcurrentTracer::setRemoteThreadName(int pid, int tid,
-                                           const std::string& name) {
-    std::lock_guard<std::mutex> lock(remoteMu_);
-    remoteThreadNames_[{pid, tid}] = name;
-}
-
-std::string ConcurrentTracer::remoteThreadName(int pid, int tid) const {
-    std::lock_guard<std::mutex> lock(remoteMu_);
-    auto it = remoteThreadNames_.find({pid, tid});
-    return it == remoteThreadNames_.end() ? std::string() : it->second;
-}
-
-void ConcurrentTracer::addRemoteSpan(ConcurrentSpan s) {
-    if (!enabled_) return;
-    ThreadBuf& buf = localBuf();
-    std::lock_guard<std::mutex> lock(buf.mu);
-    buf.spans.push_back(std::move(s));
-}
-
-std::vector<ConcurrentSpan> ConcurrentTracer::drainClosed(
-    std::size_t maxSpans) {
-    std::vector<ConcurrentSpan> out;
-    {
-        std::lock_guard<std::mutex> lock(bufsMu_);
-        for (const auto& buf : bufs_) {
-            if (out.size() >= maxSpans) break;
-            std::lock_guard<std::mutex> bl(buf->mu);
-            // Scan-before-move: most buffers have nothing closed (the
-            // harvest runs on every traced request), and rebuilding an
-            // untouched buffer would cost two allocations per call.
-            bool anyClosed = false;
-            for (const ConcurrentSpan& s : buf->spans) {
-                if (s.closed()) {
-                    anyClosed = true;
-                    break;
-                }
-            }
-            if (!anyClosed) continue;
-            bool drained = false;
-            std::vector<ConcurrentSpan> keep;
-            for (ConcurrentSpan& s : buf->spans) {
-                if (s.closed() && out.size() < maxSpans) {
-                    out.push_back(std::move(s));
-                    drained = true;
-                } else {
-                    keep.push_back(std::move(s));
-                }
-            }
-            if (!drained) continue;
-            buf->spans = std::move(keep);
-            // Open-span indices shifted; re-derive them from the ids.
-            for (std::size_t i = 0; i < buf->openIds.size(); ++i) {
-                buf->openIdx[i] = -1;
-                for (std::size_t j = 0; j < buf->spans.size(); ++j) {
-                    if (buf->spans[j].id == buf->openIds[i]) {
-                        buf->openIdx[i] = static_cast<int>(j);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const ConcurrentSpan& a, const ConcurrentSpan& b) {
-                  if (a.startNs != b.startNs) return a.startNs < b.startNs;
-                  return a.id < b.id;
-              });
-    return out;
-}
-
 int ConcurrentTracer::threadCount() const {
     std::lock_guard<std::mutex> lock(bufsMu_);
     int n = 0;
@@ -334,7 +233,6 @@ void ConcurrentTracer::clear() {
         std::lock_guard<std::mutex> bl(buf->mu);
         buf->spans.clear();
         buf->openIds.clear();
-        buf->openIdx.clear();
     }
 }
 

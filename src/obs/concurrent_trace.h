@@ -3,11 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -27,10 +25,6 @@ struct ConcurrentSpan {
     std::uint64_t id = 0;     ///< unique within the tracer, never 0
     std::uint64_t parent = 0; ///< 0 = root
     int tid = 0;              ///< thread_registry tid of the recorder
-    /// Process row this span renders under: 0 = this process (exported
-    /// as pid 1); >= 2 = a remote process registered via
-    /// registerProcess() (a worker whose spans were stitched in).
-    int pid = 0;
 
     [[nodiscard]] bool closed() const { return durNs >= 0; }
 };
@@ -109,43 +103,6 @@ public:
     /// Merged copy of every thread's spans, ordered by (startNs, id).
     [[nodiscard]] std::vector<ConcurrentSpan> snapshot() const;
 
-    /// Process-unique id of this tracer instance. Workers ship it as
-    /// the batch epoch so a restarted worker (fresh tracer, span ids
-    /// starting over) is never confused with its previous life.
-    [[nodiscard]] std::uint64_t instanceId() const { return traceId_; }
-
-    /// Reserve a fresh span id without recording a span. The stitcher
-    /// uses this to renumber remote spans into this tracer's id space.
-    [[nodiscard]] std::uint64_t allocateSpanId() {
-        return nextSpanId_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /// Register a remote process row (a worker) and get its export pid
-    /// (2, 3, ... — pid 1 is this process). Re-registering the same
-    /// name returns the existing pid.
-    int registerProcess(const std::string& name);
-
-    /// Registered (pid, name) pairs, pid-ascending.
-    [[nodiscard]] std::vector<std::pair<int, std::string>> processes() const;
-
-    /// Name a remote process's thread row for export ("" = unnamed).
-    void setRemoteThreadName(int pid, int tid, const std::string& name);
-    [[nodiscard]] std::string remoteThreadName(int pid, int tid) const;
-
-    /// Append a fully-formed span verbatim (id/parent/pid/tid already
-    /// resolved by the caller — the cluster span stitcher). The id
-    /// should come from allocateSpanId() so it cannot collide with
-    /// locally recorded spans.
-    void addRemoteSpan(ConcurrentSpan s);
-
-    /// Remove and return up to `maxSpans` closed spans across all
-    /// thread buffers (ordered by startNs, id); open spans stay put and
-    /// their handles remain valid. Workers use this to harvest a
-    /// bounded batch of finished spans into each traced response
-    /// without holding the whole history forever.
-    [[nodiscard]] std::vector<ConcurrentSpan> drainClosed(
-        std::size_t maxSpans);
-
     /// Distinct thread buffers that recorded at least one span.
     [[nodiscard]] int threadCount() const;
 
@@ -162,9 +119,8 @@ private:
         std::mutex mu;
         int tid = 0;
         std::vector<ConcurrentSpan> spans;
-        /// Innermost-last open span ids (and their span indices).
+        /// Innermost-last open span ids.
         std::vector<std::uint64_t> openIds;
-        std::vector<int> openIdx;
         /// Adopted cross-thread contexts (ContextScope nesting).
         std::vector<std::uint64_t> adopted;
     };
@@ -177,11 +133,6 @@ private:
     std::atomic<std::uint64_t> nextSpanId_{1};
     mutable std::mutex bufsMu_;
     std::vector<std::unique_ptr<ThreadBuf>> bufs_;
-    /// Remote-process registry (stitched worker rows), own lock so
-    /// export metadata never contends with the recording hot path.
-    mutable std::mutex remoteMu_;
-    std::vector<std::string> processNames_;  ///< index 0 -> pid 2
-    std::map<std::pair<int, int>, std::string> remoteThreadNames_;
 };
 
 /// RAII adoption of a cross-thread parent context: spans the calling

@@ -106,32 +106,9 @@ public:
     [[nodiscard]] double p90() const { return quantile(0.90); }
     [[nodiscard]] double p99() const { return quantile(0.99); }
 
-    /// Fold another histogram's samples into this one: counts and sums
-    /// add, min/max widen, buckets merge index-wise (both sides use the
-    /// same fixed power-of-two bucket bounds, so the merge is exact at
-    /// bucket granularity). This is how the cluster federation rolls N
-    /// workers' latency series into one distribution without ever
-    /// seeing the raw samples. Not atomic as a whole: concurrent
-    /// writers to either side land in one histogram or the other, never
-    /// lost.
-    void mergeFrom(const Histogram& o) {
-        const std::int64_t c = o.count();
-        if (c == 0) return;
-        count_.fetch_add(c, std::memory_order_relaxed);
-        addToDouble(sum_, o.sum());
-        updateMin(o.min());
-        updateMax(o.max());
-        for (int i = 0; i < kBuckets; ++i) {
-            const std::int64_t b = o.bucket(i);
-            if (b != 0)
-                buckets_[static_cast<size_t>(i)].fetch_add(
-                    b, std::memory_order_relaxed);
-        }
-    }
-
     /// Rebuild an exported histogram (count/sum/min/max + leading log2
-    /// buckets, the MetricRegistry::toJson shape) so a federation scrape
-    /// can be re-merged with mergeFrom(). Adds on top of current state.
+    /// buckets, the MetricRegistry::toJson shape). Adds on top of
+    /// current state.
     void restore(std::int64_t count, double sum, double mn, double mx,
                  const std::vector<std::int64_t>& buckets) {
         if (count <= 0) return;

@@ -16,7 +16,7 @@ void appendValue(std::ostringstream& out, double v) {
 }
 
 /// Descriptions keyed by the dotted registry name. Seeded with the
-/// metrics the service/cluster layers export so scrapes are
+/// metrics the service and simulator export so scrapes are
 /// self-documenting out of the box; describeMetric() extends it.
 class DescriptionRegistry {
 public:
@@ -62,54 +62,6 @@ private:
             {"service.parse_us", "Parse-stage latency per request"},
             {"service.total_us", "End-to-end service latency per request"},
             {"service.queue_wait_us", "Queue wait before a worker picked up"},
-            {"cluster.coord.requests", "Jobs routed by the coordinator"},
-            {"cluster.coord.compiles",
-             "Jobs that reached the compute tier on a worker"},
-            {"cluster.coord.local_hits",
-             "Jobs served from the coordinator's local artifact LRU"},
-            {"cluster.coord.local_evictions",
-             "Coordinator local-LRU evictions"},
-            {"cluster.coord.peer_fetches",
-             "Hinted peer artifact fetch attempts"},
-            {"cluster.coord.peer_hits", "Peer fetches that returned the artifact"},
-            {"cluster.coord.peer_misses", "Peer fetches that missed"},
-            {"cluster.coord.worker_hits",
-             "Compute-tier requests served from a worker's cache"},
-            {"cluster.coord.retries", "Compute-tier retries across the ring"},
-            {"cluster.coord.probes", "Liveness probes sent to workers"},
-            {"cluster.coord.partitions",
-             "Peer fetches abandoned on a partitioned link"},
-            {"cluster.coord.stale_workers",
-             "Responses rejected for wire-version or identity mismatch"},
-            {"cluster.coord.workers_lost", "Workers marked dead"},
-            {"cluster.coord.workers_restarted",
-             "Workers that came back under a new identity"},
-            {"cluster.coord.transient_failures",
-             "Transient failures seen while routing"},
-            {"cluster.coord.permanent_failures",
-             "Jobs that failed permanently after all retries"},
-            {"cluster.coord.exhausted",
-             "Jobs that exhausted every routing attempt"},
-            {"cluster.coord.request_us",
-             "End-to-end coordinator request latency"},
-            {"cluster.coord.tier.local_hit_us",
-             "Latency of requests served by the coordinator's local LRU"},
-            {"cluster.coord.tier.peer_hit_us",
-             "Latency of requests served by a hinted peer fetch"},
-            {"cluster.coord.tier.compute_us",
-             "Latency of requests that reached the compute tier"},
-            {"cluster.coord.span_batches",
-             "Worker span batches merged by the coordinator"},
-            {"cluster.coord.spans_imported",
-             "Worker spans merged into the coordinator trace"},
-            {"cluster.coord.spans_lost",
-             "Spans orphaned by worker death or batch truncation"},
-            {"cluster.worker.compile_requests", "Compile requests handled"},
-            {"cluster.worker.artifact_requests", "Artifact GETs handled"},
-            {"cluster.worker.artifact_hits", "Artifact GETs served from cache"},
-            {"cluster.worker.artifact_misses", "Artifact GETs that missed"},
-            {"cluster.worker.bad_requests", "Malformed requests rejected"},
-            {"cluster.worker.kills", "Fault-injected kills taken"},
             {"sim.phase.eval_us", "Simulator eval-phase latency per step"},
             {"sim.phase.merge_us", "Simulator merge-phase latency per step"},
             {"sim.checkpoint_us", "Simulator checkpoint write latency"},

@@ -38,10 +38,10 @@ namespace phpf::obs {
 [[nodiscard]] std::string prometheusHelpText(const std::string& text);
 
 /// Register (or overwrite) the human-readable description for a dotted
-/// metric name ("cluster.coord.request_us"). Descriptions are keyed by
-/// the *registry* name, before prefixing/sanitizing, and are shared
+/// metric name ("service.compile_us"). Descriptions are keyed by the
+/// *registry* name, before prefixing/sanitizing, and are shared
 /// process-wide. A built-in table covers the metrics the service and
-/// cluster layers export; call this for ad-hoc additions.
+/// simulator export; call this for ad-hoc additions.
 void describeMetric(const std::string& name, const std::string& help);
 
 /// Look up a metric's description ("" when none registered).

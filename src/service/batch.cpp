@@ -121,8 +121,8 @@ bool parseOptions(const obs::Json& o, BatchJob* job, std::string* err) {
     return true;
 }
 
-}  // namespace
-
+/// Parse ONE job object (`index` only labels errors and the
+/// synthesized default name).
 bool parseBatchJob(const obs::Json& j, int index, BatchJob* job,
                    std::string* err) {
     if (!j.isObject()) {
@@ -185,63 +185,7 @@ bool parseBatchJob(const obs::Json& j, int index, BatchJob* job,
     return true;
 }
 
-obs::Json batchJobToJson(const BatchJob& job, bool resolveFiles) {
-    obs::Json j = obs::Json::object();
-    if (!job.name.empty()) j.set("name", job.name);
-    if (!job.program.empty()) j.set("program", job.program);
-    if (!job.source.empty()) {
-        j.set("source", job.source);
-    } else if (!job.file.empty()) {
-        if (resolveFiles) {
-            std::ifstream in(job.file);
-            std::stringstream buf;
-            buf << in.rdbuf();
-            if (in && !buf.str().empty()) {
-                j.set("source", buf.str());
-            } else {
-                // Unreadable here: emit the path unresolved so the
-                // consumer's error names the file instead of a
-                // baffling empty-source schema violation.
-                j.set("file", job.file);
-            }
-        } else {
-            j.set("file", job.file);
-        }
-    }
-    if (job.n > 0) j.set("n", job.n);
-    if (job.niter > 0) j.set("niter", job.niter);
-    if (job.nx > 0) j.set("nx", job.nx);
-    if (job.ny > 0) j.set("ny", job.ny);
-    if (job.nz > 0) j.set("nz", job.nz);
-    if (job.deadlineMs > 0) j.set("deadline_ms", job.deadlineMs);
-    if (job.profile) j.set("profile", true);
-    obs::Json grid = obs::Json::array();
-    for (int e : job.target.gridExtents) grid.push(e);
-    j.set("grid", std::move(grid));
-    // Every option explicitly, defaults included: a wire request's
-    // meaning must not depend on sender and receiver agreeing on
-    // defaults (the keys are exactly parseOptions' vocabulary).
-    const MappingOptions& m = job.passes.mapping;
-    obs::Json o = obs::Json::object();
-    o.set("privatization", m.privatization);
-    o.set("align_policy",
-          m.alignPolicy == MappingOptions::AlignPolicy::Selected
-              ? "selected"
-              : "producer-only");
-    o.set("reduction_alignment", m.reductionAlignment);
-    o.set("array_privatization", m.arrayPrivatization);
-    o.set("partial_privatization", m.partialPrivatization);
-    o.set("auto_array_privatization", m.autoArrayPrivatization);
-    o.set("control_flow_privatization", m.controlFlowPrivatization);
-    o.set("rewrite_induction", job.passes.rewriteInduction);
-    o.set("elem_bytes", job.target.costModel.elemBytes);
-    o.set("combine_messages", job.target.costModel.combineMessages);
-    o.set("sim_engine", simEngineName(job.passes.simEngine));
-    o.set("relaxed_merge", job.passes.relaxedMerge);
-    o.set("target", targetKindName(job.target.targetKind));
-    j.set("options", std::move(o));
-    return j;
-}
+}  // namespace
 
 const std::vector<std::string>& builtinProgramNames() {
     static const std::vector<std::string> names = {

@@ -40,22 +40,6 @@ struct BatchSpec {
 /// set on malformed input.
 bool parseBatchSpec(const obs::Json& doc, BatchSpec* out, std::string* err);
 
-/// Parse ONE job object (the same schema a jobs-file row uses; `index`
-/// only labels errors and the synthesized default name). This is also
-/// the cluster wire protocol's request payload codec, so a coordinator
-/// and its workers parse requests with exactly the jobs-file rules.
-bool parseBatchJob(const obs::Json& j, int index, BatchJob* out,
-                   std::string* err);
-
-/// Serialize one job to the jobs-file/wire schema such that
-/// parseBatchJob(batchJobToJson(job)) reproduces it. Every options key
-/// is spelled explicitly (defaults included) — wire requests must not
-/// depend on two builds agreeing on defaults. `file` jobs are emitted
-/// as resolved inline `source` when `resolveFiles` is true (the wire
-/// case: workers must not need the coordinator's filesystem).
-[[nodiscard]] obs::Json batchJobToJson(const BatchJob& job,
-                                       bool resolveFiles = false);
-
 /// Read + parse a jobs file from disk.
 bool loadBatchFile(const std::string& path, BatchSpec* out, std::string* err);
 

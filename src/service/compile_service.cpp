@@ -1,5 +1,6 @@
 #include "service/compile_service.h"
 
+#include <algorithm>
 #include <optional>
 #include <thread>
 
@@ -58,8 +59,9 @@ const char* statusName(CompileStatus s) {
 CompileService::CompileService(ServiceConfig cfg)
     : cfg_(cfg),
       cache_(cfg.cacheCapacity, cfg.cacheShards),
-      pool_(std::make_unique<TaskPool>(resolveThreadCount(cfg.workers, 8),
-                                       "svc-worker")) {
+      pool_(std::make_unique<TaskPool>(
+          std::min(cfg.workers > 0 ? cfg.workers : hardwareThreads(), 8),
+          "svc-worker")) {
     const FaultInjector* faults =
         cfg_.faults != nullptr ? cfg_.faults : FaultInjector::processIfEnabled();
     if (faults != nullptr) {

@@ -95,9 +95,10 @@ struct CompileResult {
 };
 
 struct ServiceConfig {
-    /// Worker threads of the async submit() pool. 0 = auto
-    /// (PHPF_SIM_THREADS, else hardware concurrency, clamped to 8 —
-    /// compiles are memory-bound well before that).
+    /// Worker threads of the async submit() pool. 0 = auto (hardware
+    /// concurrency; PHPF_SIM_THREADS is a simulator knob and plays no
+    /// part). Clamped to 8 either way: compiles are memory-bound well
+    /// before that.
     int workers = 0;
     /// Total artifact-cache entries across shards.
     std::size_t cacheCapacity = 256;
@@ -157,16 +158,6 @@ public:
     /// Asynchronous compile on the worker pool. The deadline clock
     /// starts now, so queue wait counts against it.
     [[nodiscard]] std::shared_future<CompileResult> submit(CompileRequest req);
-
-    /// Cache-only lookup by content-addressed key: the artifact when
-    /// this service has it cached, null otherwise — never compiles.
-    /// This is the peer-fetch path of the cluster (GET
-    /// /artifact/<key>): any worker can answer for any key it happens
-    /// to hold, with strictly bounded work. Counts a cache hit/miss.
-    [[nodiscard]] std::shared_ptr<const CompileArtifact> cachedArtifact(
-        const std::string& key) {
-        return cache_.get(key);
-    }
 
     /// Memory-pressure hook: drop least-recently-used cached artifacts
     /// down to `targetEntries` (default: half the current size). Wired

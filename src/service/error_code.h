@@ -19,22 +19,11 @@ enum class ErrorCode : std::uint8_t {
     TransientFault,    ///< injected or environmental hiccup; retryable
     MemoryPressure,    ///< resources were shed out from under the job
     Internal,          ///< pipeline invariant failure (permanent)
-    // Remote layer (cluster coordinator <-> worker over HTTP). All
-    // three are transient: the retry policy re-routes them — a dead
-    // worker's hash range is re-owned and the job re-queued, so the
-    // retry runs somewhere the failure cannot simply repeat.
-    RemoteUnreachable,  ///< connect/send to a worker failed outright
-    PeerTimeout,        ///< worker accepted but never answered in time
-    StaleWorker,        ///< answer from a worker with mismatched
-                        ///< protocol version or identity (restarted or
-                        ///< out-of-date peer); discard and re-route
 };
 
 /// Is this failure worth an automatic retry-with-backoff?
 [[nodiscard]] constexpr bool isTransient(ErrorCode c) {
-    return c == ErrorCode::TransientFault || c == ErrorCode::MemoryPressure ||
-           c == ErrorCode::RemoteUnreachable || c == ErrorCode::PeerTimeout ||
-           c == ErrorCode::StaleWorker;
+    return c == ErrorCode::TransientFault || c == ErrorCode::MemoryPressure;
 }
 
 /// Stable lower-case label ("transient-fault") for logs and JSON rows.
@@ -49,9 +38,6 @@ enum class ErrorCode : std::uint8_t {
         case ErrorCode::TransientFault: return "transient-fault";
         case ErrorCode::MemoryPressure: return "memory-pressure";
         case ErrorCode::Internal: return "internal";
-        case ErrorCode::RemoteUnreachable: return "remote-unreachable";
-        case ErrorCode::PeerTimeout: return "peer-timeout";
-        case ErrorCode::StaleWorker: return "stale-worker";
     }
     return "?";
 }

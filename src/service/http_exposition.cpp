@@ -65,16 +65,12 @@ void respond(int fd, int code, const char* reason, const char* contentType,
 const char* reasonOf(int code) {
     switch (code) {
         case 200: return "OK";
-        case 202: return "Accepted";
         case 400: return "Bad Request";
         case 404: return "Not Found";
         case 405: return "Method Not Allowed";
         case 408: return "Request Timeout";
-        case 409: return "Conflict";
         case 413: return "Payload Too Large";
-        case 422: return "Unprocessable Entity";
         case 431: return "Request Header Fields Too Large";
-        case 500: return "Internal Server Error";
         case 503: return "Service Unavailable";
         default: return "?";
     }
@@ -126,14 +122,6 @@ void MetricsHttpServer::setReportProvider(std::function<obs::Json()> provider) {
     reportProvider_ = std::move(provider);
 }
 
-void MetricsHttpServer::setApiHandler(ApiHandler handler) {
-    apiHandler_ = std::move(handler);
-}
-
-void MetricsHttpServer::setConnectionThreads(int n) {
-    connectionThreads_ = n < 1 ? 1 : (n > 16 ? 16 : n);
-}
-
 bool MetricsHttpServer::start(std::string* err) {
 #if !PHPF_HAVE_SOCKETS
     if (err != nullptr) *err = "metrics exposition: no socket support";
@@ -176,16 +164,10 @@ bool MetricsHttpServer::start(std::string* err) {
     started_ = std::chrono::steady_clock::now();
     stopping_.store(false, std::memory_order_release);
     running_.store(true, std::memory_order_release);
-    acceptThread_ = std::thread([this] {
-        thread_registry::setCurrentName("http-accept");
-        acceptLoop();
+    serveThread_ = std::thread([this] {
+        thread_registry::setCurrentName("http-serve");
+        serveLoop();
     });
-    handlers_.reserve(static_cast<size_t>(connectionThreads_));
-    for (int i = 0; i < connectionThreads_; ++i)
-        handlers_.emplace_back([this, i] {
-            thread_registry::setCurrentName("http-conn-" + std::to_string(i));
-            handlerLoop();
-        });
     return true;
 #endif
 }
@@ -199,20 +181,12 @@ void MetricsHttpServer::stop() {
     ::shutdown(listenFd_, SHUT_RDWR);
     ::close(listenFd_);
     listenFd_ = -1;
-    if (acceptThread_.joinable()) acceptThread_.join();
-    connCv_.notify_all();
-    for (std::thread& t : handlers_)
-        if (t.joinable()) t.join();
-    handlers_.clear();
-    // Close any accepted-but-unhandled connections.
-    std::lock_guard<std::mutex> lock(connMu_);
-    for (int fd : connQueue_) ::close(fd);
-    connQueue_.clear();
+    if (serveThread_.joinable()) serveThread_.join();
     running_.store(false, std::memory_order_release);
 #endif
 }
 
-void MetricsHttpServer::acceptLoop() {
+void MetricsHttpServer::serveLoop() {
 #if PHPF_HAVE_SOCKETS
     for (;;) {
         const int fd = ::accept(listenFd_, nullptr, nullptr);
@@ -220,29 +194,6 @@ void MetricsHttpServer::acceptLoop() {
             if (stopping_.load(std::memory_order_acquire)) return;
             if (errno == EINTR) continue;
             return;  // listen socket gone
-        }
-        {
-            std::lock_guard<std::mutex> lock(connMu_);
-            connQueue_.push_back(fd);
-        }
-        connCv_.notify_one();
-    }
-#endif
-}
-
-void MetricsHttpServer::handlerLoop() {
-#if PHPF_HAVE_SOCKETS
-    for (;;) {
-        int fd = -1;
-        {
-            std::unique_lock<std::mutex> lock(connMu_);
-            connCv_.wait(lock, [&] {
-                return !connQueue_.empty() ||
-                       stopping_.load(std::memory_order_acquire);
-            });
-            if (connQueue_.empty()) return;  // stopping
-            fd = connQueue_.front();
-            connQueue_.pop_front();
         }
         handleConnection(fd);
         ::close(fd);
@@ -255,19 +206,6 @@ std::string MetricsHttpServer::buildMetricsBody() const {
     for (const auto& [prefix, reg] : registries_)
         body += obs::renderPrometheus(*reg, prefix);
     return body;
-}
-
-std::string MetricsHttpServer::buildMetricsJsonBody() const {
-    obs::Json doc = obs::Json::object();
-    obs::Json regs = obs::Json::array();
-    for (const auto& [prefix, reg] : registries_) {
-        obs::Json r = obs::Json::object();
-        r.set("prefix", prefix);
-        r.set("metrics", reg->toJson());
-        regs.push(std::move(r));
-    }
-    doc.set("registries", std::move(regs));
-    return doc.dump();
 }
 
 std::string MetricsHttpServer::buildHealthBody() const {
@@ -283,12 +221,6 @@ std::string MetricsHttpServer::buildHealthBody() const {
 
 void MetricsHttpServer::handleConnection(int fd) {
 #if PHPF_HAVE_SOCKETS
-    if (muted_.load(std::memory_order_acquire)) {
-        // Playing dead: accept and drop without reading a byte, like a
-        // process whose kernel is resetting connections for it.
-        ::close(fd);
-        return;
-    }
     setSocketDeadlines(fd, limits_);
 
     // --- read the request line + headers (bounded) -------------------
@@ -332,9 +264,8 @@ void MetricsHttpServer::handleConnection(int fd) {
         respond(fd, 400, reasonOf(400), "text/plain", "bad request\n");
         return;
     }
-    HttpRequest req;
-    req.method = head.substr(0, sp1);
-    req.path = head.substr(sp1 + 1, sp2 - sp1 - 1);
+    const std::string method = head.substr(0, sp1);
+    const std::string path = head.substr(sp1 + 1, sp2 - sp1 - 1);
 
     // --- read the body (Content-Length, bounded) ---------------------
     std::size_t contentLength = 0;
@@ -356,10 +287,10 @@ void MetricsHttpServer::handleConnection(int fd) {
         respond(fd, 413, reasonOf(413), "text/plain", "body too large\n");
         return;
     }
-    req.body = std::move(overflow);
-    while (req.body.size() < contentLength) {
-        const size_t want = std::min(
-            sizeof(buf), contentLength - req.body.size());
+    // Drain the body (no route takes one) so the answer is not a reset.
+    std::size_t bodyBytes = overflow.size();
+    while (bodyBytes < contentLength) {
+        const size_t want = std::min(sizeof(buf), contentLength - bodyBytes);
         const ssize_t n = ::recv(fd, buf, want, 0);
         if (n <= 0) {
             // Body never completed within the receive deadline.
@@ -367,30 +298,23 @@ void MetricsHttpServer::handleConnection(int fd) {
             respond(fd, 408, reasonOf(408), "text/plain", "body timeout\n");
             return;
         }
-        req.body.append(buf, static_cast<size_t>(n));
+        bodyBytes += static_cast<size_t>(n);
     }
-    req.body.resize(contentLength);  // ignore pipelined extra bytes
 
     requests_.fetch_add(1, std::memory_order_relaxed);
 
-    // --- built-in routes ---------------------------------------------
-    if (req.method == "GET") {
-        if (req.path == "/metrics") {
+    if (method == "GET") {
+        if (path == "/metrics") {
             respond(fd, 200, reasonOf(200), "text/plain; version=0.0.4",
                     buildMetricsBody());
             return;
         }
-        if (req.path == "/metrics.json") {
-            respond(fd, 200, reasonOf(200), "application/json",
-                    buildMetricsJsonBody());
-            return;
-        }
-        if (req.path == "/healthz") {
+        if (path == "/healthz") {
             respond(fd, 200, reasonOf(200), "application/json",
                     buildHealthBody());
             return;
         }
-        if (req.path == "/report") {
+        if (path == "/report") {
             if (!reportProvider_) {
                 respond(fd, 503, reasonOf(503), "text/plain",
                         "no report provider\n");
@@ -400,29 +324,14 @@ void MetricsHttpServer::handleConnection(int fd) {
                     reportProvider_().dump());
             return;
         }
-        if (req.path == "/quitquitquit") {
+        if (path == "/quitquitquit") {
             quit_.store(true, std::memory_order_release);
             respond(fd, 200, reasonOf(200), "text/plain", "shutting down\n");
             return;
         }
     }
 
-    // --- everything else goes to the API handler ---------------------
-    if (apiHandler_) {
-        HttpReply reply;
-        try {
-            reply = apiHandler_(req);
-        } catch (const std::exception& e) {
-            reply.status = 500;
-            reply.contentType = "text/plain";
-            reply.body = std::string("handler error: ") + e.what() + "\n";
-        }
-        if (reply.closeAbruptly) return;  // simulate a dead worker
-        respond(fd, reply.status, reasonOf(reply.status),
-                reply.contentType.c_str(), reply.body);
-        return;
-    }
-    if (req.method != "GET") {
+    if (method != "GET") {
         respond(fd, 405, reasonOf(405), "text/plain", "GET only\n");
         return;
     }

@@ -2,11 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,25 +13,6 @@
 #include "obs/metrics.h"
 
 namespace phpf::service {
-
-/// One parsed HTTP request as seen by an ApiHandler: the method and
-/// path from the request line plus the (bounded) body.
-struct HttpRequest {
-    std::string method;  ///< "GET", "POST", ...
-    std::string path;    ///< "/compile", "/artifact/p1234..."
-    std::string body;    ///< request body (empty for GET)
-};
-
-/// What an ApiHandler answers with. `closeAbruptly` makes the server
-/// drop the connection without writing a byte — the deterministic
-/// stand-in for a worker dying mid-request (cluster.worker_kill in
-/// in-process tests; real worker processes _exit instead).
-struct HttpReply {
-    int status = 200;
-    std::string contentType = "text/plain";
-    std::string body;
-    bool closeAbruptly = false;
-};
 
 /// Per-connection hardening knobs. A slow or malicious client must
 /// never wedge a serving thread: reads and writes carry socket
@@ -48,25 +26,19 @@ struct HttpLimits {
     int sendTimeoutMs = 5000;
     /// Maximum accepted request body (Content-Length and actual bytes);
     /// beyond it the server answers 413 and closes.
-    std::size_t maxBodyBytes = 4u << 20;  // 4 MiB: a large inline source
+    std::size_t maxBodyBytes = 4u << 20;  // 4 MiB
     /// Maximum accepted request-line + header bytes (431 beyond).
     std::size_t maxHeaderBytes = 16u << 10;
 };
 
-/// Live telemetry and (since the cluster grew around it) a minimal
-/// compile API over HTTP, with zero external dependencies: a plain
-/// POSIX socket, one accept thread, and a small pool of connection
-/// handler threads.
+/// Live telemetry over HTTP with zero external dependencies: a plain
+/// POSIX socket and one serving thread that accepts and answers
+/// connections in turn.
 ///
-/// Built-in endpoints:
+/// Endpoints:
 ///   GET /metrics      Prometheus text exposition of every attached
 ///                     registry (counters as *_total, histograms as
 ///                     summaries with p50/p90/p99 quantile samples)
-///   GET /metrics.json Structured JSON form of the same registries,
-///                     histograms with raw log2 buckets — what the
-///                     cluster federation scrapes so it can merge
-///                     distributions bucket-wise
-
 ///   GET /healthz      JSON liveness: status, uptime, and whatever the
 ///                     health provider adds (queue depth, workers)
 ///   GET /report       JSON from the report provider (a run report);
@@ -75,25 +47,19 @@ struct HttpLimits {
 ///                     owner polls it for a clean scripted shutdown
 ///                     (CI smoke tests curl it instead of kill -9)
 ///
-/// Every other (method, path) — notably POST /compile and
-/// GET /artifact/<fingerprint> on cluster workers — is routed to the
-/// attached ApiHandler; without one the server answers 404/405 as
-/// before.
+/// Any other path is 404, any other method 405.
 ///
-/// Attach registries, providers, and the handler before start(); the
-/// server never mutates registries (they are internally thread-safe).
-/// Requests are parsed fully (request line, headers, Content-Length
-/// body) under HttpLimits: read/write socket deadlines and bounded
-/// header/body sizes, so one wedged client costs at most one handler
-/// thread for one timeout.
+/// Attach registries and providers before start(); the server never
+/// mutates registries (they are internally thread-safe). Requests are
+/// parsed fully (request line, headers, Content-Length body) under
+/// HttpLimits: read/write socket deadlines and bounded header/body
+/// sizes, so one wedged client holds the server for at most one
+/// timeout.
 class MetricsHttpServer {
 public:
-    using ApiHandler = std::function<HttpReply(const HttpRequest&)>;
-
     /// `port` 0 binds an ephemeral port (resolved via port() after
     /// start) — tests use this to avoid collisions. Binds loopback
-    /// only: this is an operator/cluster-internal endpoint, not a
-    /// public service.
+    /// only: this is an operator endpoint, not a public service.
     explicit MetricsHttpServer(int port = 0);
     ~MetricsHttpServer();  ///< stop()s
 
@@ -105,28 +71,19 @@ public:
     void addRegistry(const std::string& prefix, const obs::MetricRegistry* reg);
 
     /// Extra key/values merged into /healthz (called per request from
-    /// a handler thread; must be thread-safe).
+    /// the serving thread; must be thread-safe).
     void setHealthProvider(std::function<obs::Json()> provider);
-    /// Body of /report (called per request from a handler thread).
+    /// Body of /report (called per request from the serving thread).
     void setReportProvider(std::function<obs::Json()> provider);
-    /// Handler for every non-built-in (method, path); must be
-    /// thread-safe when connectionThreads > 1.
-    void setApiHandler(ApiHandler handler);
 
     /// Per-connection limits; call before start().
     void setLimits(HttpLimits limits) { limits_ = limits; }
     [[nodiscard]] const HttpLimits& limits() const { return limits_; }
 
-    /// Connection handler threads (clamped to [1, 16]); call before
-    /// start(). The default 1 preserves the metrics-only behaviour; a
-    /// cluster worker uses several so health probes are answered while
-    /// a compile occupies another connection.
-    void setConnectionThreads(int n);
-
-    /// Bind + listen + spawn the accept/handler threads. False (with
-    /// *err set) when the port cannot be bound.
+    /// Bind + listen + spawn the serving thread. False (with *err set)
+    /// when the port cannot be bound.
     bool start(std::string* err = nullptr);
-    /// Close the listen socket and join all threads. Idempotent.
+    /// Close the listen socket and join the serving thread. Idempotent.
     void stop();
 
     [[nodiscard]] bool running() const {
@@ -146,54 +103,27 @@ public:
     [[nodiscard]] bool quitRequested() const {
         return quit_.load(std::memory_order_acquire);
     }
-    /// Make quitRequested() true without a request (a worker killing
-    /// itself from a fault site uses this to leave its serve loop).
-    void requestQuit() { quit_.store(true, std::memory_order_release); }
-
-    /// Play dead: every subsequent connection (built-in routes
-    /// included) is closed without reading or writing a byte. This is
-    /// how an in-process test worker becomes indistinguishable from a
-    /// kill -9'd one — even health probes get nothing.
-    void setMuted(bool muted) {
-        muted_.store(muted, std::memory_order_release);
-    }
-
     [[nodiscard]] std::string buildMetricsBody() const;
-    /// Structured form of /metrics (the `GET /metrics.json` body):
-    /// {"registries":[{"prefix":..., "metrics": <registry toJson>}]}.
-    /// Histograms keep their log2 buckets here, which is what makes
-    /// bucket-wise federation merges possible (the text exposition only
-    /// carries quantile estimates).
-    [[nodiscard]] std::string buildMetricsJsonBody() const;
 
 private:
-    void acceptLoop();
-    void handlerLoop();
+    void serveLoop();
     void handleConnection(int fd);
     [[nodiscard]] std::string buildHealthBody() const;
 
     int port_;
-    // Written by stop() while acceptLoop() is blocked in accept() on it.
+    // Written by stop() while serveLoop() is blocked in accept() on it.
     std::atomic<int> listenFd_{-1};
-    std::thread acceptThread_;
-    std::vector<std::thread> handlers_;
-    int connectionThreads_ = 1;
     HttpLimits limits_;
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
     std::atomic<bool> quit_{false};
-    std::atomic<bool> muted_{false};
     std::atomic<std::int64_t> requests_{0};
     std::atomic<std::int64_t> rejected_{0};
     std::vector<std::pair<std::string, const obs::MetricRegistry*>> registries_;
     std::function<obs::Json()> healthProvider_;
     std::function<obs::Json()> reportProvider_;
-    ApiHandler apiHandler_;
     std::chrono::steady_clock::time_point started_;
-
-    std::mutex connMu_;
-    std::condition_variable connCv_;
-    std::deque<int> connQueue_;  ///< accepted fds awaiting a handler
+    std::thread serveThread_;  ///< last: it uses every member above
 };
 
 }  // namespace phpf::service

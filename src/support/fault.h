@@ -51,15 +51,6 @@ inline constexpr const char* kProcCrash = "proc.crash";    ///< simulated proc d
 inline constexpr const char* kSvcTransient = "svc.transient";  ///< compile job fails transiently
 inline constexpr const char* kSvcMemPressure = "svc.mem_pressure";  ///< shed the artifact cache
 inline constexpr const char* kBatchAbort = "batch.abort";  ///< batch runner dies mid-matrix
-/// Cluster sites (src/cluster): a compile worker dies abruptly at the
-/// start of handling a request — a real worker process _exit()s (the
-/// deterministic stand-in for kill -9), an in-process test worker drops
-/// the connection and stops serving.
-inline constexpr const char* kClusterWorkerKill = "cluster.worker_kill";
-/// A peer-fetch attempt finds the peer partitioned away: the fetch is
-/// dropped before any bytes move and the coordinator degrades to the
-/// next cache tier.
-inline constexpr const char* kClusterPartition = "cluster.partition";
 /// Not an injectable site: the SimFault tag of a cancelled simulation
 /// (deadline expiry or explicit CancelToken).
 inline constexpr const char* kSimCancel = "sim.cancel";

@@ -43,11 +43,15 @@ int resolveThreadCount(int requested, int maxUseful) {
     if (n <= 0) {
         if (const char* env = std::getenv("PHPF_SIM_THREADS"))
             n = std::atoi(env);
-        if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-        if (n <= 0) n = 1;
+        if (n <= 0) n = hardwareThreads();
     }
     if (maxUseful > 0 && n > maxUseful) n = maxUseful;
     return n < 1 ? 1 : n;
+}
+
+int hardwareThreads() {
+    const int n = static_cast<int>(std::thread::hardware_concurrency());
+    return n > 0 ? n : 1;
 }
 
 LockstepPool::LockstepPool(int threads, std::string namePrefix)

@@ -22,6 +22,9 @@ namespace phpf {
 /// never a point in more lockstep workers than units of per-phase work.
 int resolveThreadCount(int requested, int maxUseful = 0);
 
+/// `std::thread::hardware_concurrency()`, or 1 when it is unknown.
+int hardwareThreads();
+
 /// A pool of persistent workers executing short lockstep phases.
 ///
 /// The pool is built for the SPMD simulator's execution model: one

@@ -39,6 +39,16 @@ TEST(ResolveThreadCount, AutoReadsEnvironment) {
     EXPECT_GE(resolveThreadCount(0), 1);
 }
 
+TEST(SimThreads, DefaultOptionsSimulateOnOneThread) {
+    // Extra simulator threads are opt-in (--sim-threads / simThreads);
+    // a default compilation simulates on the calling thread alone.
+    Program p = programs::fig1(16);
+    TargetConfig target;
+    target.gridExtents = {4};
+    const Compilation c = Compiler::compile(p, target, PassOptions{});
+    EXPECT_EQ(c.simulate({})->threads(), 1);
+}
+
 TEST(LockstepPool, EveryWorkerRunsEachPhase) {
     LockstepPool pool(4);
     ASSERT_EQ(pool.threads(), 4);

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -335,6 +337,19 @@ TEST(CompileService, SubmitRunsOnTheWorkerPool) {
     EXPECT_EQ(st.requests, 8);
     EXPECT_EQ(st.compiles, 1);
     EXPECT_EQ(st.cache.hits + st.coalescedJoins, 7);
+}
+
+TEST(CompileService, AutoWidthIgnoresSimThreadsVariable) {
+    // PHPF_SIM_THREADS sizes the simulator; it must not shrink the
+    // service's own pool.
+    const char* old = std::getenv("PHPF_SIM_THREADS");
+    const std::string saved = old != nullptr ? old : "";
+    ::setenv("PHPF_SIM_THREADS", "1", 1);
+    const int width = CompileService{}.stats().workers;
+    if (old != nullptr) ::setenv("PHPF_SIM_THREADS", saved.c_str(), 1);
+    else ::unsetenv("PHPF_SIM_THREADS");
+    const int hw = static_cast<int>(std::thread::hardware_concurrency());
+    EXPECT_EQ(width, std::min(std::max(hw, 1), 8));
 }
 
 TEST(CompileService, MetricsJsonCarriesCacheAndStageData) {
@@ -703,13 +718,88 @@ TEST(Batch, ParsesJobsAndRunsThemThroughTheService) {
     ASSERT_EQ(rows.size(), 5u);
     EXPECT_EQ(rows[0].at("status").stringValue(), "ok");
     EXPECT_EQ(rows[1].at("status").stringValue(), "ok");
-    EXPECT_TRUE(rows[1].at("cache_hit").boolValue() ||
-                rows[1].at("coalesced").boolValue());
+    // The two identical jobs run concurrently, so either may lead; the
+    // other one is the hit or the join.
+    const auto shared = [](const obs::Json& row) {
+        return row.at("cache_hit").boolValue() ||
+               row.at("coalesced").boolValue();
+    };
+    EXPECT_NE(shared(rows[0]), shared(rows[1]));
     EXPECT_EQ(rows[2].at("status").stringValue(), "ok");
     EXPECT_EQ(rows[3].at("status").stringValue(), "bad-request");
     EXPECT_TRUE(rows[4].at("summary").boolValue());
     EXPECT_EQ(rows[4].at("jobs").intValue(), 4);
     EXPECT_EQ(rows[4].at("schema").stringValue(), "phpf.batch_report");
+}
+
+/// `j` without wall-clock (`*_us`, `wall_sec`) and scheduling
+/// (`cache_hit`, `coalesced`) fields, at any depth.
+obs::Json withoutTimings(const obs::Json& j) {
+    if (!j.isObject()) return j;
+    obs::Json out = obs::Json::object();
+    for (const std::string& k : j.keys()) {
+        const bool timing =
+            k == "wall_sec" ||
+            (k.size() > 3 && k.compare(k.size() - 3, 3, "_us") == 0);
+        if (timing || k == "cache_hit" || k == "coalesced") continue;
+        out.set(k, withoutTimings(j.at(k)));
+    }
+    return out;
+}
+
+/// The batch's job rows (no summary) without timings, one dump each.
+std::vector<std::string> stableRows(const std::string& jsonl) {
+    std::vector<std::string> rows;
+    std::istringstream lines(jsonl);
+    std::string line;
+    while (std::getline(lines, line)) {
+        const obs::Json row = obs::Json::parse(line);
+        if (row.find("summary") == nullptr)
+            rows.push_back(withoutTimings(row).dump());
+    }
+    return rows;
+}
+
+TEST(Batch, RowsIdenticalAcrossWorkerCounts) {
+    // The smoke matrix plus profiled simulation rows: whatever the pool
+    // width, every row (calibration included) must come out the same.
+    const std::string root = PHPF_SOURCE_DIR;
+    service::BatchSpec spec;
+    std::string err;
+    ASSERT_TRUE(service::loadBatchFile(root + "/examples/batch_smoke.json",
+                                       &spec, &err))
+        << err;
+    for (service::BatchJob& job : spec.jobs)
+        if (!job.file.empty()) job.file = root + "/" + job.file;
+    const obs::Json profiled = obs::Json::parse(R"([
+        {"program": "fig1", "n": 24, "grid": [4], "profile": true},
+        {"program": "tomcatv", "n": 33, "niter": 2, "grid": [4],
+         "profile": true},
+        {"program": "dgefa", "n": 24, "grid": [4], "profile": true,
+         "options": {"reduction_alignment": false}},
+        {"program": "adi", "n": 16, "niter": 2, "grid": [4], "profile": true}
+    ])");
+    service::BatchSpec extra;
+    ASSERT_TRUE(service::parseBatchSpec(profiled, &extra, &err)) << err;
+    spec.jobs.insert(spec.jobs.end(), extra.jobs.begin(), extra.jobs.end());
+
+    std::vector<std::string> reference;
+    for (int workers : {1, 2, 4}) {
+        service::ServiceConfig cfg;
+        cfg.workers = workers;
+        CompileService svc(cfg);
+        std::ostringstream out;
+        const service::BatchOutcome outcome =
+            service::runBatch(svc, spec, out);
+        EXPECT_EQ(outcome.failed, 0) << workers << " workers";
+        const std::vector<std::string> rows = stableRows(out.str());
+        ASSERT_EQ(rows.size(), spec.jobs.size());
+        EXPECT_NE(rows.back().find("calibration"), std::string::npos);
+        if (reference.empty()) reference = rows;
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            EXPECT_EQ(rows[i], reference[i])
+                << workers << " workers, row " << i;
+    }
 }
 
 TEST(Batch, RepeatExpandsAndRejectsAmbiguousJobs) {

@@ -252,28 +252,8 @@ TEST(TelemetryPrometheus, HelpAndLabelEscaping) {
 }
 
 // ---------------------------------------------------------------------
-// Histogram merge / restore (the federation primitives)
+// Histogram restore
 // ---------------------------------------------------------------------
-
-TEST(TelemetryHistogram, MergeFromIsExactOnCountSumMinMax) {
-    Histogram a, b;
-    for (int v = 1; v <= 100; ++v) a.record(v);
-    for (int v = 500; v <= 600; ++v) b.record(v);
-    a.mergeFrom(b);
-    EXPECT_EQ(a.count(), 201);
-    EXPECT_DOUBLE_EQ(a.sum(), 5050.0 + 55550.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 600.0);
-    // The merged distribution's median sits between the two bodies.
-    EXPECT_GT(a.p50(), 50.0);
-    EXPECT_LT(a.p50(), 600.0);
-    // Merging an empty histogram changes nothing (min/max unpolluted).
-    Histogram empty;
-    const double beforeMin = a.min();
-    a.mergeFrom(empty);
-    EXPECT_EQ(a.count(), 201);
-    EXPECT_DOUBLE_EQ(a.min(), beforeMin);
-}
 
 TEST(TelemetryHistogram, RestoreFromJsonShapeMatchesOriginal) {
     // restore() consumes exactly what toJson emits (count/sum/min/max +
@@ -298,26 +278,6 @@ TEST(TelemetryHistogram, RestoreFromJsonShapeMatchesOriginal) {
     EXPECT_DOUBLE_EQ(back.max(), orig.max());
     EXPECT_DOUBLE_EQ(back.p50(), orig.p50());
     EXPECT_DOUBLE_EQ(back.p99(), orig.p99());
-}
-
-TEST(TelemetryTracer, DrainClosedKeepsOpenSpansAndTheirHandles) {
-    ConcurrentTracer t;
-    auto open = t.begin("still-running", "x");
-    for (int i = 0; i < 5; ++i) t.end(t.begin("done", "x"));
-
-    auto drained = t.drainClosed(3);  // bounded batch
-    EXPECT_EQ(drained.size(), 3u);
-    for (const ConcurrentSpan& s : drained) EXPECT_TRUE(s.closed());
-    drained = t.drainClosed(100);
-    EXPECT_EQ(drained.size(), 2u);
-
-    // The open span survived compaction and its handle still closes it.
-    EXPECT_EQ(t.spanCount(), 1u);
-    t.end(open);
-    drained = t.drainClosed(100);
-    ASSERT_EQ(drained.size(), 1u);
-    EXPECT_EQ(drained[0].name, "still-running");
-    EXPECT_TRUE(drained[0].closed());
 }
 
 // ---------------------------------------------------------------------
@@ -736,7 +696,8 @@ TEST(TelemetryThreadRegistry, LockstepPoolWorkersRegisterPrefixedNames) {
 
 #if PHPF_TEST_SOCKETS
 
-std::string httpGet(int port, const std::string& path) {
+/// Send one raw request and return everything the server answers.
+std::string httpSend(int port, const std::string& request) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return "";
     sockaddr_in addr{};
@@ -747,8 +708,7 @@ std::string httpGet(int port, const std::string& path) {
         ::close(fd);
         return "";
     }
-    const std::string req = "GET " + path + " HTTP/1.1\r\nHost: l\r\n\r\n";
-    (void)::send(fd, req.data(), req.size(), 0);
+    (void)::send(fd, request.data(), request.size(), 0);
     std::string out;
     char buf[4096];
     ssize_t n;
@@ -756,6 +716,10 @@ std::string httpGet(int port, const std::string& path) {
         out.append(buf, static_cast<size_t>(n));
     ::close(fd);
     return out;
+}
+
+std::string httpGet(int port, const std::string& path) {
+    return httpSend(port, "GET " + path + " HTTP/1.1\r\nHost: l\r\n\r\n");
 }
 
 TEST(TelemetryHttp, ServesMetricsHealthzAndReport) {
@@ -839,6 +803,38 @@ TEST(TelemetryHttp, ScrapeWhileWritersAreHotIsConsistent) {
     }
     stop.store(true);
     writer.join();
+    server.stop();
+}
+
+// The server faces whatever connects to the port, so its input bounds
+// hold with no route that takes a body at all.
+TEST(HttpLimits, OversizedBodyRejectedWith413) {
+    service::MetricsHttpServer server(0);
+    service::HttpLimits limits;
+    limits.maxBodyBytes = 1024;
+    server.setLimits(limits);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    const std::string body(4096, 'x');
+    const std::string reply = httpSend(
+        server.port(), "POST /metrics HTTP/1.1\r\nHost: l\r\nContent-Length: " +
+                           std::to_string(body.size()) + "\r\n\r\n" + body);
+    EXPECT_EQ(reply.rfind("HTTP/1.1 413 ", 0), 0u) << reply;
+    EXPECT_GE(server.requestsRejected(), 1);
+    server.stop();
+}
+
+TEST(HttpLimits, OversizedHeaderRejectedWith431) {
+    service::MetricsHttpServer server(0);
+    service::HttpLimits limits;
+    limits.maxHeaderBytes = 512;
+    server.setLimits(limits);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    const std::string reply =
+        httpGet(server.port(), "/" + std::string(2048, 'a'));
+    EXPECT_EQ(reply.rfind("HTTP/1.1 431 ", 0), 0u) << reply;
+    EXPECT_GE(server.requestsRejected(), 1);
     server.stop();
 }
 
