@@ -2,10 +2,9 @@
 // (runtime/bytecode.h, runtime/vm.h).
 //
 // Workload: TOMCATV under the Replication compiler level on 16
-// simulated processors, single lockstep thread — the configuration
-// where per-element expression evaluation dominates, so the table
-// isolates the engine itself rather than thread scaling (see
-// bench_sim_scaling for that axis).
+// simulated processors (the simulator runs on one thread) — the
+// configuration where per-element expression evaluation dominates, so
+// the table isolates the engine itself.
 //
 // Three measured configurations:
 //   - interp          tree-walking interpreter, strict merge
@@ -61,8 +60,7 @@ struct SimResult {
 };
 
 SimResult runOnce(Compilation& c, SimEngine engine, bool relaxed) {
-    auto sim = c.simulate({.threads = 1,
-                           .seed = seedTomcatv,
+    auto sim = c.simulate({.seed = seedTomcatv,
                            .engine = engine,
                            .relaxedMerge = relaxed});
     SimResult r;

@@ -1,17 +1,16 @@
-// Overhead of the telemetry layer (per-phase histograms, concurrent
-// tracer, armed flight recorder) on the SPMD simulator hot path.
+// Overhead of the telemetry layer (per-phase histograms, armed flight
+// recorder) on the SPMD simulator hot path.
 //
-// Telemetry is strictly opt-in: with no registry and no tracer attached
-// the simulator pays one null check per phase, and a disabled flight
-// recorder costs one relaxed load per record site. This bench measures
-// the same TOMCATV workload in two configurations:
+// Telemetry is strictly opt-in: with no registry attached the simulator
+// pays one null check per phase, and a disabled flight recorder costs
+// one relaxed load per record site. This bench measures the same
+// TOMCATV workload in two configurations:
 //
-//   disabled — setTelemetry(nullptr, nullptr), flight recorder off:
-//              the default every non-instrumented run gets
-//   armed    — a live MetricRegistry (per-phase histograms), a live
-//              ConcurrentTracer (per-worker spans), and the global
-//              flight recorder enabled but with nothing firing into it
-//              beyond the simulator's own checkpoint events
+//   disabled — setTelemetry(nullptr), flight recorder off: the default
+//              every non-instrumented run gets
+//   armed    — a live MetricRegistry (per-phase histograms) and the
+//              global flight recorder enabled but with nothing firing
+//              into it beyond the simulator's own checkpoint events
 //
 // and enforces that the ARMED-but-idle layer stays within 2% of the
 // disabled run (median of interleaved runs; one re-measure round with
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "obs/concurrent_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -56,12 +54,10 @@ struct RunResult {
     std::int64_t procStmts = 0;
 };
 
-RunResult runWith(const Compilation& c, obs::MetricRegistry* metrics,
-                  obs::ConcurrentTracer* tracer) {
+RunResult runWith(const Compilation& c, obs::MetricRegistry* metrics) {
     SimulationRequest req;
     req.seed = seedTomcatv;
     req.metrics = metrics;
-    req.ctracer = tracer;
     auto sim = c.simulate(req);
     return {sim->wallSec(), sim->elementTransfers(), sim->messageEvents(),
             sim->statementsExecutedAllProcs()};
@@ -87,16 +83,13 @@ double median(std::vector<double> v) {
 
 /// One measurement round: `reps` interleaved disabled/armed runs
 /// (interleaving cancels slow drift — thermal, competing CI tenants),
-/// medians of each. The armed run's tracer is cleared between runs so
-/// span storage never grows across repetitions.
-void measure(const Compilation& c, obs::MetricRegistry& reg,
-             obs::ConcurrentTracer& tracer, int reps, double* disabledSec,
-             double* armedSec) {
+/// medians of each.
+void measure(const Compilation& c, obs::MetricRegistry& reg, int reps,
+             double* disabledSec, double* armedSec) {
     std::vector<double> disabled, armed;
     for (int i = 0; i < reps; ++i) {
-        disabled.push_back(runWith(c, nullptr, nullptr).wall);
-        armed.push_back(runWith(c, &reg, &tracer).wall);
-        tracer.clear();
+        disabled.push_back(runWith(c, nullptr).wall);
+        armed.push_back(runWith(c, &reg).wall);
     }
     *disabledSec = median(disabled);
     *armedSec = median(armed);
@@ -109,22 +102,20 @@ void printTable() {
     Compilation c = Compiler::compile(p, opts);
 
     obs::MetricRegistry reg;
-    obs::ConcurrentTracer tracer;
     obs::FlightRecorder::global().setEnabled(true);
 
     // Warm-up + divergence gate.
-    const RunResult base = runWith(c, nullptr, nullptr);
-    requireIdentical(base, runWith(c, &reg, &tracer), "armed-telemetry");
-    tracer.clear();
+    const RunResult base = runWith(c, nullptr);
+    requireIdentical(base, runWith(c, &reg), "armed-telemetry");
 
     double disabledSec = 0, armedSec = 0;
-    measure(c, reg, tracer, 7, &disabledSec, &armedSec);
+    measure(c, reg, 7, &disabledSec, &armedSec);
     double overheadPct = 100.0 * (armedSec - disabledSec) / disabledSec;
     if (overheadPct >= 2.0) {
         // One re-measure with more repetitions before declaring a real
         // regression: CI neighbours cause >2% blips that a longer
         // median absorbs.
-        measure(c, reg, tracer, 11, &disabledSec, &armedSec);
+        measure(c, reg, 11, &disabledSec, &armedSec);
         overheadPct = 100.0 * (armedSec - disabledSec) / disabledSec;
     }
 
@@ -153,7 +144,7 @@ void BM_SimTelemetryDisabled(benchmark::State& state) {
     opts.gridExtents = {8};
     Compilation c = Compiler::compile(p, opts);
     for (auto _ : state) {
-        const RunResult r = runWith(c, nullptr, nullptr);
+        const RunResult r = runWith(c, nullptr);
         benchmark::DoNotOptimize(r.transfers);
     }
 }
@@ -164,11 +155,9 @@ void BM_SimTelemetryArmed(benchmark::State& state) {
     opts.gridExtents = {8};
     Compilation c = Compiler::compile(p, opts);
     obs::MetricRegistry reg;
-    obs::ConcurrentTracer tracer;
     for (auto _ : state) {
-        const RunResult r = runWith(c, &reg, &tracer);
+        const RunResult r = runWith(c, &reg);
         benchmark::DoNotOptimize(r.transfers);
-        tracer.clear();
     }
 }
 

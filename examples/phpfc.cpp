@@ -2,7 +2,7 @@
 //
 //   phpfc FILE.hpf [--procs NxM] [--report] [--lower] [--cost]
 //         [--report=FILE.json] [--trace=FILE.json] [--no-sim]
-//         [--sim-threads=N] [--faults=SPEC] [--retry=N]
+//         [--faults=SPEC] [--retry=N]
 //         [--checkpoint-every=N] [--serve-metrics=PORT]
 //         [--flight-recorder=FILE.jsonl]
 //         [--profile] [--profile-folded=FILE.folded]
@@ -121,8 +121,6 @@ void usage() {
                  "[--cost] [--spmd]\n"
                  "             [--report=FILE.json] [--trace=FILE.json] "
                  "[--no-sim]\n"
-                 "             [--sim-threads=N]  (default 1; 0 = auto: "
-                 "PHPF_SIM_THREADS, else hardware)\n"
                  "             [--target=mp|shm]  (mp = SP2 message "
                  "passing, default;\n"
                  "              shm = shared-memory OpenMP-style SMP)\n"
@@ -234,7 +232,6 @@ int main(int argc, char** argv) {
     std::vector<int> grid{4};
     bool doReport = false, doLower = false, doCost = false, doSpmd = false;
     bool runSim = true;
-    int simThreads = PassOptions{}.simThreads;
     // Every which-implementation choice funnels through the one
     // enum-backed selection block (driver/options.h).
     ExecSelection selection;
@@ -287,8 +284,6 @@ int main(int argc, char** argv) {
         else if (startsWith(arg, "--report=")) reportFile = arg.substr(9);
         else if (startsWith(arg, "--trace=")) traceFile = arg.substr(8);
         else if (arg == "--no-sim") runSim = false;
-        else if (startsWith(arg, "--sim-threads="))
-            simThreads = intFlag(arg, 14);
         else if (startsWith(arg, "--target=")) {
             if (!parseExecSelection("target", arg.substr(9), &selection)) {
                 std::fprintf(stderr, "phpfc: bad --target '%s' (want mp|shm)\n",
@@ -360,9 +355,8 @@ int main(int argc, char** argv) {
 
     // One tracer covers the whole run so the front end's span lands on
     // the same timeline as the compiler passes and the simulation. The
-    // concurrent tracer is the export timeline: pool workers record
-    // into it from their own threads, and the session tracer's spans
-    // are merged in before the Chrome trace is written.
+    // concurrent tracer is the export timeline: the session tracer's
+    // spans are merged into it before the Chrome trace is written.
     obs::ConcurrentTracer ctracer;
     obs::MetricRegistry runMetrics;
     auto tracer = std::make_shared<obs::Tracer>();
@@ -396,7 +390,6 @@ int main(int argc, char** argv) {
     target.gridExtents = grid;
     PassOptions passes;
     passes.mapping = mapping;
-    passes.simThreads = simThreads;
     selection.applyTo(&target, &passes);
     CompileSession session;
     session.tracer = tracer;
@@ -418,8 +411,8 @@ int main(int argc, char** argv) {
     // The JSON report and the exposition endpoint carry per-processor
     // metrics only when the functional simulation runs (zero-seeded
     // inputs; message and guard accounting do not depend on values).
-    // The Chrome trace needs the run too: the per-worker thread rows
-    // are recorded by the simulator's pool from their own threads.
+    // The Chrome trace needs the run too, for its simulate and sim-exec
+    // spans.
     std::unique_ptr<SpmdSimulator> sim;
     const bool wantSim =
         runSim && (!reportFile.empty() || !traceFile.empty() ||
@@ -430,7 +423,6 @@ int main(int argc, char** argv) {
         sreq.checkpointEvery = checkpointEvery;
         if (retries > 0) sreq.maxAttempts = retries;
         sreq.metrics = &runMetrics;
-        sreq.ctracer = &ctracer;
         sreq.profile = profile || !foldedFile.empty();
         try {
             sim = c.simulate(sreq);
@@ -477,8 +469,7 @@ int main(int argc, char** argv) {
         std::printf("run report written to %s\n", reportFile.c_str());
     }
     if (!traceFile.empty()) {
-        // Merge the session's per-pass spans onto the concurrent
-        // timeline, then export with real per-thread rows.
+        // Merge the session's spans onto the export timeline.
         ctracer.importTracer(*tracer, {}, ctracer.nowNs() - tracer->nowNs());
         if (!obs::writeChromeTrace(ctracer, traceFile, "phpfc " + p.name)) {
             std::fprintf(stderr, "phpfc: cannot write %s\n", traceFile.c_str());

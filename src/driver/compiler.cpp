@@ -12,7 +12,6 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     const SimulationRequest& req) const {
     obs::Tracer* tr = req.tracer != nullptr ? req.tracer : tracer_.get();
     obs::ScopedSpan span(tr, "simulate", "sim");
-    const int threads = req.threads >= 0 ? req.threads : passes_.simThreads;
     const int elemBytes =
         req.elemBytes > 0 ? req.elemBytes : target_.costModel.elemBytes;
     SimRecoveryConfig recovery;
@@ -23,32 +22,20 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     recovery.cancel = req.cancel;
     const SimEngine engine = req.engine.value_or(passes_.simEngine);
     const bool relaxed = req.relaxedMerge.value_or(passes_.relaxedMerge);
-    auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes, threads,
+    auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes,
                                                std::move(recovery), engine,
                                                relaxed, target_.targetKind);
-    sim->setTelemetry(req.metrics, req.ctracer);
+    sim->setTelemetry(req.metrics);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());
     // Capture the execution span's real endpoints on the tracer's own
     // clock: reconstructing the start from wallSec once drifted (and
     // could go negative) under clock rounding.
     const std::int64_t startNs = tr != nullptr ? tr->nowNs() : 0;
-    {
-        // The simulator's per-worker spans parent under the calling
-        // thread's concurrent-tracer context; open a sim-exec span
-        // there so the worker rows nest under the execution, not under
-        // the request. RAII: closes even when run() throws a SimFault.
-        const std::string cname =
-            "sim-exec[" + std::to_string(sim->threads()) + "t]";
-        obs::ConcurrentScopedSpan cspan(req.ctracer, cname.c_str(), "sim");
-        sim->run();
-    }
-    if (tr != nullptr) {
-        const std::string name =
-            "sim-exec[" + std::to_string(sim->threads()) + "t]";
-        tr->addCompleteSpan(name.c_str(), "sim", startNs,
-                            tr->nowNs() - startNs, 1);
-    }
+    sim->run();
+    if (tr != nullptr)
+        tr->addCompleteSpan("sim-exec", "sim", startNs, tr->nowNs() - startNs,
+                            1);
     return sim;
 }
 

@@ -23,11 +23,6 @@ namespace phpf {
 /// configuration, so `c.simulate({})` behaves like the old no-argument
 /// overload.
 struct SimulationRequest {
-    /// Lockstep worker threads: -1 inherits the compilation's
-    /// PassOptions::simThreads (default 1); 0 means auto
-    /// (PHPF_SIM_THREADS, else hardware concurrency). Results and
-    /// metrics are independent of the value.
-    int threads = -1;
     /// Element size for byte accounting: 0 inherits the compilation's
     /// CostModel::elemBytes.
     int elemBytes = 0;
@@ -59,12 +54,9 @@ struct SimulationRequest {
     /// tagged "sim.cancel" (the compile service maps it to
     /// DeadlineExceeded / Cancelled).
     CancelToken cancel = {};
-    /// Telemetry opt-ins forwarded to SpmdSimulator::setTelemetry():
-    /// per-phase latency histograms into `metrics`, and per-worker
-    /// tid-stamped spans into `ctracer` (the sim-exec span is then also
-    /// mirrored there so worker rows parent under it). Both nullable.
+    /// Telemetry opt-in forwarded to SpmdSimulator::setTelemetry():
+    /// per-phase latency histograms into `metrics`. Nullable.
     obs::MetricRegistry* metrics = nullptr;
-    obs::ConcurrentTracer* ctracer = nullptr;
     /// Arm the per-statement profiler (SpmdSimulator::enableProfiling):
     /// the returned simulator carries a StmtProfile, buildRunReport()
     /// adds the schema-v3 "profile" and "calibration" sections, and the
@@ -137,8 +129,8 @@ public:
         return targetFor(kind).predictCost(*lowering_, target_);
     }
     /// Functional SPMD simulation (small problem sizes): returns the
-    /// simulator after a full run. Seed inputs, override the thread
-    /// count or element size via the request's named fields.
+    /// simulator after a full run. Seed inputs, override the engine
+    /// or element size via the request's named fields.
     [[nodiscard]] std::unique_ptr<SpmdSimulator> simulate(
         const SimulationRequest& req = {}) const;
     [[nodiscard]] std::string report() const { return mappingPass_->report(); }

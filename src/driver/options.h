@@ -37,29 +37,22 @@ struct TargetConfig {
 };
 
 /// What the pipeline DOES: the privatization/mapping variant, induction
-/// rewriting, and the simulator's default thread count. `simThreads`
-/// affects only how fast the functional simulation runs, never any
-/// result or metric, so cache keys ignore it.
+/// rewriting, and the simulator's default engine and merge mode. Every
+/// field is part of the artifact identity (the service fingerprints
+/// all of them).
 struct PassOptions {
     MappingOptions mapping;
     /// Closed-form rewriting of induction variables (Section 2.1). The
     /// phpf compiler always does this; exposed for ablation.
     bool rewriteInduction = true;
-    /// Lockstep worker threads for the SPMD simulator: 1 by default
-    /// (extra threads do not speed up the paper's kernels, and a batch
-    /// already runs jobs side by side); 0 = auto (PHPF_SIM_THREADS
-    /// environment variable, else hardware concurrency). Simulation
-    /// results and metrics are independent of the value.
-    int simThreads = 1;
     /// Default execution engine of the SPMD simulator. Both engines
     /// produce bit-identical results and metrics in strict mode, but
     /// the engine IS part of the artifact identity (the service
-    /// fingerprints it), so it lives here rather than next to
-    /// simThreads' "never affects results" carve-out.
+    /// fingerprints it).
     SimEngine simEngine = SimEngine::Bytecode;
     /// Relaxed reduction-merge mode: commutative reduction combines
     /// (SUM/MAX/MIN) merge per-processor accumulator copies in any
-    /// worker order and skip the merge-order barrier. MAX/MIN are exact
+    /// order and skip the merge-order barrier. MAX/MIN are exact
     /// always; SUM is exact for integer-valued accumulators and
     /// order-sensitive at the last ulp otherwise — hence opt-in and
     /// fingerprinted.

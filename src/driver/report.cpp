@@ -71,11 +71,9 @@ obs::Json simulationJson(const SpmdSimulator& sim, const SpmdLowering& low) {
     obs::Json j = obs::Json::object();
     j.set("target", targetKindName(sim.targetKind()));
     j.set("proc_count", sim.procCount());
-    j.set("threads", sim.threads());
     j.set("engine", simEngineName(sim.engine()));
     j.set("relaxed_merge", sim.relaxedMerge());
     j.set("wall_sec", sim.wallSec());
-    j.set("parallel_speedup_est", sim.parallelSpeedupEst());
     j.set("message_events", sim.messageEvents());
     if (sim.targetKind() == TargetKind::SharedMemory)
         j.set("barrier_events", sim.barrierEvents());
@@ -139,7 +137,9 @@ obs::Json Compilation::buildRunReport(const SpmdSimulator* sim) const {
     // v3: profiled runs add the "profile" (per-statement measured
     // counts/times) and "calibration" (predicted-vs-measured model
     // error with per-DecisionRecord joins) sections.
-    root.set("schema_version", 3);
+    // v4: the simulator runs on one thread; "simulation" drops its
+    // thread count and parallel-speedup estimate.
+    root.set("schema_version", 4);
     root.set("program", program_ != nullptr ? program_->name : "");
 
     obs::Json grid = obs::Json::array();

@@ -23,7 +23,7 @@ bool writeChromeTrace(const Tracer& tracer, const std::string& path,
 /// JSON. Unlike the single-threaded overload, each recording thread
 /// becomes its own named row: a thread_name metadata ("M") event per
 /// registered tid (names from the process thread registry, e.g.
-/// "sim-worker-2"), and every span is emitted on its real tid with its
+/// "svc-worker-2"), and every span is emitted on its real tid with its
 /// span id and parent id in args so cross-thread parenting survives the
 /// export.
 [[nodiscard]] Json buildChromeTrace(const ConcurrentTracer& tracer,

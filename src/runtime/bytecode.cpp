@@ -1,6 +1,8 @@
 #include "runtime/bytecode.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "comm/ref_desc.h"
 #include "ir/printer.h"
@@ -246,8 +248,7 @@ IndexForm flatIndexForm(const Program& prog, const Expr* ref, Arena& arena) {
     IndexForm f;
     // The tree fallback stays even when the affine fold succeeds: debug
     // builds re-derive the index through the interpreter's checked path
-    // and compare (evalIndexForm), so per-dimension bounds violations
-    // keep tripping the interpreter's exact assertion messages.
+    // and compare (evalIndexForm).
     f.fallback = ref;
     f.flatFallback = true;
     Aff total;
@@ -271,6 +272,107 @@ IndexForm flatIndexForm(const Program& prog, const Expr* ref, Arena& arena) {
     return f;
 }
 
+namespace {
+
+/// floor(a / b) and ceil(a / b) for b != 0.
+std::int64_t floorDiv(std::int64_t a, std::int64_t b) {
+    std::int64_t q = a / b;
+    if (a % b != 0 && (a < 0) != (b < 0)) --q;
+    return q;
+}
+std::int64_t ceilDiv(std::int64_t a, std::int64_t b) { return -floorDiv(-a, b); }
+
+void addSubscriptChecks(const Program& prog, const Expr* ref, Arena& arena,
+                        SubscriptCheck& out) {
+    forEachSubscriptStride(
+        prog, ref,
+        [&](const Expr* sub, std::int64_t lb, std::int64_t ub,
+            std::int64_t /*stride*/) {
+            const IndexForm f = valueIndexForm(prog, sub, arena);
+            if (f.affine && f.terms.empty() && f.base >= lb && f.base <= ub)
+                return;  // an in-bounds constant
+            if (f.affine && f.terms.size() == 1) {
+                // lb <= c*x + k <= ub, solved for x.
+                const std::int64_t c = f.terms[0].coeff;
+                const std::int64_t lo =
+                    c > 0 ? ceilDiv(lb - f.base, c) : ceilDiv(ub - f.base, c);
+                const std::int64_t hi = c > 0 ? floorDiv(ub - f.base, c)
+                                              : floorDiv(lb - f.base, c);
+                for (SubscriptCheck::Range& r : out.ranges) {
+                    if (r.sym != f.terms[0].sym) continue;
+                    r.lo = std::max(r.lo, lo);
+                    r.hi = std::min(r.hi, hi);
+                    return;
+                }
+                out.ranges.push_back(
+                    SubscriptCheck::Range{f.terms[0].sym, lo, hi});
+                return;
+            }
+            out.perSubscript = true;
+        });
+}
+
+/// True when a statement of `block` (nested bodies included) assigns
+/// scalar `x`, as an Assign lhs or as a DO variable.
+bool assignsScalar(const std::vector<Stmt*>& block, SymbolId x) {
+    for (const Stmt* t : block) {
+        switch (t->kind) {
+            case StmtKind::Assign:
+                if (t->lhs->kind == ExprKind::VarRef && t->lhs->sym == x)
+                    return true;
+                break;
+            case StmtKind::Do:
+                if (t->loopVar == x || assignsScalar(t->body, x)) return true;
+                break;
+            case StmtKind::If:
+                if (assignsScalar(t->thenBody, x) ||
+                    assignsScalar(t->elseBody, x))
+                    return true;
+                break;
+            case StmtKind::Goto:
+            case StmtKind::Continue:
+                break;
+        }
+    }
+    return false;
+}
+
+/// Values scalar `x` can hold inside `loops[0..depth)` (outermost
+/// first), when x is the variable of one of them: the hull of that
+/// loop's bounds, each bound an affine form over the variables of the
+/// loops outside it. False when the loop body may assign x, a bound is
+/// not of that shape, or x is no loop's variable.
+bool loopVarRange(const Program& prog, const std::vector<Stmt*>& loops,
+                  size_t depth, SymbolId x, Arena& arena, std::int64_t& lo,
+                  std::int64_t& hi) {
+    size_t k = depth;
+    while (k > 0 && loops[k - 1]->loopVar != x) --k;
+    if (k == 0) return false;
+    const Stmt* loop = loops[k - 1];
+    if (assignsScalar(loop->body, x)) return false;
+    lo = std::numeric_limits<std::int64_t>::max();
+    hi = std::numeric_limits<std::int64_t>::min();
+    for (const Expr* bound : {loop->lb, loop->ub}) {
+        const IndexForm f = valueIndexForm(prog, bound, arena);
+        if (!f.affine) return false;
+        std::int64_t bLo = f.base;
+        std::int64_t bHi = f.base;
+        for (const IndexForm::Term& t : f.terms) {
+            std::int64_t tLo = 0;
+            std::int64_t tHi = 0;
+            if (!loopVarRange(prog, loops, k - 1, t.sym, arena, tLo, tHi))
+                return false;
+            bLo += t.coeff * (t.coeff > 0 ? tLo : tHi);
+            bHi += t.coeff * (t.coeff > 0 ? tHi : tLo);
+        }
+        lo = std::min(lo, bLo);
+        hi = std::max(hi, bHi);
+    }
+    return true;
+}
+
+}  // namespace
+
 StmtCode compileStmt(const Program& prog, const Stmt* s, const StmtExec* exec,
                      const std::vector<const RefDesc*>& unionSrcs,
                      Arena& arena) {
@@ -285,9 +387,22 @@ StmtCode compileStmt(const Program& prog, const Stmt* s, const StmtExec* exec,
     }
     if (value != nullptr) out.value = compileExpr(prog, value, out.slots);
     out.slotIndex.resize(out.slots.size());
-    for (size_t i = 0; i < out.slots.size(); ++i)
-        if (out.slots[i].isArray)
-            out.slotIndex[i] = flatIndexForm(prog, out.slots[i].ref, arena);
+    for (size_t i = 0; i < out.slots.size(); ++i) {
+        if (!out.slots[i].isArray) continue;
+        out.slotIndex[i] = flatIndexForm(prog, out.slots[i].ref, arena);
+        addSubscriptChecks(prog, out.slots[i].ref, arena, out.subscripts);
+    }
+    if (s->kind == StmtKind::Assign && s->lhs->kind == ExprKind::ArrayRef)
+        addSubscriptChecks(prog, s->lhs, arena, out.subscripts);
+    // A range the enclosing loops' bounds already guarantee needs no
+    // check at run time.
+    const std::vector<Stmt*> loops = prog.enclosingLoops(s);
+    std::erase_if(out.subscripts.ranges, [&](const SubscriptCheck::Range& r) {
+        std::int64_t lo = 0;
+        std::int64_t hi = 0;
+        return loopVarRange(prog, loops, loops.size(), r.sym, arena, lo, hi) &&
+               lo >= r.lo && hi <= r.hi;
+    });
     if (exec != nullptr) {
         if (exec->guard == StmtExec::Guard::OwnerOf)
             out.execIndex = descForms(prog, exec->execDesc, arena);

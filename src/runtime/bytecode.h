@@ -115,6 +115,36 @@ struct IndexForm {
                           : oracle.evalIndex(f.fallback);
 }
 
+/// Bounds check of every subscript of a statement's array refs, folded
+/// per symbol: an affine subscript c*x + k with one integer scalar x
+/// holds exactly when x lies in an interval, and the intervals of one
+/// symbol intersect. A statement instance then checks each subscript
+/// symbol once instead of each subscript, and not at all when x is a
+/// loop variable whose enclosing loop bounds keep it inside the
+/// interval. A subscript of any other shape (several symbols, a
+/// non-affine tree, an out-of-bounds constant) sends every instance of
+/// the statement to the caller's per-subscript check.
+struct SubscriptCheck {
+    struct Range {
+        SymbolId sym;
+        std::int64_t lo;
+        std::int64_t hi;
+    };
+    std::vector<Range> ranges;
+    bool perSubscript = false;
+
+    /// True when the ranges prove every subscript in bounds on the
+    /// oracle's current state.
+    [[nodiscard]] bool passes(const Interpreter& oracle) const {
+        if (perSubscript) return false;
+        for (const Range& r : ranges) {
+            const auto x = static_cast<std::int64_t>(oracle.store().get(r.sym));
+            if (x < r.lo || x > r.hi) return false;
+        }
+        return true;
+    }
+};
+
 /// Everything the bytecode engine precompiled for one statement.
 struct StmtCode {
     Chunk value;                   ///< rhs (Assign) / cond (If)
@@ -124,6 +154,8 @@ struct StmtCode {
     std::vector<IndexForm> slotIndex;
     /// Assign with ArrayRef lhs: flat element index of the store.
     IndexForm lhsIndex;
+    /// Every subscript of the lhs and of the ArrayRef slots.
+    SubscriptCheck subscripts;
     /// OwnerOf guards: subscript form per grid dimension of the
     /// executor descriptor (only Partitioned dims are present()).
     std::vector<IndexForm> execIndex;

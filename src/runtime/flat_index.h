@@ -8,14 +8,16 @@
 namespace phpf {
 
 /// Column-major flattening of an ArrayRef's subscripts, shared between
-/// the tree-walking Interpreter and the bytecode compiler so the layout
-/// (and the bounds-check messages) exist exactly once. `evalIndex` maps
-/// a subscript Expr* to its integer value; the walk itself never
-/// allocates.
-template <typename EvalIndex>
+/// the tree-walking Interpreter, the SPMD simulator and the bytecode
+/// compiler so the layout exists exactly once. `evalIndex` maps a
+/// subscript Expr* to its integer value; `outOfBounds(dim, value)`
+/// (0-based dim) is called for a subscript outside its declared bounds
+/// and must throw. The walk itself never allocates.
+template <typename EvalIndex, typename OutOfBounds>
 [[nodiscard]] std::int64_t flatIndexOfRef(const Program& prog,
                                           const Expr* arrayRef,
-                                          EvalIndex&& evalIndex) {
+                                          EvalIndex&& evalIndex,
+                                          OutOfBounds&& outOfBounds) {
     const Symbol& sym = prog.sym(arrayRef->sym);
     PHPF_ASSERT(static_cast<int>(arrayRef->args.size()) == sym.rank(),
                 "subscript rank mismatch for " + sym.name);
@@ -24,8 +26,7 @@ template <typename EvalIndex>
     for (int d = 0; d < sym.rank(); ++d) {
         const std::int64_t v = evalIndex(arrayRef->args[static_cast<size_t>(d)]);
         const ArrayDim& dim = sym.dims[static_cast<size_t>(d)];
-        PHPF_ASSERT(v >= dim.lb && v <= dim.ub,
-                    "subscript out of bounds for " + sym.name);
+        if (v < dim.lb || v > dim.ub) outOfBounds(d, v);
         flat += (v - dim.lb) * stride;
         stride *= dim.extent();
     }

@@ -69,11 +69,15 @@ double Interpreter::eval(const Expr* e) const {
 }
 
 std::int64_t Interpreter::flatIndexOf(const Expr* arrayRef) const {
-    // Column-major flattening shared with the bytecode compiler
-    // (runtime/flat_index.h): the layout and the bounds-check messages
-    // exist exactly once.
-    return flatIndexOfRef(prog_, arrayRef,
-                          [this](const Expr* sub) { return evalIndex(sub); });
+    // Column-major flattening shared with the SPMD simulator and the
+    // bytecode compiler (runtime/flat_index.h): the layout exists
+    // exactly once.
+    return flatIndexOfRef(
+        prog_, arrayRef, [this](const Expr* sub) { return evalIndex(sub); },
+        [&](int, std::int64_t) {
+            internalError("subscript out of bounds for " +
+                          prog_.sym(arrayRef->sym).name);
+        });
 }
 
 void Interpreter::execStmt(const Stmt* s) {

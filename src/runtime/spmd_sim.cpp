@@ -9,6 +9,7 @@
 
 #include "ir/printer.h"
 #include "obs/flight_recorder.h"
+#include "runtime/flat_index.h"
 #include "runtime/vm.h"
 #include "support/diagnostics.h"
 
@@ -59,6 +60,12 @@ void collectFetchRefs(const Expr* e, std::vector<const Expr*>& out) {
     }
 }
 
+/// Every ArrayRef of `e`, operands before the node (innermost first).
+void collectArrayRefs(const Expr* e, std::vector<const Expr*>& out) {
+    for (const Expr* a : e->args) collectArrayRefs(a, out);
+    if (e->kind == ExprKind::ArrayRef) out.push_back(e);
+}
+
 /// Index of the first zero byte in v[0..n), or -1 when every byte is
 /// set. Validity bytes are strictly 0/1, so an 8-byte chunk of valid
 /// lanes compares equal to kAllValid8 — the common fully-valid row is
@@ -98,14 +105,12 @@ private:
 }  // namespace
 
 SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
-                             int threads, SimRecoveryConfig recovery,
-                             SimEngine engine, bool relaxedMerge,
-                             TargetKind targetKind)
+                             SimRecoveryConfig recovery, SimEngine engine,
+                             bool relaxedMerge, TargetKind targetKind)
     : low_(low), prog_(low.program()), oracle_(prog_),
       procCount_(low.dataMapping().grid().totalProcs()),
-      elemBytes_(elemBytes),
-      threads_(resolveThreadCount(threads, procCount_)),
-      engine_(engine), relaxed_(relaxedMerge), targetKind_(targetKind) {
+      elemBytes_(elemBytes), engine_(engine), relaxed_(relaxedMerge),
+      targetKind_(targetKind) {
     rcfg_ = std::move(recovery);
     if (rcfg_.faults != nullptr && rcfg_.faults->enabled()) {
         const FaultInjector& inj = *rcfg_.faults;
@@ -125,9 +130,6 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     procStore_.assign(static_cast<size_t>(procCount_), Store(prog_));
     procMetrics_.assign(static_cast<size_t>(procCount_), ProcSimMetrics{});
     execDelta_.assign(static_cast<size_t>(procCount_), 0);
-    if (threads_ > 1)
-        pool_ = std::make_unique<LockstepPool>(threads_, "sim-worker");
-    workers_.resize(static_cast<size_t>(threads_));
 
     allProcs_.resize(static_cast<size_t>(procCount_));
     std::iota(allProcs_.begin(), allProcs_.end(), 0);
@@ -171,19 +173,15 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
         soa_.assign(lanes, 0.0);
         soaValid_.assign(lanes, 0);
         oracleRegs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)), 0.0);
-        // SoA lane banks: one bank of procCount doubles per register,
-        // per worker (a worker's lane chunk never exceeds procCount).
-        for (WorkerScratch& w : workers_)
-            w.regs.assign(static_cast<size_t>(std::max(maxRegs_, 1)) *
-                              static_cast<size_t>(procCount_),
-                          0.0);
+        // SoA lane banks: one bank of procCount doubles per register.
+        regs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)) *
+                         static_cast<size_t>(procCount_),
+                     0.0);
     }
 }
 
-void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics,
-                                 obs::ConcurrentTracer* tracer) {
+void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics) {
     metrics_ = metrics;
-    ctracer_ = tracer;
     evalHist_ =
         metrics != nullptr ? &metrics->histogram("sim.phase.eval_us") : nullptr;
     mergeHist_ = metrics != nullptr ? &metrics->histogram("sim.phase.merge_us")
@@ -209,6 +207,12 @@ void SpmdSimulator::buildPlans() {
                 collectFetchRefs(s->kind == StmtKind::Assign ? s->rhs
                                                              : s->cond,
                                  plan.fetchRefs);
+                for (const Expr* r : plan.fetchRefs)
+                    for (const Expr* sub : r->args)
+                        collectArrayRefs(sub, plan.indexRefs);
+                if (s->kind == StmtKind::Assign)
+                    for (const Expr* sub : s->lhs->args)
+                        collectArrayRefs(sub, plan.indexRefs);
                 if (plan.exec->guard != StmtExec::Guard::Union) break;
                 // Section 2.1 / 4: executed by the union of all
                 // processors executing any other statement inside the
@@ -231,6 +235,10 @@ void SpmdSimulator::buildPlans() {
                 break;
             }
             case StmtKind::Do: {
+                collectArrayRefs(s->lb, plan.indexRefs);
+                collectArrayRefs(s->ub, plan.indexRefs);
+                if (s->step != nullptr)
+                    collectArrayRefs(s->step, plan.indexRefs);
                 // Global combines for reductions whose nest ends here,
                 // in comm-op order.
                 for (const CommOp& op : low_.commOps()) {
@@ -324,7 +332,9 @@ void SpmdSimulator::buildPlans() {
     });
 }
 
-void SpmdSimulator::evalDescInto(const RefDesc& desc, GridSet& out) const {
+void SpmdSimulator::evalDescInto(const RefDesc& desc,
+                                 const std::vector<bc::IndexForm>* forms,
+                                 GridSet& out) const {
     const ProcGrid& grid = low_.dataMapping().grid();
     out.coord.assign(static_cast<size_t>(grid.rank()), -1);
     for (int g = 0; g < grid.rank(); ++g) {
@@ -338,31 +348,11 @@ void SpmdSimulator::evalDescInto(const RefDesc& desc, GridSet& out) const {
             case RefDim::Kind::Partitioned: {
                 PHPF_ASSERT(dim.subscriptExpr != nullptr,
                             "partitioned dim without subscript expr");
-                const std::int64_t v = oracle_.evalIndex(dim.subscriptExpr);
-                out.coord[static_cast<size_t>(g)] =
-                    dim.dist.ownerOf(v + dim.offset);
-                break;
-            }
-        }
-    }
-}
-
-void SpmdSimulator::evalDescIntoBc(const RefDesc& desc,
-                                   const std::vector<bc::IndexForm>& forms,
-                                   GridSet& out) const {
-    const ProcGrid& grid = low_.dataMapping().grid();
-    out.coord.assign(static_cast<size_t>(grid.rank()), -1);
-    for (int g = 0; g < grid.rank(); ++g) {
-        const RefDim& dim = desc.dims[static_cast<size_t>(g)];
-        switch (dim.kind) {
-            case RefDim::Kind::Replicated:
-                break;
-            case RefDim::Kind::Fixed:
-                out.coord[static_cast<size_t>(g)] = dim.fixedCoord;
-                break;
-            case RefDim::Kind::Partitioned: {
-                const std::int64_t v = bc::evalIndexForm(
-                    forms[static_cast<size_t>(g)], oracle_);
+                const std::int64_t v =
+                    forms != nullptr
+                        ? bc::evalIndexForm((*forms)[static_cast<size_t>(g)],
+                                            oracle_)
+                        : oracle_.evalIndex(dim.subscriptExpr);
                 out.coord[static_cast<size_t>(g)] =
                     dim.dist.ownerOf(v + dim.offset);
                 break;
@@ -405,11 +395,8 @@ const std::vector<int>& SpmdSimulator::executorsOf(const Stmt* s) {
                 return singleProcScratch_;
             }
             execsScratch_.clear();
-            if (bcMode)
-                evalDescIntoBc(plan.exec->execDesc, plan.code.execIndex,
-                               gsScratch_);
-            else
-                evalDescInto(plan.exec->execDesc, gsScratch_);
+            evalDescInto(plan.exec->execDesc,
+                         bcMode ? &plan.code.execIndex : nullptr, gsScratch_);
             forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
                 execsScratch_.push_back(p);
                 return true;
@@ -419,11 +406,9 @@ const std::vector<int>& SpmdSimulator::executorsOf(const Stmt* s) {
             if (plan.unionSrcs.empty()) return allProcs_;
             std::fill(flagsScratch_.begin(), flagsScratch_.end(), 0);
             for (size_t i = 0; i < plan.unionSrcs.size(); ++i) {
-                const RefDesc* d = plan.unionSrcs[i];
-                if (bcMode)
-                    evalDescIntoBc(*d, plan.code.unionIndex[i], gsScratch_);
-                else
-                    evalDescInto(*d, gsScratch_);
+                evalDescInto(*plan.unionSrcs[i],
+                             bcMode ? &plan.code.unionIndex[i] : nullptr,
+                             gsScratch_);
                 forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
                     flagsScratch_[static_cast<size_t>(p)] = 1;
                     return true;
@@ -454,13 +439,15 @@ void SpmdSimulator::noteEvent(const CommOp* op) {
     }
 }
 
-double SpmdSimulator::fetchW(WorkerScratch& w, int proc, const Expr* ref,
-                             std::int64_t flat) {
+double SpmdSimulator::fetch(int proc, const Expr* ref) {
+    const std::int64_t flat = ref->kind == ExprKind::ArrayRef
+                                  ? refFlat_[static_cast<size_t>(ref->id)]
+                                  : 0;
     const Store& st = procStore_[static_cast<size_t>(proc)];
     if (st.valid(ref->sym, flat)) return st.get(ref->sym, flat);
     // A copy this processor already fetched earlier in the same phase
-    // (store writes are deferred to the barrier).
-    for (const PendingWrite& pw : w.pending)
+    // (store writes are deferred to the merge).
+    for (const PendingWrite& pw : pending_)
         if (pw.proc == proc && pw.sym == ref->sym && pw.flat == flat)
             return pw.v;
 
@@ -471,13 +458,12 @@ double SpmdSimulator::fetchW(WorkerScratch& w, int proc, const Expr* ref,
                     printExpr(prog_, ref) + " (program " + prog_.name + ")");
     // Locate a processor holding the value: the descriptor's owner set,
     // falling back to a scan (stale-free by construction: writes
-    // invalidate every non-executing copy). All stores are read-only
-    // within a phase, so cross-processor reads are race-free.
+    // invalidate every non-executing copy).
     const ProcGrid& grid = low_.dataMapping().grid();
-    evalDescInto(op->srcDesc, w.gs);
+    evalDescInto(op->srcDesc, nullptr, gsScratch_);
     double v = 0.0;
     int src = -1;
-    forEachGridProc(w.gs, grid, w.coords, [&](int p) {
+    forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
         const Store& owner = procStore_[static_cast<size_t>(p)];
         if (!owner.valid(ref->sym, flat)) return true;
         v = owner.get(ref->sym, flat);
@@ -487,12 +473,12 @@ double SpmdSimulator::fetchW(WorkerScratch& w, int proc, const Expr* ref,
     PHPF_ASSERT(src >= 0, "no owner holds a valid copy of " +
                               printExpr(prog_, ref) + " in program " +
                               prog_.name);
-    w.pending.push_back(PendingWrite{proc, ref->sym, flat, v});
-    w.misses.push_back(MissRecord{op, proc, src});
+    pending_.push_back(PendingWrite{proc, ref->sym, flat, v});
+    misses_.push_back(MissRecord{op, proc, src});
     return v;
 }
 
-double SpmdSimulator::evalOnW(WorkerScratch& w, int proc, const Expr* e) {
+double SpmdSimulator::evalOn(int proc, const Expr* e) {
     switch (e->kind) {
         case ExprKind::IntLit:
             return static_cast<double>(e->ival);
@@ -500,14 +486,14 @@ double SpmdSimulator::evalOnW(WorkerScratch& w, int proc, const Expr* e) {
             return e->rval;
         case ExprKind::VarRef:
         case ExprKind::ArrayRef:
-            return fetchW(w, proc, e);
+            return fetch(proc, e);
         case ExprKind::Unary: {
-            const double a = evalOnW(w, proc, e->args[0]);
+            const double a = evalOn(proc, e->args[0]);
             return e->uop == UnaryOp::Neg ? -a : (a != 0.0 ? 0.0 : 1.0);
         }
         case ExprKind::Binary: {
-            const double a = evalOnW(w, proc, e->args[0]);
-            const double b = evalOnW(w, proc, e->args[1]);
+            const double a = evalOn(proc, e->args[0]);
+            const double b = evalOn(proc, e->args[1]);
             switch (e->bop) {
                 case BinaryOp::Add: return a + b;
                 case BinaryOp::Sub: return a - b;
@@ -530,25 +516,25 @@ double SpmdSimulator::evalOnW(WorkerScratch& w, int proc, const Expr* e) {
         case ExprKind::Call: {
             switch (e->fn) {
                 case Intrinsic::Abs:
-                    return std::abs(evalOnW(w, proc, e->args[0]));
+                    return std::abs(evalOn(proc, e->args[0]));
                 case Intrinsic::Max:
-                    return std::max(evalOnW(w, proc, e->args[0]),
-                                    evalOnW(w, proc, e->args[1]));
+                    return std::max(evalOn(proc, e->args[0]),
+                                    evalOn(proc, e->args[1]));
                 case Intrinsic::Min:
-                    return std::min(evalOnW(w, proc, e->args[0]),
-                                    evalOnW(w, proc, e->args[1]));
+                    return std::min(evalOn(proc, e->args[0]),
+                                    evalOn(proc, e->args[1]));
                 case Intrinsic::Sqrt:
-                    return std::sqrt(evalOnW(w, proc, e->args[0]));
+                    return std::sqrt(evalOn(proc, e->args[0]));
                 case Intrinsic::Mod:
-                    return std::fmod(evalOnW(w, proc, e->args[0]),
-                                     evalOnW(w, proc, e->args[1]));
+                    return std::fmod(evalOn(proc, e->args[0]),
+                                     evalOn(proc, e->args[1]));
                 case Intrinsic::Sign: {
-                    const double a = evalOnW(w, proc, e->args[0]);
-                    const double b = evalOnW(w, proc, e->args[1]);
+                    const double a = evalOn(proc, e->args[0]);
+                    const double b = evalOn(proc, e->args[1]);
                     return b >= 0.0 ? std::abs(a) : -std::abs(a);
                 }
                 case Intrinsic::Exp:
-                    return std::exp(evalOnW(w, proc, e->args[0]));
+                    return std::exp(evalOn(proc, e->args[0]));
             }
             return 0.0;
         }
@@ -556,13 +542,12 @@ double SpmdSimulator::evalOnW(WorkerScratch& w, int proc, const Expr* e) {
     return 0.0;
 }
 
-void SpmdSimulator::runLanesInto(WorkerScratch& w, const StmtPlan& plan,
-                                 const std::vector<int>& execs, std::int64_t b,
-                                 std::int64_t e) {
+void SpmdSimulator::runLanes(const StmtPlan& plan,
+                             const std::vector<int>& execs) {
     const bc::StmtCode& code = plan.code;
-    const int lanes = static_cast<int>(e - b);
+    const int lanes = static_cast<int>(execs.size());
     if (lanes <= 0) return;
-    const int* lp = execs.data() + b;
+    const int* lp = execs.data();
     const std::int64_t* rows = slotRow_.data();
     const double* soa = soa_.data();
     const char* soaValid = soaValid_.data();
@@ -571,14 +556,14 @@ void SpmdSimulator::runLanesInto(WorkerScratch& w, const StmtPlan& plan,
     // fully-valid slot row is one contiguous copy.
     const bool dense = &execs == &allProcs_;
     vm::runLanes(
-        code.value, lanes, w.regs.data(), procCount_,
+        code.value, lanes, regs_.data(), procCount_,
         [&](double* d, int n, int slot) {
             // Lane-major SoA: every lane of one slot reads from the
             // same procCount-wide contiguous row.
             const std::int64_t row = rows[slot];
             if (allValid[slot] != 0) {
                 if (dense) {
-                    std::memcpy(d, soa + row + b,
+                    std::memcpy(d, soa + row,
                                 static_cast<size_t>(n) * sizeof(double));
                 } else {
                     for (int l = 0; l < n; ++l) d[l] = soa[row + lp[l]];
@@ -588,28 +573,27 @@ void SpmdSimulator::runLanesInto(WorkerScratch& w, const StmtPlan& plan,
             for (int l = 0; l < n; ++l) {
                 const std::int64_t at = row + lp[l];
                 d[l] = soaValid[at] != 0 ? soa[at]
-                                         : missLaneBc(w, lp[l], plan, slot);
+                                         : missLaneBc(lp[l], plan, slot);
             }
         });
-    std::copy(w.regs.data(), w.regs.data() + lanes, values_.data() + b);
+    std::copy(regs_.data(), regs_.data() + lanes, values_.data());
 }
 
-double SpmdSimulator::missLaneBc(WorkerScratch& w, int proc,
-                                 const StmtPlan& plan, int slot) {
+double SpmdSimulator::missLaneBc(int proc, const StmtPlan& plan, int slot) {
     const bc::FetchSlot& sl = plan.code.slots[static_cast<size_t>(slot)];
     const std::int64_t flat = sl.isArray ? slotFlat_[static_cast<size_t>(slot)]
                                          : 0;
     // A copy this processor already fetched earlier in the same phase
     // (a second slot aliasing the same element at runtime).
-    for (const PendingWrite& pw : w.pending)
+    for (const PendingWrite& pw : pending_)
         if (pw.proc == proc && pw.sym == sl.sym && pw.flat == flat)
             return pw.v;
     PHPF_DASSERT(slotMissResolved_[static_cast<size_t>(slot)] != 0,
                  "lane miss on a slot the phase pre-resolution skipped");
     const double v = slotMissV_[static_cast<size_t>(slot)];
-    w.pending.push_back(PendingWrite{proc, sl.sym, flat, v});
-    w.misses.push_back(MissRecord{plan.slotOp[static_cast<size_t>(slot)], proc,
-                                  slotMissSrc_[static_cast<size_t>(slot)]});
+    pending_.push_back(PendingWrite{proc, sl.sym, flat, v});
+    misses_.push_back(MissRecord{plan.slotOp[static_cast<size_t>(slot)], proc,
+                                 slotMissSrc_[static_cast<size_t>(slot)]});
     return v;
 }
 
@@ -622,7 +606,7 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
                     " reads unavailable data with no communication op: " +
                     printExpr(prog_, sl.ref) + " (program " + prog_.name + ")");
     // Owner validity is frozen within a phase (store writes are deferred
-    // to the barrier), so one (value, source) resolution is exact for
+    // to the merge), so one (value, source) resolution is exact for
     // every missing lane — the interpreter's per-lane scans would find
     // the identical holder in the identical order.
     const std::int64_t row = slotRow_[static_cast<size_t>(slot)];
@@ -637,9 +621,9 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
         }
     } else {
         const ProcGrid& grid = low_.dataMapping().grid();
-        evalDescIntoBc(op->srcDesc,
-                       plan.slotSrcForms[static_cast<size_t>(slot)],
-                       gsScratch_);
+        evalDescInto(op->srcDesc,
+                     &plan.slotSrcForms[static_cast<size_t>(slot)],
+                     gsScratch_);
         forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
             if (soaValid_[static_cast<size_t>(row + p)] == 0) return true;
             v = soa_[static_cast<size_t>(row + p)];
@@ -683,45 +667,83 @@ void SpmdSimulator::soaFlush() {
     }
 }
 
-void SpmdSimulator::phaseWorker(int worker) {
-    WorkerScratch& ws = workers_[static_cast<size_t>(worker)];
-    try {
-        const std::vector<int>& execs = *phaseExecs_;
-        const auto [b, e] = LockstepPool::chunkOf(
-            static_cast<std::int64_t>(execs.size()), worker, threads_);
-        if (engine_ == SimEngine::Bytecode) {
-            runLanesInto(ws, *phasePlan_, execs, b, e);
+std::int64_t SpmdSimulator::checkedFlatIndex(const Expr* ref) const {
+    return flatIndexOfRef(
+        prog_, ref, [this](const Expr* sub) { return oracle_.evalIndex(sub); },
+        [&](int d, std::int64_t v) {
+            const ArrayDim& bounds =
+                prog_.sym(ref->sym).dims[static_cast<size_t>(d)];
+            throw SimFault(faultsite::kSimSubscript,
+                           "subscript " + std::to_string(d + 1) + " of " +
+                               printExpr(prog_, ref) + " is " +
+                               std::to_string(v) +
+                               ", outside its declared bounds " +
+                               std::to_string(bounds.lb) + ":" +
+                               std::to_string(bounds.ub) + " (program " +
+                               prog_.name + ")");
+        });
+}
+
+void SpmdSimulator::resolveSubscripts(const Stmt* s, const StmtPlan& plan) {
+    for (const Expr* r : plan.indexRefs) (void)checkedFlatIndex(r);
+    if (engine_ == SimEngine::Bytecode && plan.code.subscripts.passes(oracle_))
+        return;
+    // Subscripts are iteration-dependent but identical on every
+    // executor: the interp engine resolves each fetched ArrayRef and the
+    // lhs once on the oracle. For the bytecode engine this walk checks
+    // the subscripts its ranges cannot, and names the first offending
+    // subscript exactly as the interp engine does.
+    for (const Expr* r : plan.fetchRefs)
+        if (r->kind == ExprKind::ArrayRef)
+            refFlat_[static_cast<size_t>(r->id)] = checkedFlatIndex(r);
+    if (s->kind == StmtKind::Assign && s->lhs->kind == ExprKind::ArrayRef)
+        refFlat_[static_cast<size_t>(s->lhs->id)] = checkedFlatIndex(s->lhs);
+    PHPF_ASSERT(engine_ != SimEngine::Bytecode ||
+                    plan.code.subscripts.perSubscript,
+                "subscript range check of statement " + std::to_string(s->id) +
+                    " disagrees with its subscript trees");
+}
+
+bool SpmdSimulator::resolveSlots(const StmtPlan& plan,
+                                 const std::vector<int>& execs) {
+    const std::vector<bc::FetchSlot>& slots = plan.code.slots;
+    const Store& st0 = procStore_[0];
+    const bool dense = &execs == &allProcs_;
+    bool clean = true;
+    for (size_t i = 0; i < slots.size(); ++i) {
+        const std::int64_t flat =
+            slots[i].isArray
+                ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
+                : 0;
+        const std::int64_t elem = st0.elemIndexOf(slots[i].sym, flat);
+        slotFlat_[i] = flat;
+        slotElem_[i] = elem;
+        slotRow_[i] = elem * procCount_;
+        slotMissResolved_[i] = 0;
+        // Pre-resolve every slot some executor will miss: validity is
+        // frozen for the whole phase, so the resolution is identical for
+        // all lanes. A slot every executor holds is flagged so the VM
+        // loads it as one contiguous row.
+        const char* vrow = soaValid_.data() + slotRow_[i];
+        char ok = 1;
+        if (dense) {
+            const int miss = firstZeroByte(vrow, procCount_);
+            if (miss >= 0) {
+                ok = 0;
+                resolveSlotMiss(plan, static_cast<int>(i), miss);
+            }
         } else {
-            for (std::int64_t i = b; i < e; ++i)
-                values_[static_cast<size_t>(i)] =
-                    evalOnW(ws, execs[static_cast<size_t>(i)], phaseExpr_);
-        }
-        if (phaseDirect_ != kNoSymbol) {
-            // Relaxed mode: each executor commits its private reduction
-            // accumulator immediately. Only lanes in [b, e) are written,
-            // so workers never touch the same processor's copy; any
-            // cross-processor read of the accumulator inside the loop
-            // would have tripped the no-communication-op assert in
-            // strict mode as well.
-            if (engine_ == SimEngine::Bytecode) {
-                const std::int64_t row = soaRowOf(phaseDirect_, 0);
-                for (std::int64_t i = b; i < e; ++i) {
-                    const std::int64_t at =
-                        row + execs[static_cast<size_t>(i)];
-                    soa_[static_cast<size_t>(at)] =
-                        values_[static_cast<size_t>(i)];
-                    soaValid_[static_cast<size_t>(at)] = 1;
-                }
-            } else {
-                for (std::int64_t i = b; i < e; ++i)
-                    procStore_[static_cast<size_t>(
-                                   execs[static_cast<size_t>(i)])]
-                        .set(phaseDirect_, 0, values_[static_cast<size_t>(i)]);
+            for (const int p : execs) {
+                if (vrow[p] != 0) continue;
+                ok = 0;
+                resolveSlotMiss(plan, static_cast<int>(i), p);
+                break;
             }
         }
-    } catch (...) {
-        ws.error = std::current_exception();
+        slotAllValid_[i] = ok;
+        clean = clean && ok != 0;
     }
+    return clean;
 }
 
 void SpmdSimulator::evalPhase(const StmtPlan& plan,
@@ -738,54 +760,20 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
     const bool profEval = profile_ != nullptr && profile_->sampleEval();
     std::chrono::steady_clock::time_point t0;
     if (sampleEval || profEval) t0 = std::chrono::steady_clock::now();
-    // Resolve the flat index of every fetched ArrayRef once on the
-    // oracle; subscripts are iteration-dependent but identical on every
-    // executor.
-    const bool bcMode =
-        engine_ == SimEngine::Bytecode && !plan.code.value.empty();
+    const auto recordEval = [&] {
+        if (!sampleEval && !profEval) return;
+        const double us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        if (sampleEval) evalHist_->record(us);
+        if (profEval) profile_->addEvalSample(us);
+    };
+    const bool bcMode = engine_ == SimEngine::Bytecode;
     const size_t ne = execs.size();
     phaseClean_ = false;
     if (bcMode) {
-        const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-        const Store& st0 = procStore_[0];
-        const bool dense = &execs == &allProcs_;
-        bool clean = true;
-        for (size_t i = 0; i < slots.size(); ++i) {
-            const std::int64_t flat =
-                slots[i].isArray
-                    ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
-                    : 0;
-            const std::int64_t elem = st0.elemIndexOf(slots[i].sym, flat);
-            slotFlat_[i] = flat;
-            slotElem_[i] = elem;
-            slotRow_[i] = elem * procCount_;
-            slotMissResolved_[i] = 0;
-            // Pre-resolve every slot some executor will miss: validity
-            // is frozen for the whole phase, so the resolution is
-            // identical for all lanes, and doing it here (main thread,
-            // before the pool) keeps the workers read-only on shared
-            // state. A slot every executor holds is flagged so the VM
-            // loads it as one contiguous row.
-            const char* vrow = soaValid_.data() + slotRow_[i];
-            char ok = 1;
-            if (dense) {
-                const int miss = firstZeroByte(vrow, procCount_);
-                if (miss >= 0) {
-                    ok = 0;
-                    resolveSlotMiss(plan, static_cast<int>(i), miss);
-                }
-            } else {
-                for (size_t l = 0; l < ne; ++l) {
-                    if (vrow[execs[l]] != 0) continue;
-                    ok = 0;
-                    resolveSlotMiss(plan, static_cast<int>(i), execs[l]);
-                    break;
-                }
-            }
-            slotAllValid_[i] = ok;
-            clean = clean && ok != 0;
-        }
-        phaseClean_ = clean;
+        const size_t nSlots = plan.code.slots.size();
+        phaseClean_ = resolveSlots(plan, execs);
         if (plan.laneUniform) {
             // Every lane would compute the oracle's value (see
             // buildPlans): skip the VM run and record just the
@@ -793,8 +781,7 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
             // lane order, with the same pending-copy dedup the VM's
             // fetches would produce. execStmt broadcasts the oracle's
             // result to the executors.
-            WorkerScratch& w = workers_[0];
-            for (size_t i = 0; i < slots.size(); ++i) {
+            for (size_t i = 0; i < nSlots; ++i) {
                 if (slotAllValid_[i] != 0) continue;
                 // Runtime aliasing is an SoA-row equality: an earlier
                 // slot with the same row has the same frozen validity,
@@ -807,7 +794,7 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
                     if (slotRow_[j] == slotRow_[i]) dup = true;
                 if (dup) continue;
                 const char* vrow = soaValid_.data() + slotRow_[i];
-                const bc::FetchSlot& sl = slots[i];
+                const bc::FetchSlot& sl = plan.code.slots[i];
                 const std::int64_t flat = sl.isArray ? slotFlat_[i] : 0;
                 const double mv = slotMissV_[i];
                 const int src = slotMissSrc_[i];
@@ -815,83 +802,40 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
                 for (size_t l = 0; l < ne; ++l) {
                     const int p = execs[l];
                     if (vrow[p] != 0) continue;
-                    w.pending.push_back(PendingWrite{p, sl.sym, flat, mv});
-                    w.misses.push_back(MissRecord{op, p, src});
+                    pending_.push_back(PendingWrite{p, sl.sym, flat, mv});
+                    misses_.push_back(MissRecord{op, p, src});
                 }
             }
-            if (sampleEval || profEval) {
-                const double us = std::chrono::duration<double, std::micro>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count();
-                if (sampleEval) evalHist_->record(us);
-                if (profEval) profile_->addEvalSample(us);
-            }
+            recordEval();
             return;
         }
-    } else {
-        for (const Expr* r : plan.fetchRefs)
-            if (r->kind == ExprKind::ArrayRef)
-                refFlat_[static_cast<size_t>(r->id)] = oracle_.flatIndexOf(r);
     }
     values_.resize(ne);
-    if (pool_ == nullptr || static_cast<int>(ne) < threads_) {
-        WorkerScratch& w = workers_[0];
-        if (bcMode)
-            runLanesInto(w, plan, execs, 0, static_cast<std::int64_t>(ne));
-        else
-            for (size_t i = 0; i < ne; ++i)
-                values_[i] = evalOnW(w, execs[i], e);
-        if (directSym != kNoSymbol) {
-            if (engine_ == SimEngine::Bytecode) {
-                const std::int64_t row = soaRowOf(directSym, 0);
-                for (size_t i = 0; i < ne; ++i) {
-                    soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-                    soaValid_[static_cast<size_t>(row + execs[i])] = 1;
-                }
-            } else {
-                for (size_t i = 0; i < ne; ++i)
-                    procStore_[static_cast<size_t>(execs[i])].set(directSym, 0,
-                                                                  values_[i]);
+    if (bcMode)
+        runLanes(plan, execs);
+    else
+        for (size_t i = 0; i < ne; ++i) values_[i] = evalOn(execs[i], e);
+    if (directSym != kNoSymbol) {
+        // Relaxed mode: each executor commits its private reduction
+        // accumulator immediately. Any cross-processor read of the
+        // accumulator inside the loop would have tripped the
+        // no-communication-op assert in strict mode as well.
+        if (bcMode) {
+            const std::int64_t row = soaRowOf(directSym, 0);
+            for (size_t i = 0; i < ne; ++i) {
+                soa_[static_cast<size_t>(row + execs[i])] = values_[i];
+                soaValid_[static_cast<size_t>(row + execs[i])] = 1;
             }
+        } else {
+            for (size_t i = 0; i < ne; ++i)
+                procStore_[static_cast<size_t>(execs[i])].set(directSym, 0,
+                                                              values_[i]);
         }
-        if (sampleEval || profEval) {
-            const double us = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-            if (sampleEval) evalHist_->record(us);
-            if (profEval) profile_->addEvalSample(us);
-        }
-        return;
     }
-    phaseExecs_ = &execs;
-    phaseExpr_ = e;
-    phasePlan_ = &plan;
-    phaseDirect_ = directSym;
-    pool_->run(
-        [](void* ctx, int worker) {
-            static_cast<SpmdSimulator*>(ctx)->phaseWorker(worker);
-        },
-        this);
-    if (sampleEval || profEval) {
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (sampleEval) evalHist_->record(us);
-        if (profEval) profile_->addEvalSample(us);
-    }
-    for (WorkerScratch& ws : workers_) {
-        if (ws.error == nullptr) continue;
-        const std::exception_ptr err = ws.error;
-        for (WorkerScratch& other : workers_) {
-            other.error = nullptr;
-            other.pending.clear();
-            other.misses.clear();
-        }
-        std::rethrow_exception(err);
-    }
+    recordEval();
 }
 
-void SpmdSimulator::mergeWorkers() {
+void SpmdSimulator::mergePhase() {
     const bool sampleMerge =
         mergeHist_ != nullptr && (mergeTick_++ & (kTelemetrySample - 1)) == 0;
     const bool profMerge = profile_ != nullptr && profile_->sampleMerge();
@@ -903,37 +847,34 @@ void SpmdSimulator::mergeWorkers() {
     // the same op is a guaranteed duplicate (InternedEventSet::record
     // returns false) — skip the context rebuild and hash probe.
     ++mergeStamp_;
-    for (WorkerScratch& ws : workers_) {
-        for (const PendingWrite& pw : ws.pending) {
-            if (bcMode) {
-                const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
-                soa_[static_cast<size_t>(at)] = pw.v;
-                soaValid_[static_cast<size_t>(at)] = 1;
-            } else {
-                procStore_[static_cast<size_t>(pw.proc)].set(pw.sym, pw.flat,
-                                                             pw.v);
-            }
+    for (const PendingWrite& pw : pending_) {
+        if (bcMode) {
+            const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
+            soa_[static_cast<size_t>(at)] = pw.v;
+            soaValid_[static_cast<size_t>(at)] = 1;
+        } else {
+            procStore_[static_cast<size_t>(pw.proc)].set(pw.sym, pw.flat,
+                                                         pw.v);
         }
-        for (const MissRecord& m : ws.misses) {
-            // Lossy-network mode: every element transfer rides the
-            // reliable transport. Polled here, on the main thread in
-            // deterministic merge order, so a fixed seed reproduces the
-            // exact fault schedule for any worker-thread count.
-            if (transport_ != nullptr) transport_->deliver("element transfer");
-            ++transfers_;
-            ++elemsPerOp_[static_cast<size_t>(m.op->id)];
-            ++procMetrics_[static_cast<size_t>(m.proc)].recvElements;
-            ++procMetrics_[static_cast<size_t>(m.src)].sentElements;
-            if (profile_ != nullptr) profile_->addElement();
-            std::uint64_t& stamp = opStamp_[static_cast<size_t>(m.op->id)];
-            if (stamp != mergeStamp_) {
-                noteEvent(m.op);
-                stamp = mergeStamp_;
-            }
-        }
-        ws.pending.clear();
-        ws.misses.clear();
     }
+    for (const MissRecord& m : misses_) {
+        // Lossy-network mode: every element transfer rides the reliable
+        // transport, polled in merge order, so a fixed seed reproduces
+        // the exact fault schedule.
+        if (transport_ != nullptr) transport_->deliver("element transfer");
+        ++transfers_;
+        ++elemsPerOp_[static_cast<size_t>(m.op->id)];
+        ++procMetrics_[static_cast<size_t>(m.proc)].recvElements;
+        ++procMetrics_[static_cast<size_t>(m.src)].sentElements;
+        if (profile_ != nullptr) profile_->addElement();
+        std::uint64_t& stamp = opStamp_[static_cast<size_t>(m.op->id)];
+        if (stamp != mergeStamp_) {
+            noteEvent(m.op);
+            stamp = mergeStamp_;
+        }
+    }
+    pending_.clear();
+    misses_.clear();
     if (sampleMerge || profMerge) {
         const double us = std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - t0)
@@ -948,6 +889,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
         case StmtKind::Assign: {
             if (boundaryArmed_) boundary(s);
             const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
+            checkSubscripts(s, plan);
             const std::vector<int>& execs = executorsOf(s);
             procStmts_ += static_cast<std::int64_t>(execs.size());
             accountExecutors(execs);
@@ -967,7 +909,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             const std::int64_t flat =
                 s->lhs->kind == ExprKind::ArrayRef
                     ? (bcMode ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
-                              : oracle_.flatIndexOf(s->lhs))
+                              : refFlat_[static_cast<size_t>(s->lhs->id)])
                     : 0;
             // Relaxed mode: a scalar reduction accumulator is committed
             // by each executor as soon as its lane finishes, skipping
@@ -981,7 +923,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                       direct ? s->lhs->sym : kNoSymbol);
             if (!phaseClean_ || mergeHist_ != nullptr ||
                 profile_ != nullptr)
-                mergeWorkers();
+                mergePhase();
             if (bcMode) {
                 // Apply the statement's effect on the oracle through the
                 // same bytecode, so the reference state never pays a
@@ -1036,6 +978,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
         case StmtKind::If: {
             if (boundaryArmed_) boundary(s);
             const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
+            checkSubscripts(s, plan);
             const std::vector<int>& execs = executorsOf(s);
             procStmts_ += static_cast<std::int64_t>(execs.size());
             accountExecutors(execs);
@@ -1046,7 +989,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             evalPhase(plan, execs, s->cond);  // predicate comm
             if (!phaseClean_ || mergeHist_ != nullptr ||
                 profile_ != nullptr)
-                mergeWorkers();
+                mergePhase();
             const bool taken =
                 engine_ == SimEngine::Bytecode
                     ? vm::runScalar(plan.code.value, oracleRegs_.data(),
@@ -1069,6 +1012,8 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             break;
         }
         case StmtKind::Do: {
+            for (const Expr* r : plans_[static_cast<size_t>(s->id)].indexRefs)
+                (void)checkedFlatIndex(r);
             const auto lb = oracle_.evalIndex(s->lb);
             const auto ub = oracle_.evalIndex(s->ub);
             const auto step =
@@ -1121,48 +1066,17 @@ void SpmdSimulator::execStmt(const Stmt* s) {
 
 void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
                                   const std::vector<int>& execs) {
-    // Slot pre-resolution, identical to evalPhase's bytecode scan.
-    const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-    const Store& st0 = procStore_[0];
+    const size_t nSlots = plan.code.slots.size();
     const bool dense = &execs == &allProcs_;
     const size_t ne = execs.size();
-    bool clean = true;
-    for (size_t i = 0; i < slots.size(); ++i) {
-        const std::int64_t flat =
-            slots[i].isArray
-                ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
-                : 0;
-        const std::int64_t elem = st0.elemIndexOf(slots[i].sym, flat);
-        slotElem_[i] = elem;
-        slotRow_[i] = elem * procCount_;
-        slotMissResolved_[i] = 0;
-        const char* vrow = soaValid_.data() + slotRow_[i];
-        char ok = 1;
-        if (dense) {
-            const int miss = firstZeroByte(vrow, procCount_);
-            if (miss >= 0) {
-                ok = 0;
-                resolveSlotMiss(plan, static_cast<int>(i), miss);
-            }
-        } else {
-            for (size_t l = 0; l < ne; ++l) {
-                if (vrow[execs[l]] != 0) continue;
-                ok = 0;
-                resolveSlotMiss(plan, static_cast<int>(i), execs[l]);
-                break;
-            }
-        }
-        slotAllValid_[i] = ok;
-        clean = clean && ok != 0;
-    }
-    if (!clean) {
+    if (!resolveSlots(plan, execs)) {
         // Apply the misses in place — same slot-major lane order, same
         // row-equality dedup and same per-merge event memo the deferred
-        // evalPhase + mergeWorkers pair produces (mutating a row here
+        // evalPhase + mergePhase pair produces (mutating a row here
         // cannot change a later slot's miss set: an equal row is
         // dedup-skipped, a different row is untouched).
         ++mergeStamp_;
-        for (size_t i = 0; i < slots.size(); ++i) {
+        for (size_t i = 0; i < nSlots; ++i) {
             if (slotAllValid_[i] != 0) continue;
             bool dup = false;
             for (size_t j = 0; j < i; ++j)
@@ -1436,15 +1350,12 @@ void SpmdSimulator::restoreCheckpoint() {
     accountedInstances_ = 0;
     denseAccounted_ = 0;
     if (engine_ == SimEngine::Bytecode) soaLoad();
-    // The control stack is rebuilt by the resume navigation; worker
-    // scratch holds no state at a statement boundary, but clear it
+    // The control stack is rebuilt by the resume navigation; the phase
+    // buffers hold no state at a statement boundary, but clear them
     // defensively.
     ctrl_.clear();
-    for (WorkerScratch& w : workers_) {
-        w.pending.clear();
-        w.misses.clear();
-        w.error = nullptr;
-    }
+    pending_.clear();
+    misses_.clear();
 }
 
 void SpmdSimulator::resumeInto(const std::vector<Stmt*>& block, size_t depth) {
@@ -1620,34 +1531,6 @@ void SpmdSimulator::run() {
     wallSec_ = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();
-
-    // One tid-stamped span per spawned pool worker, covering the whole
-    // run and parented under the caller's current context (normally the
-    // driver's sim-exec span). Recorded from each worker's own thread
-    // in one final pool kick, so the Chrome trace gets a named
-    // "sim-worker-N" row per thread without per-phase span overhead.
-    // Worker 0 is the caller; its time is the sim-exec span itself.
-    if (ctracer_ != nullptr && ctracer_->enabled() && pool_ != nullptr) {
-        struct SpanCtx {
-            obs::ConcurrentTracer* tracer;
-            obs::SpanContext parent;
-            std::int64_t startNs;
-            std::int64_t durNs;
-        };
-        const std::int64_t durNs = static_cast<std::int64_t>(wallSec_ * 1e9);
-        SpanCtx sc{ctracer_, ctracer_->currentContext(),
-                   ctracer_->nowNs() - durNs, durNs};
-        pool_->run(
-            [](void* ctx, int worker) {
-                if (worker == 0) return;
-                const auto* c = static_cast<const SpanCtx*>(ctx);
-                const std::string name =
-                    "sim-worker-" + std::to_string(worker);
-                c->tracer->addCompleteSpan(name.c_str(), "sim", c->startNs,
-                                           c->durNs, c->parent);
-            },
-            &sc);
-    }
 }
 
 std::int64_t SpmdSimulator::eventsOfOp(int opId) const {

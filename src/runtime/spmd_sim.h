@@ -1,10 +1,8 @@
 #pragma once
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 
-#include "obs/concurrent_trace.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "runtime/bytecode.h"
@@ -17,36 +15,9 @@
 #include "support/cancellation.h"
 #include "support/fault.h"
 #include "support/interned_events.h"
-#include "support/parallel.h"
 
 namespace phpf {
 
-/// Functional simulator of the SPMD execution of a lowered program on a
-/// distributed-memory machine (our stand-in for the paper's 16-node
-/// SP2).
-///
-/// Every simulated processor has its own Store; distributed arrays are
-/// valid only where owned (or received), privatized variables live as
-/// genuinely private per-processor copies. Statements execute in global
-/// lockstep under their computation-partitioning guards; a read of data
-/// the processor does not hold triggers the matching communication op,
-/// transfers the value from its owner, and accounts the message. A read
-/// with no covering comm op aborts — an insufficient communication plan
-/// is a hard error, which is exactly the property the tests exercise.
-///
-/// Message accounting groups element transfers by (comm op, iteration
-/// vector at the op's placement level): one group is one vectorized
-/// message event, directly comparable with the analytic cost model's
-/// event counts.
-///
-/// The per-processor work of each statement instance runs on a reusable
-/// lockstep worker pool (support/parallel.h) when `threads > 1`: every
-/// executor evaluates its right-hand side against the frozen
-/// pre-statement state (store writes — fetched-copy caching, lhs
-/// stores, invalidation — are deferred to the barrier at the end of the
-/// instance), so owner-computes semantics and the validity-bitmap
-/// checks are unchanged and all results and metrics are bit-identical
-/// across thread counts.
 /// Per-processor accounting of one simulated run: what each processor
 /// executed, skipped (its computation-partitioning guard was false), and
 /// moved. The imbalance across processors is the load-balance signal the
@@ -83,17 +54,44 @@ struct SimRecoveryConfig {
     CancelToken cancel;
 };
 
+/// Functional simulator of the SPMD execution of a lowered program on a
+/// distributed-memory machine (our stand-in for the paper's 16-node
+/// SP2).
+///
+/// Every simulated processor has its own Store; distributed arrays are
+/// valid only where owned (or received), privatized variables live as
+/// genuinely private per-processor copies. Statements execute in global
+/// lockstep under their computation-partitioning guards; a read of data
+/// the processor does not hold triggers the matching communication op,
+/// transfers the value from its owner, and accounts the message. A read
+/// with no covering comm op aborts — an insufficient communication plan
+/// is a hard error, which is exactly the property the tests exercise.
+///
+/// Message accounting groups element transfers by (comm op, iteration
+/// vector at the op's placement level): one group is one vectorized
+/// message event, directly comparable with the analytic cost model's
+/// event counts.
+///
+/// The simulator runs on the calling thread. Every executor of a
+/// statement instance evaluates its right-hand side against the frozen
+/// pre-statement state: store writes (fetched-copy caching, lhs stores,
+/// invalidation) are deferred to a merge at the end of the instance.
+/// Frozen validity is what lets the bytecode engine resolve each miss
+/// once per instance and still pick the source processor the
+/// interpreter's per-lane owner scan picks.
+///
+/// Every subscript of a statement is checked against its declared
+/// bounds before an executor set or a store row is derived from it; an
+/// out-of-range subscript stops the run with a SimFault at site
+/// "sim.subscript".
 class SpmdSimulator {
 public:
     /// `elemBytes` is the machine element size used for byte accounting
-    /// (CostModel::elemBytes; REAL = 8 on the modelled SP2). `threads`
-    /// is the lockstep worker count: 0 means auto (PHPF_SIM_THREADS,
-    /// else hardware_concurrency), always clamped to the processor
-    /// count. Results are independent of the value.
+    /// (CostModel::elemBytes; REAL = 8 on the modelled SP2).
     ///
     /// `engine` picks the eval-phase implementation: the tree-walking
     /// interpreter or the register-bytecode VM (default). Both produce
-    /// bit-identical results AND metrics; every other phase (lockstep
+    /// bit-identical results AND metrics; every other phase (deferred
     /// merge, checkpoints, fault injection, profiling) is shared code.
     ///
     /// `relaxedMerge` opts into combining commutative reductions
@@ -103,26 +101,27 @@ public:
     /// statements write their private accumulator in-phase instead of
     /// through the ordered merge barrier. Max/min and integer sums stay
     /// exact; floating-point sums may differ from the oracle by
-    /// reassociation. Still deterministic for any thread count.
+    /// reassociation. Still deterministic.
     /// `targetKind` selects the machine the accounting describes.
     /// Functional semantics are target-independent (the same lowering
     /// executes; a shared-memory "coherence read" moves the same value a
     /// message-passing "transfer" does), so results are bit-identical
     /// across targets. Under SharedMemory the simulator additionally
     /// counts barrier epochs (each vectorized sync event is one
-    /// producers-then-consumers barrier on the lockstep pool) and does
+    /// producers-then-consumers barrier of the modelled SMP) and does
     /// not arm the lossy-network transport — there is no network inside
     /// one SMP node (proc.crash recovery still applies).
     explicit SpmdSimulator(const SpmdLowering& low, int elemBytes = 8,
-                           int threads = 1, SimRecoveryConfig recovery = {},
+                           SimRecoveryConfig recovery = {},
                            SimEngine engine = SimEngine::Bytecode,
                            bool relaxedMerge = false,
                            TargetKind targetKind = TargetKind::MessagePassing);
 
-    /// Throws SimFault when injected faults exhaust the recovery budget
-    /// or the recovery cancel token fires; any other outcome (including
-    /// every recovered fault) leaves results and metrics bit-identical
-    /// to a fault-free run.
+    /// Throws SimFault when injected faults exhaust the recovery budget,
+    /// the recovery cancel token fires, or a subscript falls outside
+    /// its declared bounds; any other outcome (including every recovered
+    /// fault) leaves results and metrics bit-identical to a fault-free
+    /// run.
     void run();
 
     /// Opt into telemetry before run(). `metrics` (nullable) receives
@@ -132,18 +131,13 @@ public:
     /// lookup. Phases are microseconds long, so the eval/merge
     /// histograms sample 1 in kTelemetrySample phases (clock reads on
     /// every phase would dominate the phase itself); checkpoints are
-    /// rare and timed unconditionally.
-    /// `tracer` (nullable) receives one tid-stamped span per
-    /// pool worker covering the run, parented under the calling
-    /// thread's current context, which gives Chrome traces their
-    /// per-thread sim-worker rows. Null pointers (the default) keep the
-    /// existing zero-overhead behaviour.
-    void setTelemetry(obs::MetricRegistry* metrics,
-                      obs::ConcurrentTracer* tracer);
+    /// rare and timed unconditionally. Null (the default) keeps the
+    /// zero-overhead behaviour.
+    void setTelemetry(obs::MetricRegistry* metrics);
 
     /// Opt into the per-statement profiler before run(). Counts
     /// (instances, per-proc executions, transfers, events) are exact
-    /// and bit-identical across thread counts; wall time is
+    /// and bit-identical across runs; wall time is
     /// 1-in-kSampleEvery sampled (deterministic sample *counts*,
     /// host-dependent durations). The armed overhead budget is <2%
     /// (bench/bench_profile_overhead.cpp enforces it).
@@ -158,8 +152,6 @@ public:
     }
 
     [[nodiscard]] int procCount() const { return procCount_; }
-    /// Lockstep worker threads the simulation runs on (resolved).
-    [[nodiscard]] int threads() const { return threads_; }
     /// Eval-phase engine of this simulator.
     [[nodiscard]] SimEngine engine() const { return engine_; }
     /// True when the relaxed commutative reduction merge is active.
@@ -167,19 +159,6 @@ public:
     /// Wall-clock seconds of the last run() (initial distribution
     /// included).
     [[nodiscard]] double wallSec() const { return wallSec_; }
-    /// Aggregate seconds the pool workers spent inside parallel phases;
-    /// busy/wall estimates the achieved parallel speedup. 0 when the
-    /// simulation ran single-threaded.
-    [[nodiscard]] double workerBusySec() const {
-        return pool_ != nullptr
-                   ? static_cast<double>(pool_->busyNs()) * 1e-9
-                   : 0.0;
-    }
-    [[nodiscard]] double parallelSpeedupEst() const {
-        if (pool_ == nullptr || wallSec_ <= 0.0) return 1.0;
-        const double est = workerBusySec() / wallSec_;
-        return est < 1.0 ? 1.0 : est;
-    }
 
     /// Machine model this run's accounting describes.
     [[nodiscard]] TargetKind targetKind() const { return targetKind_; }
@@ -313,6 +292,11 @@ private:
         /// VarRef/ArrayRef nodes the executors fetch (value positions of
         /// rhs/cond; subscripts resolve on the oracle).
         std::vector<const Expr*> fetchRefs;
+        /// ArrayRefs read inside the subscripts of the statement's own
+        /// refs (Do: inside its bounds), innermost first. Each is
+        /// bounds-checked before the subscript that reads it is
+        /// evaluated; usually empty.
+        std::vector<const Expr*> indexRefs;
         std::vector<CombinePlan> combines;  ///< Do: loop-end combines
         /// Bytecode engine: compiled guard subscripts, index forms, and
         /// value chunk of this statement (empty under SimEngine::Interp).
@@ -348,23 +332,11 @@ private:
         double v;
     };
     /// One element transfer observed during a phase; accounted (and its
-    /// event recorded) in deterministic worker order at the barrier.
+    /// event recorded) in observation order by the merge.
     struct MissRecord {
         const CommOp* op;
         int proc;
         int src;
-    };
-
-    /// Per-worker scratch; padded so workers never share a cache line.
-    struct alignas(64) WorkerScratch {
-        std::vector<PendingWrite> pending;
-        std::vector<MissRecord> misses;
-        GridSet gs;               ///< owner-set scratch for fetches
-        std::vector<int> coords;  ///< grid-iteration scratch
-        /// Bytecode engine: SoA register banks, numRegs x procCount
-        /// doubles (lane stride is the processor count).
-        std::vector<double> regs;
-        std::exception_ptr error;
     };
 
     void buildPlans();
@@ -375,7 +347,7 @@ private:
     /// Bytecode engine, lane-uniform Assign with telemetry, profiler and
     /// transport all unarmed: the fused fast path. One pass resolves the
     /// fetch slots, applies any misses in place (same slot-major lane
-    /// order and per-merge event memo as evalPhase + mergeWorkers), runs
+    /// order and per-merge event memo as evalPhase + mergePhase), runs
     /// the oracle chunk once and broadcasts the result — no deferred
     /// record vectors, no second slot walk. Any armed observer falls
     /// back to the general path, which keeps its sampling ticks; the
@@ -402,30 +374,48 @@ private:
     /// reference to a per-instance scratch (or the constant all-procs
     /// set); valid until the next call.
     [[nodiscard]] const std::vector<int>& executorsOf(const Stmt* s);
+    /// Bounds-check every subscript of Assign/If `s` on the oracle: the
+    /// index refs, then the fetched refs, then the lhs. Runs before
+    /// executorsOf, so no executor set or store row is ever derived
+    /// from an out-of-range subscript. The bytecode engine's common case
+    /// (no array read inside a subscript, every range satisfied) stays
+    /// inline.
+    void checkSubscripts(const Stmt* s, const StmtPlan& plan) {
+        if (engine_ == SimEngine::Bytecode && plan.indexRefs.empty() &&
+            plan.code.subscripts.passes(oracle_))
+            return;
+        resolveSubscripts(s, plan);
+    }
+    /// checkSubscripts' out-of-line part. The interp engine resolves the
+    /// flat index of every fetched ref and of the lhs here (refFlat_).
+    void resolveSubscripts(const Stmt* s, const StmtPlan& plan);
+    /// Flat index of `ref` on the oracle. A subscript outside its
+    /// declared bounds throws the sim.subscript SimFault naming the
+    /// reference, dimension, value and bounds.
+    [[nodiscard]] std::int64_t checkedFlatIndex(const Expr* ref) const;
     /// Evaluate `e` on every executor against the frozen pre-statement
-    /// state, filling values_; parallel when the pool is active and the
-    /// executor set is wide enough. `directSym` != kNoSymbol (relaxed
-    /// merge, reduction accumulators only) additionally writes each
-    /// executor's result straight to its private accumulator copy,
-    /// skipping the ordered post-merge write loop.
+    /// state, filling values_. `directSym` != kNoSymbol (relaxed merge,
+    /// reduction accumulators only) additionally writes each executor's
+    /// result straight to its private accumulator copy, skipping the
+    /// ordered post-merge write loop.
     void evalPhase(const StmtPlan& plan, const std::vector<int>& execs,
                    const Expr* e, SymbolId directSym = kNoSymbol);
-    void phaseWorker(int worker);
-    /// Bytecode engine: run the phase chunk over lanes [b, e) of the
-    /// executor set on `w`'s register banks, filling values_.
-    void runLanesInto(WorkerScratch& w, const StmtPlan& plan,
-                      const std::vector<int>& execs, std::int64_t b,
-                      std::int64_t e);
+    /// Bytecode engine: run the phase chunk over every lane of the
+    /// executor set on the register banks, filling values_.
+    void runLanes(const StmtPlan& plan, const std::vector<int>& execs);
     /// Bytecode engine: one lane's fetch of a slot its processor does
     /// not hold — pending-copy check, then the per-phase resolved
     /// (value, source) with the transfer recorded. Out of line: cold
     /// next to the contiguous SoA fast path.
-    double missLaneBc(WorkerScratch& w, int proc, const StmtPlan& plan,
-                      int slot);
+    double missLaneBc(int proc, const StmtPlan& plan, int slot);
+    /// Bytecode engine: resolve each fetch slot's flat index, store
+    /// element and SoA row, flag the slots every executor holds
+    /// (slotAllValid_) and resolve every other slot's miss once
+    /// (resolveSlotMiss). True when no executor misses any slot.
+    bool resolveSlots(const StmtPlan& plan, const std::vector<int>& execs);
     /// Bytecode engine: resolve slot's miss once per phase (owner
     /// validity is frozen within a phase, so every missing lane gets the
-    /// identical value and source processor). Main thread only, before
-    /// the pool runs — parallel workers read the memo, never write it.
+    /// identical value and source processor), before the lanes run.
     void resolveSlotMiss(const StmtPlan& plan, int slot, int firstProc);
     /// Transcribe procStore_ into the lane-major SoA banks / back. The
     /// banks are authoritative between run() start and end and across
@@ -449,24 +439,16 @@ private:
                   soaValid_.begin() + row + procCount_,
                   static_cast<char>(1));
     }
-    /// Apply deferred store writes and account the recorded transfers,
-    /// workers in index order (deterministic for any thread count).
-    void mergeWorkers();
+    /// Apply the phase's deferred store writes and account its recorded
+    /// transfers, in observation order.
+    void mergePhase();
     /// Evaluate `e` on processor `proc`, triggering communication for
     /// any data the processor does not hold.
-    double evalOnW(WorkerScratch& w, int proc, const Expr* e);
+    double evalOn(int proc, const Expr* e);
     /// Ensure `proc` holds the value of reference `ref`; fetch from the
-    /// owner through the covering comm op otherwise. `flat` is the
-    /// element's resolved flat index (0 for scalars).
-    double fetchW(WorkerScratch& w, int proc, const Expr* ref,
-                  std::int64_t flat);
-    double fetchW(WorkerScratch& w, int proc, const Expr* ref) {
-        return fetchW(w, proc, ref,
-                      ref->kind == ExprKind::ArrayRef
-                          ? refFlat_[static_cast<size_t>(ref->id)]
-                          : 0);
-    }
-    /// Account one element transfer's message event (main thread).
+    /// owner through the covering comm op otherwise.
+    double fetch(int proc, const Expr* ref);
+    /// Account one element transfer's message event.
     void noteEvent(const CommOp* op);
     /// Per-proc executed/skipped accounting for one statement instance.
     /// Accumulates into flat delta counters (one int per processor, not
@@ -480,12 +462,13 @@ private:
     /// descriptor (execSingleton / slotSrcSingleton plans).
     [[nodiscard]] int singleProcOfBc(const RefDesc& desc,
                                      const std::vector<bc::IndexForm>& forms);
-    void evalDescInto(const RefDesc& desc, GridSet& out) const;
-    /// Bytecode engine: evalDescInto through precompiled subscript
-    /// forms (one per grid dim, only Partitioned dims present).
-    void evalDescIntoBc(const RefDesc& desc,
-                        const std::vector<bc::IndexForm>& forms,
-                        GridSet& out) const;
+    /// Owner set of `desc` on the oracle's state. The bytecode engine
+    /// passes the descriptor's precompiled subscript `forms` (one per
+    /// grid dim, only Partitioned dims present); the interp engine
+    /// passes null and walks the subscript trees.
+    void evalDescInto(const RefDesc& desc,
+                      const std::vector<bc::IndexForm>* forms,
+                      GridSet& out) const;
     /// Relaxed merge: combine one reduction from the per-processor
     /// partial accumulators in linear processor order.
     [[nodiscard]] double combineRelaxed(const CombinePlan& c) const;
@@ -501,12 +484,10 @@ private:
     Interpreter oracle_;
     int procCount_;
     int elemBytes_;
-    int threads_;
     SimEngine engine_;
     bool relaxed_;
     TargetKind targetKind_;
     std::int64_t barrierEvents_ = 0;  ///< shm only; see barrierEvents()
-    std::unique_ptr<LockstepPool> pool_;
     std::vector<Store> procStore_;
     std::vector<ProcSimMetrics> procMetrics_;
     std::int64_t transfers_ = 0;
@@ -526,18 +507,24 @@ private:
     Arena bcArena_;
     int maxRegs_ = 0;  ///< widest chunk register file across statements
 
-    // --- per-instance scratch (main thread; no per-statement allocs) ---
+    // --- per-instance scratch (no per-statement allocs) ---
     std::vector<int> execsScratch_;
-    GridSet gsScratch_;
-    std::vector<int> coordsScratch_;
+    GridSet gsScratch_;               ///< executor and owner sets
+    std::vector<int> coordsScratch_;  ///< grid-iteration scratch
     std::vector<char> flagsScratch_;
     std::vector<double> values_;
     std::vector<std::int64_t> refFlat_;  ///< by Expr::id, per instance
     std::vector<std::int64_t> ctxScratch_;
-    std::vector<WorkerScratch> workers_;
+    /// The phase's deferred fetched-copy writes and observed transfers,
+    /// drained by mergePhase.
+    std::vector<PendingWrite> pending_;
+    std::vector<MissRecord> misses_;
     /// Bytecode engine: per-instance flat index of each fetch slot
     /// (resolved once on the oracle, like refFlat_).
     std::vector<std::int64_t> slotFlat_;
+    /// Bytecode engine: SoA register banks, numRegs x procCount doubles
+    /// (lane stride is the processor count).
+    std::vector<double> regs_;
     std::vector<double> oracleRegs_;  ///< scalar VM register scratch
     /// Bytecode engine: lane-major SoA state. Element e of processor p
     /// lives at [e * procCount + p] (e = Store::elemIndexOf), so one
@@ -576,18 +563,12 @@ private:
     std::vector<std::uint64_t> opStamp_;
     std::uint64_t mergeStamp_ = 0;
     /// Set by evalPhase: the bytecode slot pre-scan found every executor
-    /// valid on every slot, so no worker can have recorded a pending
+    /// valid on every slot, so no lane can have recorded a pending
     /// write or miss — the merge is a provable no-op and execStmt skips
     /// it when no sampler needs its tick.
     bool phaseClean_ = false;
     /// Relaxed merge: loop-entry accumulator snapshot by CommOp id.
     std::vector<double> combineInit_;
-
-    // --- current phase (set by evalPhase, read by workers) ---
-    const std::vector<int>* phaseExecs_ = nullptr;
-    const Expr* phaseExpr_ = nullptr;
-    const StmtPlan* phasePlan_ = nullptr;
-    SymbolId phaseDirect_ = kNoSymbol;  ///< relaxed in-phase write target
 
     // --- fault injection & recovery (all null/false when disabled) ---
     SimRecoveryConfig rcfg_;
@@ -612,7 +593,6 @@ private:
     std::uint32_t evalTick_ = 0;
     std::uint32_t mergeTick_ = 0;
     obs::MetricRegistry* metrics_ = nullptr;
-    obs::ConcurrentTracer* ctracer_ = nullptr;
     obs::Histogram* evalHist_ = nullptr;    ///< sim.phase.eval_us
     obs::Histogram* mergeHist_ = nullptr;   ///< sim.phase.merge_us
     obs::Histogram* ckptHist_ = nullptr;    ///< sim.checkpoint_us

@@ -324,12 +324,14 @@ CompileResult CompileService::runJob(const CompileRequest& req,
         r.artifact = std::move(artifact);
     } catch (const SimFault& e) {
         // A cancelled/faulted embedded simulation is a typed outcome,
-        // not an internal error.
-        r.status = e.site() == faultsite::kSimCancel
-                       ? CompileStatus::DeadlineExceeded
-                       : CompileStatus::Error;
-        r.code = e.site() == faultsite::kSimCancel
-                     ? ErrorCode::DeadlineExceeded
+        // not an internal error. An out-of-range subscript is the
+        // program's own fault: a retry would fail the same way.
+        const bool cancelled = e.site() == faultsite::kSimCancel;
+        r.status = cancelled ? CompileStatus::DeadlineExceeded
+                             : CompileStatus::Error;
+        r.code = cancelled ? ErrorCode::DeadlineExceeded
+                 : e.site() == faultsite::kSimSubscript
+                     ? ErrorCode::ProgramFault
                      : ErrorCode::TransientFault;
         r.error = e.what();
     } catch (const std::exception& e) {

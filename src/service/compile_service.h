@@ -96,9 +96,8 @@ struct CompileResult {
 
 struct ServiceConfig {
     /// Worker threads of the async submit() pool. 0 = auto (hardware
-    /// concurrency; PHPF_SIM_THREADS is a simulator knob and plays no
-    /// part). Clamped to 8 either way: compiles are memory-bound well
-    /// before that.
+    /// concurrency). Clamped to 8 either way: compiles are memory-bound
+    /// well before that.
     int workers = 0;
     /// Total artifact-cache entries across shards.
     std::size_t cacheCapacity = 256;

@@ -19,6 +19,8 @@ enum class ErrorCode : std::uint8_t {
     TransientFault,    ///< injected or environmental hiccup; retryable
     MemoryPressure,    ///< resources were shed out from under the job
     Internal,          ///< pipeline invariant failure (permanent)
+    ProgramFault,      ///< the simulated program itself failed, e.g. an
+                       ///< out-of-range subscript (permanent)
 };
 
 /// Is this failure worth an automatic retry-with-backoff?
@@ -38,6 +40,7 @@ enum class ErrorCode : std::uint8_t {
         case ErrorCode::TransientFault: return "transient-fault";
         case ErrorCode::MemoryPressure: return "memory-pressure";
         case ErrorCode::Internal: return "internal";
+        case ErrorCode::ProgramFault: return "program-fault";
     }
     return "?";
 }

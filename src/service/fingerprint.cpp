@@ -89,7 +89,6 @@ std::string canonicalOptionsKey(const TargetConfig& target,
     k += passes.simEngine == SimEngine::Bytecode ? "engine=bytecode;"
                                                  : "engine=interp;";
     appendBool(k, "relaxed", passes.relaxedMerge);
-    // simThreads intentionally absent: see header.
     return k;
 }
 

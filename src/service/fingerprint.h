@@ -25,10 +25,6 @@ namespace phpf::service {
 /// (mp/shm artifacts never share an entry) and includes the
 /// shared-memory machine parameters only under shm — an mp request's
 /// identity must not depend on a model it never consults.
-/// PassOptions::simThreads is deliberately EXCLUDED — it changes only
-/// how fast the simulator runs, never any compilation result or
-/// metric, so requests differing only in simThreads must share one
-/// cache entry.
 [[nodiscard]] std::string canonicalOptionsKey(const TargetConfig& target,
                                               const PassOptions& passes);
 

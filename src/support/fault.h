@@ -54,6 +54,10 @@ inline constexpr const char* kBatchAbort = "batch.abort";  ///< batch runner die
 /// Not an injectable site: the SimFault tag of a cancelled simulation
 /// (deadline expiry or explicit CancelToken).
 inline constexpr const char* kSimCancel = "sim.cancel";
+/// Not an injectable site: the SimFault tag of a subscript outside its
+/// declared bounds in the simulated program — a fault of the program or
+/// its inputs, so retrying cannot help.
+inline constexpr const char* kSimSubscript = "sim.subscript";
 }  // namespace faultsite
 
 /// Trigger configuration of one fault site, parsed from a spec segment

@@ -11,7 +11,7 @@ namespace phpf {
 /// every thread that touches a ConcurrentTracer or the flight recorder
 /// gets a small stable integer id (assigned on first use, in first-use
 /// order) and an optional human-readable name. Pool workers register
-/// names like "sim-worker-2" / "svc-worker-0"; the Chrome trace
+/// names like "svc-worker-0"; the Chrome trace
 /// exporter turns them into named per-thread rows and the flight
 /// recorder stamps every event with the recording tid.
 ///
@@ -24,7 +24,7 @@ namespace thread_registry {
 /// ever asked — normally the main thread). Assigns on first call.
 int currentTid();
 
-/// Name the calling thread for telemetry ("sim-worker-3"). Safe to call
+/// Name the calling thread for telemetry ("svc-worker-3"). Safe to call
 /// repeatedly; the last name wins. Implies registration.
 void setCurrentName(const std::string& name);
 

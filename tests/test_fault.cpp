@@ -149,6 +149,7 @@ TEST(ErrorCodeTaxonomy, TransientClassification) {
     EXPECT_FALSE(isTransient(ErrorCode::ParseError));
     EXPECT_FALSE(isTransient(ErrorCode::DeadlineExceeded));
     EXPECT_FALSE(isTransient(ErrorCode::Internal));
+    EXPECT_FALSE(isTransient(ErrorCode::ProgramFault));
     EXPECT_STREQ(service::errorCodeName(ErrorCode::TransientFault),
                  "transient-fault");
     EXPECT_STREQ(service::errorCodeName(ErrorCode::None), "none");

@@ -1,7 +1,7 @@
 // The per-statement profiler and the cost-model calibration layer:
 // exact-count accounting against the simulator's own totals, bit-exact
-// determinism across lockstep thread counts and crash recovery, the run
-// report's schema-v3 profile/calibration sections, flamegraph folded
+// determinism across runs and crash recovery, the run report's
+// profile/calibration sections (added in schema v3), flamegraph folded
 // stacks, Prometheus export of the phpf_stmt_self_time_* and
 // phpf_model_error_* series, service-side profiled-artifact caching
 // (cold/warm identical calibration), the batch runner's v3 calibration
@@ -54,7 +54,7 @@ struct ProfiledRun {
 };
 
 /// Strip the host-dependent sampled durations from a profile so dumps
-/// can be compared bit-for-bit across runs and thread counts. The
+/// can be compared bit-for-bit across runs. The
 /// sample *counts* stay: they are part of the determinism contract.
 Json countsOnlyProfileJson(const Program& p, const StmtProfile& prof,
                            int elemBytes) {
@@ -72,7 +72,7 @@ Json countsOnlyProfileJson(const Program& p, const StmtProfile& prof,
     return j;
 }
 
-ProfiledRun runProfiled(const std::function<Program()>& make, int threads,
+ProfiledRun runProfiled(const std::function<Program()>& make,
                         const char* faults = nullptr,
                         int checkpointEvery = 0) {
     Program p = make();
@@ -81,7 +81,6 @@ ProfiledRun runProfiled(const std::function<Program()>& make, int threads,
     Compilation c = Compiler::compile(p, opts);
     FaultInjector inj;
     SimulationRequest req;
-    req.threads = threads;
     req.profile = true;
     if (faults != nullptr) {
         EXPECT_TRUE(inj.configure(faults));
@@ -111,19 +110,13 @@ ProfiledRun runProfiled(const std::function<Program()>& make, int threads,
 std::function<Program()> makeTomcatv() {
     return [] { return programs::tomcatv(12, 2); };
 }
-std::function<Program()> makeFig1() {
-    return [] { return programs::fig1(24); };
-}
-std::function<Program()> makeFig6() {
-    return [] { return programs::fig6(6, 6, 6); };
-}
 
 // ---------------------------------------------------------------------
 // Profiler accounting: the profile's totals are the simulator's totals
 // ---------------------------------------------------------------------
 
 TEST(ProfilerTotals, ProcStmtExecutionsMatchTheSimulator) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     std::int64_t procStmts = 0;
     for (int s = 0; s < r.prof.stmtCount(); ++s)
         procStmts += r.prof.row(s).procStmts;
@@ -131,7 +124,7 @@ TEST(ProfilerTotals, ProcStmtExecutionsMatchTheSimulator) {
 }
 
 TEST(ProfilerTotals, ElementTransfersMatchTheSimulator) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     std::int64_t elements = 0;
     for (int s = 0; s < r.prof.stmtCount(); ++s)
         elements += r.prof.row(s).elements;
@@ -139,7 +132,7 @@ TEST(ProfilerTotals, ElementTransfersMatchTheSimulator) {
 }
 
 TEST(ProfilerTotals, MessageEventsMatchTheSimulator) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     std::int64_t events = 0;
     for (int s = 0; s < r.prof.stmtCount(); ++s)
         events += r.prof.row(s).events;
@@ -147,7 +140,7 @@ TEST(ProfilerTotals, MessageEventsMatchTheSimulator) {
 }
 
 TEST(ProfilerTotals, PerProcCountsSumToTheRowTotal) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     for (int s = 0; s < r.prof.stmtCount(); ++s) {
         std::int64_t sum = 0;
         for (int p = 0; p < r.procCount; ++p)
@@ -157,7 +150,7 @@ TEST(ProfilerTotals, PerProcCountsSumToTheRowTotal) {
 }
 
 TEST(ProfilerTotals, MaxProcAndImbalanceAreConsistent) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     for (int s = 0; s < r.prof.stmtCount(); ++s) {
         const auto& row = r.prof.row(s);
         if (row.procStmts == 0) {
@@ -177,7 +170,7 @@ TEST(ProfilerTotals, MaxProcAndImbalanceAreConsistent) {
 }
 
 TEST(ProfilerTotals, ExecutedStatementsExistAndSamplesAccrue) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     std::int64_t instances = 0, evalSamples = 0;
     for (int s = 0; s < r.prof.stmtCount(); ++s) {
         instances += r.prof.row(s).instances;
@@ -210,35 +203,12 @@ TEST(ProfilerTotals, SelfTimeEstimateScalesSampledTime) {
 }
 
 // ---------------------------------------------------------------------
-// Determinism: bit-identical counts across thread counts and recovery
+// Determinism: bit-identical counts across runs and recovery
 // ---------------------------------------------------------------------
 
-void expectCountsIdentical(const std::function<Program()>& make) {
-    const ProfiledRun base = runProfiled(make, 1);
-    for (const int threads : {2, 4}) {
-        const ProfiledRun r = runProfiled(make, threads);
-        EXPECT_EQ(r.profileDump, base.profileDump)
-            << threads << " threads";
-        EXPECT_EQ(r.calibrationDump, base.calibrationDump)
-            << threads << " threads";
-    }
-}
-
-TEST(ProfilerDeterminism, Fig1CountsAcrossThreadCounts) {
-    expectCountsIdentical(makeFig1());
-}
-
-TEST(ProfilerDeterminism, Fig6CountsAcrossThreadCounts) {
-    expectCountsIdentical(makeFig6());
-}
-
-TEST(ProfilerDeterminism, TomcatvCountsAcrossThreadCounts) {
-    expectCountsIdentical(makeTomcatv());
-}
-
 TEST(ProfilerDeterminism, RepeatedRunsAreIdentical) {
-    const ProfiledRun a = runProfiled(makeTomcatv(), 2);
-    const ProfiledRun b = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun a = runProfiled(makeTomcatv());
+    const ProfiledRun b = runProfiled(makeTomcatv());
     EXPECT_EQ(a.profileDump, b.profileDump);
     EXPECT_EQ(a.calibrationDump, b.calibrationDump);
 }
@@ -248,9 +218,9 @@ TEST(ProfilerDeterminism, CrashRecoveryReproducesTheProfile) {
     // profile (tick counters included) checkpoints with it, so the
     // recovered run's counts and sample schedule match the fault-free
     // run exactly.
-    const ProfiledRun clean = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun clean = runProfiled(makeTomcatv());
     const ProfiledRun faulted = runProfiled(
-        makeTomcatv(), 2, "proc.crash:nth=17;limit=3", /*checkpointEvery=*/10);
+        makeTomcatv(), "proc.crash:nth=17;limit=3", /*checkpointEvery=*/10);
     EXPECT_EQ(faulted.profileDump, clean.profileDump);
     EXPECT_EQ(faulted.calibrationDump, clean.calibrationDump);
 }
@@ -260,7 +230,7 @@ TEST(ProfilerDeterminism, CrashRecoveryReproducesTheProfile) {
 // ---------------------------------------------------------------------
 
 TEST(ProfileJson, SchemaTotalsAndRowShape) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     std::string err;
     const Json j = Json::parse(r.profileDump, &err);
     ASSERT_TRUE(err.empty()) << err;
@@ -284,7 +254,7 @@ TEST(ProfileJson, SchemaTotalsAndRowShape) {
 }
 
 TEST(ProfileJson, SkipsStatementsThatNeverExecuted) {
-    const ProfiledRun r = runProfiled(makeTomcatv(), 2);
+    const ProfiledRun r = runProfiled(makeTomcatv());
     std::string err;
     const Json j = Json::parse(r.profileDump, &err);
     ASSERT_TRUE(err.empty()) << err;
@@ -541,7 +511,7 @@ TEST(RunReportV3, ProfiledRunCarriesProfileAndCalibrationSections) {
     req.profile = true;
     auto sim = c.simulate(req);
     const Json report = c.buildRunReport(sim.get());
-    EXPECT_EQ(report.at("schema_version").intValue(), 3);
+    EXPECT_EQ(report.at("schema_version").intValue(), 4);
     ASSERT_NE(report.find("profile"), nullptr);
     ASSERT_NE(report.find("calibration"), nullptr);
     EXPECT_GT(report.at("profile").at("stmts").size(), 0u);
@@ -559,7 +529,7 @@ TEST(RunReportV3, UnprofiledRunOmitsTheSections) {
     Compilation c = Compiler::compile(p, opts);
     auto sim = c.simulate(SimulationRequest{});
     const Json report = c.buildRunReport(sim.get());
-    EXPECT_EQ(report.at("schema_version").intValue(), 3);
+    EXPECT_EQ(report.at("schema_version").intValue(), 4);
     EXPECT_EQ(report.find("profile"), nullptr);
     EXPECT_EQ(report.find("calibration"), nullptr);
 }

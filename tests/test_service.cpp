@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -49,19 +48,6 @@ TEST(Fingerprint, DefaultedAndExplicitOptionsCollide) {
 
     EXPECT_EQ(service::canonicalOptionsKey(defaulted, p1),
               service::canonicalOptionsKey(spelledOut, p2));
-}
-
-TEST(Fingerprint, SimThreadsDoesNotSplitTheKey) {
-    // simThreads only changes how fast the functional simulation runs,
-    // never a compilation result, so it must not split cache entries.
-    TargetConfig t;
-    t.gridExtents = {4};
-    PassOptions serial;
-    serial.simThreads = 1;
-    PassOptions wide;
-    wide.simThreads = 8;
-    EXPECT_EQ(service::canonicalOptionsKey(t, serial),
-              service::canonicalOptionsKey(t, wide));
 }
 
 TEST(Fingerprint, SourceFormattingDoesNotSplitTheFingerprint) {
@@ -180,12 +166,6 @@ TEST(Fingerprint, SimEngineAndRelaxedMergeSplitTheKey) {
     PassOptions relaxed = p;
     relaxed.relaxedMerge = true;
     EXPECT_NE(service::canonicalOptionsKey(base, relaxed), baseKey);
-
-    // ...while simThreads still must not split on top of either flag.
-    PassOptions threaded = relaxed;
-    threaded.simThreads = 8;
-    EXPECT_EQ(service::canonicalOptionsKey(base, threaded),
-              service::canonicalOptionsKey(base, relaxed));
 }
 
 TEST(Fingerprint, TargetKindSplitsTheKey) {
@@ -340,14 +320,8 @@ TEST(CompileService, SubmitRunsOnTheWorkerPool) {
 }
 
 TEST(CompileService, AutoWidthIgnoresSimThreadsVariable) {
-    // PHPF_SIM_THREADS sizes the simulator; it must not shrink the
-    // service's own pool.
-    const char* old = std::getenv("PHPF_SIM_THREADS");
-    const std::string saved = old != nullptr ? old : "";
-    ::setenv("PHPF_SIM_THREADS", "1", 1);
+    // The auto width follows the hardware alone, clamped to 8.
     const int width = CompileService{}.stats().workers;
-    if (old != nullptr) ::setenv("PHPF_SIM_THREADS", saved.c_str(), 1);
-    else ::unsetenv("PHPF_SIM_THREADS");
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
     EXPECT_EQ(width, std::min(std::max(hw, 1), 8));
 }
@@ -410,11 +384,12 @@ TEST(ArtifactCache, ShedRacesConcurrentInsertsSafely) {
     ASSERT_NE(pinned, nullptr);
 
     std::atomic<bool> go{false};
+    std::atomic<int> writersLeft{4};
     std::atomic<std::size_t> totalShed{0};
     std::vector<std::thread> writers;
     writers.reserve(4);
     for (int t = 0; t < 4; ++t)
-        writers.emplace_back([&cache, &go, t, &art] {
+        writers.emplace_back([&cache, &go, &writersLeft, t, &art] {
             while (!go.load()) {
             }
             for (int i = 0; i < 500; ++i) {
@@ -423,11 +398,16 @@ TEST(ArtifactCache, ShedRacesConcurrentInsertsSafely) {
                 cache.put(key, art(key));
                 if (i % 16 == 0) (void)cache.get(key);
             }
+            writersLeft.fetch_sub(1);
         });
-    std::thread shedder([&cache, &go, &totalShed] {
+    // The shedder runs for as long as any writer does, then once more,
+    // so shedding overlaps the inserts and drops entries however the
+    // threads are scheduled.
+    std::thread shedder([&cache, &go, &writersLeft, &totalShed] {
         while (!go.load()) {
         }
-        for (int i = 0; i < 200; ++i) totalShed += cache.shed(8);
+        while (writersLeft.load() > 0) totalShed += cache.shed(8);
+        totalShed += cache.shed(8);
     });
     go.store(true);
     for (std::thread& w : writers) w.join();
@@ -618,8 +598,8 @@ TEST(CompileService, CachedEqualsFreshForEveryTableVariant) {
 
         // Simulation metrics from the cached compilation (simulate() is
         // const — safe on the shared artifact).
-        auto directSim = direct.simulate({.threads = 1});
-        auto cachedSim = hit.artifact->compilation->simulate({.threads = 1});
+        auto directSim = direct.simulate();
+        auto cachedSim = hit.artifact->compilation->simulate();
         EXPECT_EQ(cachedSim->messageEvents(), directSim->messageEvents());
         EXPECT_EQ(cachedSim->elementTransfers(),
                   directSim->elementTransfers());
@@ -664,8 +644,8 @@ TEST(CompileService, SharedMemoryArtifactReplaysBitIdentically) {
     EXPECT_EQ(warm.artifact->cost.commBytes, directCost.commBytes);
 
     // Warm simulation replays the cold run's metrics exactly.
-    auto coldSim = direct.simulate({.threads = 1});
-    auto warmSim = warm.artifact->compilation->simulate({.threads = 1});
+    auto coldSim = direct.simulate();
+    auto warmSim = warm.artifact->compilation->simulate();
     EXPECT_EQ(warmSim->targetKind(), TargetKind::SharedMemory);
     EXPECT_EQ(warmSim->barrierEvents(), coldSim->barrierEvents());
     EXPECT_GT(warmSim->barrierEvents(), 0);
@@ -730,6 +710,38 @@ TEST(Batch, ParsesJobsAndRunsThemThroughTheService) {
     EXPECT_TRUE(rows[4].at("summary").boolValue());
     EXPECT_EQ(rows[4].at("jobs").intValue(), 4);
     EXPECT_EQ(rows[4].at("schema").stringValue(), "phpf.batch_report");
+}
+
+TEST(Batch, OutOfRangeSubscriptFailsWithoutRetry) {
+    // Fig. 2 with its index arrays left at zero reads H(i,0): a fault
+    // of the program, so the row fails with a permanent code and the
+    // service spends no retry on it.
+    std::string perr;
+    const obs::Json doc = obs::Json::parse(
+        R"({"jobs": [{"program": "fig2", "n": 16, "grid": [4],
+                      "profile": true}]})",
+        &perr);
+    ASSERT_TRUE(perr.empty()) << perr;
+    service::BatchSpec batch;
+    std::string err;
+    ASSERT_TRUE(service::parseBatchSpec(doc, &batch, &err)) << err;
+
+    CompileService svc;
+    std::ostringstream out;
+    const service::BatchOutcome outcome = service::runBatch(svc, batch, out);
+    EXPECT_EQ(outcome.failed, 1);
+    std::istringstream lines(out.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    const obs::Json row = obs::Json::parse(line, &perr);
+    ASSERT_TRUE(perr.empty()) << perr << ": " << line;
+    EXPECT_EQ(row.at("status").stringValue(), "error");
+    EXPECT_EQ(row.at("code").stringValue(), "program-fault");
+    EXPECT_NE(row.at("error").stringValue().find(
+                  "sim.subscript: subscript 2 of H(i,p) is 0"),
+              std::string::npos)
+        << row.at("error").stringValue();
+    EXPECT_EQ(svc.stats().retries, 0);
 }
 
 /// `j` without wall-clock (`*_us`, `wall_sec`) and scheduling
@@ -833,7 +845,7 @@ TEST(SimulateSpan, ExecSpanStaysInsideTheSimulateSpan) {
     target.gridExtents = {4};
     Compilation c = Compiler::compile(p, target, PassOptions{});
     obs::Tracer tracer;
-    auto sim = c.simulate({.threads = 1, .tracer = &tracer});
+    auto sim = c.simulate({.tracer = &tracer});
     ASSERT_NE(sim, nullptr);
 
     const obs::TraceSpan* exec = nullptr;

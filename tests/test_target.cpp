@@ -110,7 +110,7 @@ TEST(Target, BothBackendsCompileThePaperKernels) {
             EXPECT_EQ(&c.compileTarget(), &targetFor(kind));
             const CostBreakdown cb = c.predictCost();
             EXPECT_GT(cb.totalSec(), 0.0);
-            auto sim = c.simulate({.threads = 1});
+            auto sim = c.simulate();
             EXPECT_EQ(sim->targetKind(), kind);
             EXPECT_GT(sim->statementsExecutedAllProcs(), 0);
         }
@@ -241,7 +241,7 @@ TEST(Target, ShmSimulationCountsBarrierEpochs) {
     conf.gridExtents = {4};
     conf.targetKind = TargetKind::SharedMemory;
     Compilation c = Compiler::compile(p, conf);
-    auto sim = c.simulate({.threads = 1});
+    auto sim = c.simulate();
     EXPECT_EQ(sim->targetKind(), TargetKind::SharedMemory);
     // Every sync epoch is a barrier; under mp the counter stays 0.
     EXPECT_GT(sim->barrierEvents(), 0);
@@ -251,7 +251,7 @@ TEST(Target, ShmSimulationCountsBarrierEpochs) {
     TargetConfig mpConf = conf;
     mpConf.targetKind = TargetKind::MessagePassing;
     Compilation c2 = Compiler::compile(p2, mpConf);
-    auto mpSim = c2.simulate({.threads = 1});
+    auto mpSim = c2.simulate();
     EXPECT_EQ(mpSim->barrierEvents(), 0);
     // Functional results and data-movement metrics are target
     // independent: the lowering moves the same elements either way.
@@ -272,7 +272,6 @@ TEST(Target, ShmSimulationIgnoresNetworkFaultSites) {
     FaultInjector inj;
     ASSERT_TRUE(inj.configure("net.drop:p=1.0"));  // drop everything
     SimulationRequest req;
-    req.threads = 1;
     req.faults = &inj;
     req.maxAttempts = 2;
     auto sim = c.simulate(req);  // must not throw SimFault

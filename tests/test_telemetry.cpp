@@ -402,62 +402,8 @@ TEST(TelemetryTracer, SnapshotMergesShardsSortedByStart) {
 }
 
 // ---------------------------------------------------------------------
-// Simulator span parenting across thread counts
+// Simulator telemetry
 // ---------------------------------------------------------------------
-
-struct SimTraceShape {
-    std::uint64_t execId = 0;
-    std::set<std::string> workerNames;
-    std::set<int> workerTids;
-    bool allParented = true;
-};
-
-SimTraceShape simShape(int threads) {
-    Program p = programs::tomcatv(10, 2);
-    TargetConfig opts;
-    opts.gridExtents = {4};
-    Compilation c = Compiler::compile(p, opts);
-    ConcurrentTracer ct;
-    SimulationRequest req;
-    req.threads = threads;
-    req.ctracer = &ct;
-    auto sim = c.simulate(req);
-    SimTraceShape shape;
-    for (const auto& s : ct.snapshot()) {
-        if (s.name.rfind("sim-exec[", 0) == 0) shape.execId = s.id;
-    }
-    for (const auto& s : ct.snapshot()) {
-        if (s.name.rfind("sim-worker-", 0) != 0) continue;
-        shape.workerNames.insert(s.name);
-        shape.workerTids.insert(s.tid);
-        if (s.parent != shape.execId || !s.closed()) shape.allParented = false;
-    }
-    return shape;
-}
-
-TEST(TelemetrySimSpans, WorkerRowsParentUnderSimExecAtEveryThreadCount) {
-    for (const int threads : {1, 2, 4}) {
-        const SimTraceShape shape = simShape(threads);
-        EXPECT_NE(shape.execId, 0u) << threads << " threads";
-        // Worker 0 is the caller; spawned workers 1..threads-1 record
-        // one span each, every one under the sim-exec span, each from
-        // a distinct thread.
-        std::set<std::string> expect;
-        for (int w = 1; w < threads; ++w)
-            expect.insert("sim-worker-" + std::to_string(w));
-        EXPECT_EQ(shape.workerNames, expect) << threads << " threads";
-        EXPECT_EQ(shape.workerTids.size(), expect.size());
-        EXPECT_TRUE(shape.allParented) << threads << " threads";
-    }
-}
-
-TEST(TelemetrySimSpans, TraceShapeIsDeterministicAcrossRepeats) {
-    const SimTraceShape a = simShape(4);
-    const SimTraceShape b = simShape(4);
-    EXPECT_EQ(a.workerNames, b.workerNames);
-    EXPECT_TRUE(a.allParented);
-    EXPECT_TRUE(b.allParented);
-}
 
 TEST(TelemetrySimSpans, PhaseHistogramsFillWhenTelemetryIsSet) {
     Program p = programs::tomcatv(10, 2);
@@ -466,7 +412,6 @@ TEST(TelemetrySimSpans, PhaseHistogramsFillWhenTelemetryIsSet) {
     Compilation c = Compiler::compile(p, opts);
     MetricRegistry reg;
     SimulationRequest req;
-    req.threads = 2;
     req.metrics = &reg;
     auto sim = c.simulate(req);
     EXPECT_GT(reg.histogram("sim.phase.eval_us").count(), 0);
@@ -674,20 +619,6 @@ TEST(TelemetryThreadRegistry, TaskPoolWorkersRegisterPrefixedNames) {
         EXPECT_EQ(n.rfind("tp-name-test-", 0), 0u) << n;
     EXPECT_GE(seen.size(), 1u);
     EXPECT_LE(seen.size(), 2u);
-}
-
-TEST(TelemetryThreadRegistry, LockstepPoolWorkersRegisterPrefixedNames) {
-    LockstepPool pool(3, "ls-name-test");
-    std::mutex mu;
-    std::set<std::string> seen;
-    auto task = [&](int w) {
-        if (w == 0) return;  // the caller keeps its own name
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(thread_registry::currentName());
-    };
-    pool.runOn(task);
-    EXPECT_EQ(seen, (std::set<std::string>{"ls-name-test-1",
-                                           "ls-name-test-2"}));
 }
 
 // ---------------------------------------------------------------------

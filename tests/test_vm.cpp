@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "driver/compiler.h"
+#include "frontend/parser.h"
 #include "programs/programs.h"
 #include "runtime/bytecode.h"
 #include "runtime/vm.h"
@@ -152,9 +154,8 @@ TEST(IndexForm, AffineFormsMatchSubscriptTrees) {
 
 // =====================================================================
 // Differential: the interp and bytecode engines are bit-identical in
-// results AND every exposed metric, for every kernel, at 1/2/4 lockstep
-// threads, with identical profiler counts and identical
-// checkpoint/crash-replay behaviour.
+// results AND every exposed metric, for every kernel, with identical
+// profiler counts and identical checkpoint/crash-replay behaviour.
 
 struct Snapshot {
     std::int64_t transfers = 0;
@@ -309,25 +310,20 @@ TEST(VmDifferential, EnginesBitIdenticalAcrossKernelsAndThreadCounts) {
         TargetConfig opts;
         opts.gridExtents = k.grid;
         Compilation c = Compiler::compile(p, opts);
-        for (const int threads : {1, 2, 4}) {
-            auto interp = c.simulate({.threads = threads,
-                                      .seed = k.seed,
-                                      .engine = SimEngine::Interp});
-            auto bytecode = c.simulate({.threads = threads,
-                                        .seed = k.seed,
-                                        .engine = SimEngine::Bytecode});
-            EXPECT_EQ(interp->engine(), SimEngine::Interp);
-            EXPECT_EQ(bytecode->engine(), SimEngine::Bytecode);
-            const Snapshot si = snap(c, *interp, k.outputs);
-            const Snapshot sb = snap(c, *bytecode, k.outputs);
-            SCOPED_TRACE(std::string(k.name) + " threads=" +
-                         std::to_string(threads));
-            // Both engines track the sequential oracle exactly...
-            for (const double err : si.errors) EXPECT_EQ(err, 0.0);
-            // ...and match each other bit for bit, state and metrics.
-            expectSnapshotsIdentical(si, sb);
-            expectOracleStoresIdentical(*interp, *bytecode);
-        }
+        auto interp =
+            c.simulate({.seed = k.seed, .engine = SimEngine::Interp});
+        auto bytecode =
+            c.simulate({.seed = k.seed, .engine = SimEngine::Bytecode});
+        EXPECT_EQ(interp->engine(), SimEngine::Interp);
+        EXPECT_EQ(bytecode->engine(), SimEngine::Bytecode);
+        const Snapshot si = snap(c, *interp, k.outputs);
+        const Snapshot sb = snap(c, *bytecode, k.outputs);
+        SCOPED_TRACE(k.name);
+        // Both engines track the sequential oracle exactly...
+        for (const double err : si.errors) EXPECT_EQ(err, 0.0);
+        // ...and match each other bit for bit, state and metrics.
+        expectSnapshotsIdentical(si, sb);
+        expectOracleStoresIdentical(*interp, *bytecode);
     }
 }
 
@@ -337,12 +333,10 @@ TEST(VmDifferential, ProfilerCountsIdenticalAcrossEngines) {
         TargetConfig opts;
         opts.gridExtents = k.grid;
         Compilation c = Compiler::compile(p, opts);
-        auto interp = c.simulate({.threads = 1,
-                                  .seed = k.seed,
+        auto interp = c.simulate({.seed = k.seed,
                                   .profile = true,
                                   .engine = SimEngine::Interp});
-        auto bytecode = c.simulate({.threads = 1,
-                                    .seed = k.seed,
+        auto bytecode = c.simulate({.seed = k.seed,
                                     .profile = true,
                                     .engine = SimEngine::Bytecode});
         const obs::StmtProfile* a = interp->profile();
@@ -378,12 +372,10 @@ TEST(VmDifferential, CrashReplayBitIdenticalOnEitherEngine) {
             TargetConfig opts;
             opts.gridExtents = k.grid;
             Compilation c = Compiler::compile(p, opts);
-            auto plain =
-                c.simulate({.threads = 1, .seed = k.seed, .engine = engine});
+            auto plain = c.simulate({.seed = k.seed, .engine = engine});
             FaultInjector inj;
             ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
-            auto recovered = c.simulate({.threads = 1,
-                                         .seed = k.seed,
+            auto recovered = c.simulate({.seed = k.seed,
                                          .faults = &inj,
                                          .checkpointEvery = 10,
                                          .engine = engine});
@@ -415,10 +407,10 @@ TEST(RelaxedMerge, IntegerSumsStayExactWithIdenticalCountMetrics) {
                 o.setElement("A", {i, j},
                              static_cast<double>((i * 3 + j) % 7));
     };
-    auto strict = c.simulate({.threads = 1, .seed = seed,
+    auto strict = c.simulate({.seed = seed,
                               .engine = SimEngine::Bytecode,
                               .relaxedMerge = false});
-    auto relaxed = c.simulate({.threads = 1, .seed = seed,
+    auto relaxed = c.simulate({.seed = seed,
                                .engine = SimEngine::Bytecode,
                                .relaxedMerge = true});
     EXPECT_FALSE(strict->relaxedMerge());
@@ -442,10 +434,10 @@ TEST(RelaxedMerge, MaxLocReductionsStayExact) {
     TargetConfig opts;
     opts.gridExtents = k.grid;
     Compilation c = Compiler::compile(p, opts);
-    auto strict = c.simulate({.threads = 1, .seed = k.seed,
+    auto strict = c.simulate({.seed = k.seed,
                               .engine = SimEngine::Bytecode,
                               .relaxedMerge = false});
-    auto relaxed = c.simulate({.threads = 1, .seed = k.seed,
+    auto relaxed = c.simulate({.seed = k.seed,
                                .engine = SimEngine::Bytecode,
                                .relaxedMerge = true});
     expectOracleStoresIdentical(*strict, *relaxed);
@@ -454,4 +446,142 @@ TEST(RelaxedMerge, MaxLocReductionsStayExact) {
 }
 
 }  // namespace
+// =====================================================================
+// Out-of-range subscripts: a typed SimFault on either engine, raised
+// before any executor set or store row is derived from the subscript.
+
+TEST(SimSubscript, OutOfRangeSubscriptIsASimFaultOnEitherEngine) {
+    // Fig. 2 reads H(i,p) with p = B(i); left at zero, B makes p = 0,
+    // outside H's declared 1:16.
+    Program p = programs::fig2(16);
+    TargetConfig opts;
+    opts.gridExtents = {4};
+    Compilation c = Compiler::compile(p, opts);
+    for (const SimEngine engine : {SimEngine::Interp, SimEngine::Bytecode}) {
+        SCOPED_TRACE(simEngineName(engine));
+        try {
+            (void)c.simulate({.engine = engine});
+            ADD_FAILURE() << "simulation ran past H(i,0)";
+        } catch (const SimFault& e) {
+            EXPECT_EQ(e.site(), faultsite::kSimSubscript);
+            EXPECT_EQ(e.detail(),
+                      "subscript 2 of H(i,p) is 0, outside its declared "
+                      "bounds 1:16 (program fig2)");
+        }
+    }
+}
+
+TEST(SimSubscript, BothEnginesNameTheSameSubscript) {
+    // Each program runs past a declared bound through a different
+    // subscript shape: a scaled lhs subscript below its lower bound, a
+    // scaled and negated rhs subscript past its upper bound (both bounds
+    // need rounding when solved for i),
+    // a subscript of two loop variables, an array read inside a
+    // subscript, and an array read in a loop bound. The bytecode
+    // engine's per-symbol range check must stop at the same instance
+    // and name the same subscript as the interp engine's per-subscript
+    // check.
+    const char* sources[] = {
+        R"(program oob1
+  real a(10), b(10)
+!hpf$ align (i) with a(i) :: b
+!hpf$ distribute (block) :: a
+  do i = 0, 5
+    a(2*i) = b(i+1) + 1.0
+  end do
+end)",
+        R"(program oob2
+  real a(10), b(10)
+!hpf$ distribute (block) :: a
+  do i = 1, 6
+    a(i) = b(12-2*i)
+  end do
+end)",
+        R"(program oob3
+  real u(8,8), v(8,8)
+!hpf$ distribute u(*,block)
+!hpf$ align v(i,j) with u(i,j)
+  do j = 1, 8
+    do i = 1, 8
+      u(i,j) = v(i,i+j-2)
+    end do
+  end do
+end)",
+        R"(program oob4
+  real a(10), b(10)
+  integer ix(10)
+!hpf$ align (i) with a(i) :: b
+!hpf$ distribute (block) :: a
+  do i = 1, 10
+    ix(i) = i
+  end do
+  do i = 1, 11
+    a(i) = b(ix(i))
+  end do
+end)",
+        R"(program oob5
+  real a(10)
+  integer nb(3)
+!hpf$ distribute (block) :: a
+  nb(1) = 10
+  do k = 1, 4
+    do i = 1, nb(k)
+      a(i) = 1.0
+    end do
+  end do
+end)",
+    };
+    const char* expected[] = {
+        "subscript 1 of a(2 * i) is 0, outside its declared bounds 1:10",
+        "subscript 1 of b(12 - 2 * i) is 0, outside its declared bounds 1:10",
+        "subscript 2 of v(i,i + j - 2) is 0, outside its declared bounds 1:8",
+        "subscript 1 of ix(i) is 11, outside its declared bounds 1:10",
+        "subscript 1 of nb(k) is 4, outside its declared bounds 1:3",
+    };
+    for (size_t k = 0; k < std::size(sources); ++k) {
+        Program p = parseProgramOrDie(sources[k]);
+        TargetConfig opts;
+        opts.gridExtents = {2};
+        Compilation c = Compiler::compile(p, opts);
+        for (const SimEngine engine :
+             {SimEngine::Interp, SimEngine::Bytecode}) {
+            SCOPED_TRACE(std::string(sources[k]).substr(0, 12) + " " +
+                         simEngineName(engine));
+            try {
+                (void)c.simulate({.engine = engine});
+                ADD_FAILURE() << "simulation ran past the bound";
+            } catch (const SimFault& e) {
+                EXPECT_EQ(e.site(), faultsite::kSimSubscript);
+                EXPECT_EQ(e.detail().rfind(expected[k], 0), 0u) << e.detail();
+            }
+        }
+    }
+}
+
+TEST(SimSubscript, Fig2WithInRangeIndexArraysMatchesOracle) {
+    const auto seed = [](Interpreter& o) {
+        for (std::int64_t i = 1; i <= 16; ++i) {
+            o.setElement("B", {i}, static_cast<double>(17 - i));
+            o.setElement("C", {i}, static_cast<double>((5 * i) % 16 + 1));
+            for (std::int64_t j = 1; j <= 16; ++j) {
+                o.setElement("H", {i, j}, static_cast<double>(i + 2 * j));
+                o.setElement("G", {i, j}, static_cast<double>(3 * i - j));
+            }
+        }
+    };
+    for (const int procs : {4, 16}) {
+        Program p = programs::fig2(16);
+        TargetConfig opts;
+        opts.gridExtents = {procs};
+        Compilation c = Compiler::compile(p, opts);
+        for (const SimEngine engine :
+             {SimEngine::Interp, SimEngine::Bytecode}) {
+            SCOPED_TRACE(std::to_string(procs) + " procs, " +
+                         simEngineName(engine));
+            auto sim = c.simulate({.seed = seed, .engine = engine});
+            EXPECT_EQ(sim->maxErrorVsOracle("A"), 0.0);
+        }
+    }
+}
+
 }  // namespace phpf
