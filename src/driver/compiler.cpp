@@ -12,6 +12,10 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     const SimulationRequest& req) const {
     obs::Tracer* tr = req.tracer != nullptr ? req.tracer : tracer_.get();
     obs::ScopedSpan span(tr, "simulate", "sim");
+    // Both child spans are captured on the tracer's own clock:
+    // reconstructing a start from wallSec once drifted (and could go
+    // negative) under clock rounding.
+    const std::int64_t setupNs = tr != nullptr ? tr->nowNs() : 0;
     const int elemBytes =
         req.elemBytes > 0 ? req.elemBytes : target_.costModel.elemBytes;
     SimRecoveryConfig recovery;
@@ -28,10 +32,10 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     sim->setTelemetry(req.metrics);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());
-    // Capture the execution span's real endpoints on the tracer's own
-    // clock: reconstructing the start from wallSec once drifted (and
-    // could go negative) under clock rounding.
     const std::int64_t startNs = tr != nullptr ? tr->nowNs() : 0;
+    // Construction with its bytecode compile, arming, and seeding.
+    if (tr != nullptr)
+        tr->addCompleteSpan("sim-setup", "sim", setupNs, startNs - setupNs, 1);
     sim->run();
     if (tr != nullptr)
         tr->addCompleteSpan("sim-exec", "sim", startNs, tr->nowNs() - startNs,

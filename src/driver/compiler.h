@@ -29,11 +29,11 @@ struct SimulationRequest {
     /// Seeds the simulator's sequential oracle before the run (input
     /// arrays default to zero otherwise).
     std::function<void(Interpreter&)> seed;
-    /// Span destination for the sim-exec span. When null, spans go to
-    /// the compilation's own tracer — fine for a privately owned
-    /// Compilation, but a Compilation shared read-only across threads
-    /// (compile-service cache) needs a per-request tracer here to keep
-    /// simulate() race-free.
+    /// Span destination for the sim-setup and sim-exec spans. When
+    /// null, spans go to the compilation's own tracer — fine for a
+    /// privately owned Compilation, but a Compilation shared read-only
+    /// across threads (compile-service cache) needs a per-request tracer
+    /// here to keep simulate() race-free.
     obs::Tracer* tracer = nullptr;
     /// Fault source for the simulator's recovery layer (lossy-network
     /// transport, proc-crash restarts). Null disables injection; the

@@ -7,9 +7,7 @@
 
 namespace phpf {
 
-Interpreter::Interpreter(const Program& p) : prog_(p), store_(p) {
-    store_.setAllValid();
-}
+Interpreter::Interpreter(const Program& p) : prog_(p), store_(p) {}
 
 double Interpreter::eval(const Expr* e) const {
     switch (e->kind) {

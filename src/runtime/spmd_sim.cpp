@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <numeric>
 
 #include "ir/printer.h"
@@ -127,7 +126,6 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     // Control frames are needed exactly when a checkpoint can be taken.
     trackCtrl_ = crashSite_ != nullptr || rcfg_.checkpointEvery > 0;
     boundaryArmed_ = trackCtrl_ || rcfg_.cancel.armed();
-    procStore_.assign(static_cast<size_t>(procCount_), Store(prog_));
     procMetrics_.assign(static_cast<size_t>(procCount_), ProcSimMetrics{});
     execDelta_.assign(static_cast<size_t>(procCount_), 0);
 
@@ -143,6 +141,8 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     elemsPerOp_.assign(nOps, 0);
     opByRef_.assign(static_cast<size_t>(prog_.exprCount()), nullptr);
     opCtxVars_.resize(nOps);
+    ctxMemo_.resize(nOps);
+    ctxMemoSet_.assign(nOps, 0);
     for (const CommOp& op : low_.commOps()) {
         PHPF_ASSERT(op.id >= 0 && static_cast<size_t>(op.id) < nOps,
                     "comm op ids must be dense");
@@ -154,8 +154,14 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
             if (l->loopNestingLevel() > op.placementLevel) break;
             opCtxVars_[static_cast<size_t>(op.id)].push_back(l->loopVar);
         }
+        ctxMemo_[static_cast<size_t>(op.id)].assign(
+            opCtxVars_[static_cast<size_t>(op.id)].size(), 0);
     }
     combineInit_.assign(nOps, 0.0);
+    const size_t lanes = static_cast<size_t>(procCount_) *
+                         static_cast<size_t>(oracle_.store().totalElems());
+    soa_.assign(lanes, 0.0);
+    soaValid_.assign(lanes, 0);
     buildPlans();
     if (engine_ == SimEngine::Bytecode) {
         size_t maxSlots = 1;
@@ -168,10 +174,6 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
         slotMissSrc_.assign(maxSlots, -1);
         slotMissResolved_.assign(maxSlots, 0);
         slotAllValid_.assign(maxSlots, 0);
-        const size_t lanes = static_cast<size_t>(procCount_) *
-                             static_cast<size_t>(procStore_[0].totalElems());
-        soa_.assign(lanes, 0.0);
-        soaValid_.assign(lanes, 0);
         oracleRegs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)), 0.0);
         // SoA lane banks: one bank of procCount doubles per register.
         regs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)) *
@@ -426,11 +428,20 @@ const std::vector<int>& SpmdSimulator::executorsOf(const Stmt* s) {
 }
 
 void SpmdSimulator::noteEvent(const CommOp* op) {
-    ctxScratch_.clear();
-    for (const SymbolId v : opCtxVars_[static_cast<size_t>(op->id)])
-        ctxScratch_.push_back(
-            static_cast<std::int64_t>(oracle_.store().get(v)));
-    if (events_.record(op->id, ctxScratch_)) {
+    const size_t id = static_cast<size_t>(op->id);
+    const std::vector<SymbolId>& vars = opCtxVars_[id];
+    std::vector<std::int64_t>& ctx = ctxMemo_[id];
+    // Every event of the op's last recorded context is already in
+    // events_, so a repeat of that context is a guaranteed duplicate.
+    bool repeat = ctxMemoSet_[id] != 0;
+    for (size_t k = 0; k < vars.size(); ++k) {
+        const auto v = static_cast<std::int64_t>(oracle_.store().get(vars[k]));
+        repeat = repeat && ctx[k] == v;
+        ctx[k] = v;
+    }
+    if (repeat) return;
+    ctxMemoSet_[id] = 1;
+    if (events_.record(op->id, ctx)) {
         ++eventsPerOp_[static_cast<size_t>(op->id)];
         // Shared memory: each distinct sync event is one barrier epoch
         // (producers reach the barrier, consumers read the lines).
@@ -443,10 +454,11 @@ double SpmdSimulator::fetch(int proc, const Expr* ref) {
     const std::int64_t flat = ref->kind == ExprKind::ArrayRef
                                   ? refFlat_[static_cast<size_t>(ref->id)]
                                   : 0;
-    const Store& st = procStore_[static_cast<size_t>(proc)];
-    if (st.valid(ref->sym, flat)) return st.get(ref->sym, flat);
+    const std::int64_t row = soaRowOf(ref->sym, flat);
+    if (soaValid_[static_cast<size_t>(row + proc)] != 0)
+        return soa_[static_cast<size_t>(row + proc)];
     // A copy this processor already fetched earlier in the same phase
-    // (store writes are deferred to the merge).
+    // (bank writes are deferred to the merge).
     for (const PendingWrite& pw : pending_)
         if (pw.proc == proc && pw.sym == ref->sym && pw.flat == flat)
             return pw.v;
@@ -456,23 +468,8 @@ double SpmdSimulator::fetch(int proc, const Expr* ref) {
                 "processor " + std::to_string(proc) +
                     " reads unavailable data with no communication op: " +
                     printExpr(prog_, ref) + " (program " + prog_.name + ")");
-    // Locate a processor holding the value: the descriptor's owner set,
-    // falling back to a scan (stale-free by construction: writes
-    // invalidate every non-executing copy).
-    const ProcGrid& grid = low_.dataMapping().grid();
-    evalDescInto(op->srcDesc, nullptr, gsScratch_);
     double v = 0.0;
-    int src = -1;
-    forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
-        const Store& owner = procStore_[static_cast<size_t>(p)];
-        if (!owner.valid(ref->sym, flat)) return true;
-        v = owner.get(ref->sym, flat);
-        src = p;
-        return false;
-    });
-    PHPF_ASSERT(src >= 0, "no owner holds a valid copy of " +
-                              printExpr(prog_, ref) + " in program " +
-                              prog_.name);
+    const int src = holderOf(*op, nullptr, false, row, ref, v);
     pending_.push_back(PendingWrite{proc, ref->sym, flat, v});
     misses_.push_back(MissRecord{op, proc, src});
     return v;
@@ -605,66 +602,43 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
                 "processor " + std::to_string(firstProc) +
                     " reads unavailable data with no communication op: " +
                     printExpr(prog_, sl.ref) + " (program " + prog_.name + ")");
-    // Owner validity is frozen within a phase (store writes are deferred
+    // Owner validity is frozen within a phase (bank writes are deferred
     // to the merge), so one (value, source) resolution is exact for
-    // every missing lane — the interpreter's per-lane scans would find
-    // the identical holder in the identical order.
-    const std::int64_t row = slotRow_[static_cast<size_t>(slot)];
-    double v = 0.0;
-    int src = -1;
-    if (plan.slotSrcSingleton[static_cast<size_t>(slot)] != 0) {
-        const int p = singleProcOfBc(
-            op->srcDesc, plan.slotSrcForms[static_cast<size_t>(slot)]);
-        if (soaValid_[static_cast<size_t>(row + p)] != 0) {
-            v = soa_[static_cast<size_t>(row + p)];
-            src = p;
-        }
-    } else {
-        const ProcGrid& grid = low_.dataMapping().grid();
-        evalDescInto(op->srcDesc,
-                     &plan.slotSrcForms[static_cast<size_t>(slot)],
-                     gsScratch_);
-        forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
-            if (soaValid_[static_cast<size_t>(row + p)] == 0) return true;
-            v = soa_[static_cast<size_t>(row + p)];
-            src = p;
-            return false;
-        });
-    }
-    PHPF_ASSERT(src >= 0, "no owner holds a valid copy of " +
-                              printExpr(prog_, sl.ref) + " in program " +
-                              prog_.name);
-    slotMissV_[static_cast<size_t>(slot)] = v;
-    slotMissSrc_[static_cast<size_t>(slot)] = src;
+    // every missing lane — the interpreter's per-lane fetches find the
+    // identical holder in the identical order.
+    slotMissSrc_[static_cast<size_t>(slot)] = holderOf(
+        *op, &plan.slotSrcForms[static_cast<size_t>(slot)],
+        plan.slotSrcSingleton[static_cast<size_t>(slot)] != 0,
+        slotRow_[static_cast<size_t>(slot)], sl.ref,
+        slotMissV_[static_cast<size_t>(slot)]);
     slotMissResolved_[static_cast<size_t>(slot)] = 1;
 }
 
-void SpmdSimulator::soaLoad() {
-    const std::int64_t total = procStore_[0].totalElems();
-    for (int p = 0; p < procCount_; ++p) {
-        const double* data = procStore_[static_cast<size_t>(p)].dataRaw();
-        const char* valid = procStore_[static_cast<size_t>(p)].validRaw();
-        double* sd = soa_.data() + p;
-        char* sv = soaValid_.data() + p;
-        for (std::int64_t e = 0; e < total; ++e) {
-            sd[e * procCount_] = data[e];
-            sv[e * procCount_] = valid[e];
-        }
+int SpmdSimulator::holderOf(const CommOp& op,
+                            const std::vector<bc::IndexForm>* forms,
+                            bool singleton, std::int64_t row, const Expr* ref,
+                            double& v) {
+    // Stale-free by construction: writes invalidate every non-executing
+    // copy, so any valid copy in the owner set holds the current value.
+    int src = -1;
+    if (singleton) {
+        const int p = singleProcOfBc(op.srcDesc, *forms);
+        if (soaValid_[static_cast<size_t>(row + p)] != 0) src = p;
+    } else {
+        evalDescInto(op.srcDesc, forms, gsScratch_);
+        forEachGridProc(gsScratch_, low_.dataMapping().grid(), coordsScratch_,
+                        [&](int p) {
+                            if (soaValid_[static_cast<size_t>(row + p)] == 0)
+                                return true;
+                            src = p;
+                            return false;
+                        });
     }
-}
-
-void SpmdSimulator::soaFlush() {
-    const std::int64_t total = procStore_[0].totalElems();
-    for (int p = 0; p < procCount_; ++p) {
-        double* data = procStore_[static_cast<size_t>(p)].dataRaw();
-        char* valid = procStore_[static_cast<size_t>(p)].validRaw();
-        const double* sd = soa_.data() + p;
-        const char* sv = soaValid_.data() + p;
-        for (std::int64_t e = 0; e < total; ++e) {
-            data[e] = sd[e * procCount_];
-            valid[e] = sv[e * procCount_];
-        }
-    }
+    PHPF_ASSERT(src >= 0, "no owner holds a valid copy of " +
+                              printExpr(prog_, ref) + " in program " +
+                              prog_.name);
+    v = soa_[static_cast<size_t>(row + src)];
+    return src;
 }
 
 std::int64_t SpmdSimulator::checkedFlatIndex(const Expr* ref) const {
@@ -707,7 +681,7 @@ void SpmdSimulator::resolveSubscripts(const Stmt* s, const StmtPlan& plan) {
 bool SpmdSimulator::resolveSlots(const StmtPlan& plan,
                                  const std::vector<int>& execs) {
     const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-    const Store& st0 = procStore_[0];
+    const Store& st0 = oracle_.store();
     const bool dense = &execs == &allProcs_;
     bool clean = true;
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -820,16 +794,10 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
         // accumulator immediately. Any cross-processor read of the
         // accumulator inside the loop would have tripped the
         // no-communication-op assert in strict mode as well.
-        if (bcMode) {
-            const std::int64_t row = soaRowOf(directSym, 0);
-            for (size_t i = 0; i < ne; ++i) {
-                soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-                soaValid_[static_cast<size_t>(row + execs[i])] = 1;
-            }
-        } else {
-            for (size_t i = 0; i < ne; ++i)
-                procStore_[static_cast<size_t>(execs[i])].set(directSym, 0,
-                                                              values_[i]);
+        const std::int64_t row = soaRowOf(directSym, 0);
+        for (size_t i = 0; i < ne; ++i) {
+            soa_[static_cast<size_t>(row + execs[i])] = values_[i];
+            soaValid_[static_cast<size_t>(row + execs[i])] = 1;
         }
     }
     recordEval();
@@ -841,21 +809,15 @@ void SpmdSimulator::mergePhase() {
     const bool profMerge = profile_ != nullptr && profile_->sampleMerge();
     std::chrono::steady_clock::time_point t0;
     if (sampleMerge || profMerge) t0 = std::chrono::steady_clock::now();
-    const bool bcMode = engine_ == SimEngine::Bytecode;
     // Event-context memo: the oracle's scalars are constant for the
     // whole merge, so after noteEvent(op) ran once, repeating it for
     // the same op is a guaranteed duplicate (InternedEventSet::record
     // returns false) — skip the context rebuild and hash probe.
     ++mergeStamp_;
     for (const PendingWrite& pw : pending_) {
-        if (bcMode) {
-            const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
-            soa_[static_cast<size_t>(at)] = pw.v;
-            soaValid_[static_cast<size_t>(at)] = 1;
-        } else {
-            procStore_[static_cast<size_t>(pw.proc)].set(pw.sym, pw.flat,
-                                                         pw.v);
-        }
+        const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
+        soa_[static_cast<size_t>(at)] = pw.v;
+        soaValid_[static_cast<size_t>(at)] = 1;
     }
     for (const MissRecord& m : misses_) {
         // Lossy-network mode: every element transfer rides the reliable
@@ -924,55 +886,43 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             if (!phaseClean_ || mergeHist_ != nullptr ||
                 profile_ != nullptr)
                 mergePhase();
-            if (bcMode) {
-                // Apply the statement's effect on the oracle through the
-                // same bytecode, so the reference state never pays a
-                // tree walk either. Accounting matches execStmt exactly.
-                const double* od = oracle_.store().dataRaw();
-                const double v = vm::runScalar(
-                    plan.code.value, oracleRegs_.data(),
-                    [&](int slot) { return od[slotElem_[slot]]; });
-                const std::int64_t row = soaRowOf(s->lhs->sym, flat);
-                if (!plan.isReductionAcc)
-                    // Non-executors' copies become stale: one contiguous
-                    // validity-row clear instead of per-store calls.
-                    std::memset(soaValid_.data() + row, 0,
+            // The statement's effect on the oracle: the bytecode engine
+            // runs the same chunk on the reference state, so it never
+            // pays a tree walk either.
+            const double* od = oracle_.store().dataRaw();
+            const double v =
+                bcMode ? vm::runScalar(
+                             plan.code.value, oracleRegs_.data(),
+                             [&](int slot) { return od[slotElem_[slot]]; })
+                       : oracle_.eval(s->rhs);
+            const std::int64_t row = soaRowOf(s->lhs->sym, flat);
+            if (!plan.isReductionAcc)
+                // Non-executors' copies become stale: one contiguous
+                // validity-row clear.
+                std::memset(soaValid_.data() + row, 0,
+                            static_cast<size_t>(procCount_));
+            if (plan.laneUniform) {
+                // Uniform phase: every executor's result is the
+                // oracle's value (no per-lane values_ were run).
+                if (&execs == &allProcs_) {
+                    std::fill(soa_.begin() + row,
+                              soa_.begin() + row + procCount_, v);
+                    std::memset(soaValid_.data() + row, 1,
                                 static_cast<size_t>(procCount_));
-                if (plan.laneUniform) {
-                    // Uniform phase: every executor's result is the
-                    // oracle's value (no per-lane values_ were run).
-                    if (&execs == &allProcs_) {
-                        std::fill(soa_.begin() + row,
-                                  soa_.begin() + row + procCount_, v);
-                        std::memset(soaValid_.data() + row, 1,
-                                    static_cast<size_t>(procCount_));
-                    } else {
-                        for (const int p : execs) {
-                            soa_[static_cast<size_t>(row + p)] = v;
-                            soaValid_[static_cast<size_t>(row + p)] = 1;
-                        }
-                    }
-                } else if (!direct) {
-                    for (size_t i = 0; i < execs.size(); ++i) {
-                        soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-                        soaValid_[static_cast<size_t>(row + execs[i])] = 1;
+                } else {
+                    for (const int p : execs) {
+                        soa_[static_cast<size_t>(row + p)] = v;
+                        soaValid_[static_cast<size_t>(row + p)] = 1;
                     }
                 }
-                oracle_.store().set(s->lhs->sym, flat, v);
-                oracle_.noteStatementExecuted();
-            } else {
-                if (!plan.isReductionAcc) {
-                    // Non-executors' copies become stale.
-                    for (int p = 0; p < procCount_; ++p)
-                        procStore_[static_cast<size_t>(p)].invalidate(
-                            s->lhs->sym, flat);
+            } else if (!direct) {
+                for (size_t i = 0; i < execs.size(); ++i) {
+                    soa_[static_cast<size_t>(row + execs[i])] = values_[i];
+                    soaValid_[static_cast<size_t>(row + execs[i])] = 1;
                 }
-                if (!direct)
-                    for (size_t i = 0; i < execs.size(); ++i)
-                        procStore_[static_cast<size_t>(execs[i])].set(
-                            s->lhs->sym, flat, values_[i]);
-                oracle_.execStmt(s);
             }
+            oracle_.store().set(s->lhs->sym, flat, v);
+            oracle_.noteStatementExecuted();
             break;
         }
         case StmtKind::If: {
@@ -1045,12 +995,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                      iv += step) {
                     if (trackCtrl_) ctrl_.back().iv = iv;
                     oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-                    if (engine_ == SimEngine::Bytecode)
-                        soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-                    else
-                        for (int p = 0; p < procCount_; ++p)
-                            procStore_[static_cast<size_t>(p)].set(
-                                s->loopVar, 0, static_cast<double>(iv));
+                    soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
                     execLoopBody(s);
                 }
             }
@@ -1169,20 +1114,10 @@ void SpmdSimulator::runCombines(const Stmt* s) {
         // copies, not the oracle's sequential accumulation; write it
         // back so the reference state agrees with the broadcast.
         if (relaxedOp) oracle_.store().set(op.ref->sym, 0, v);
-        if (engine_ == SimEngine::Bytecode)
-            soaBroadcast(op.ref->sym, 0, v);
-        else
-            for (int p = 0; p < procCount_; ++p)
-                procStore_[static_cast<size_t>(p)].set(op.ref->sym, 0, v);
-        if (c.red->locScalar != kNoSymbol) {
-            const double lv = oracle_.store().get(c.red->locScalar);
-            if (engine_ == SimEngine::Bytecode)
-                soaBroadcast(c.red->locScalar, 0, lv);
-            else
-                for (int p = 0; p < procCount_; ++p)
-                    procStore_[static_cast<size_t>(p)].set(c.red->locScalar, 0,
-                                                           lv);
-        }
+        soaBroadcast(op.ref->sym, 0, v);
+        if (c.red->locScalar != kNoSymbol)
+            soaBroadcast(c.red->locScalar, 0,
+                         oracle_.store().get(c.red->locScalar));
         noteEvent(&op);
         ++transfers_;
         ++elemsPerOp_[static_cast<size_t>(op.id)];
@@ -1194,23 +1129,15 @@ void SpmdSimulator::runCombines(const Stmt* s) {
 }
 
 double SpmdSimulator::combineRelaxed(const CombinePlan& c) const {
-    const SymbolId s = c.op->ref->sym;
-    const bool bcMode = engine_ == SimEngine::Bytecode;
-    const std::int64_t row = bcMode ? soaRowOf(s, 0) : 0;
-    const auto procVal = [&](int p) {
-        return bcMode ? soa_[static_cast<size_t>(row + p)]
-                      : procStore_[static_cast<size_t>(p)].get(s);
-    };
+    const std::int64_t row = soaRowOf(c.op->ref->sym, 0);
+    const double* val = soa_.data() + row;
     // Only VALID copies participate: a processor whose copy was
     // invalidated (e.g. it did not execute the accumulator's reset
     // assignment) still holds the value from a PREVIOUS reduction nest,
     // not this nest's loop-entry value — combining it would double-count
     // history. Executors always hold valid copies (the direct commit
     // marks them), so at least one copy participates.
-    const auto procValid = [&](int p) {
-        return bcMode ? soaValid_[static_cast<size_t>(row + p)] != 0
-                      : procStore_[static_cast<size_t>(p)].valid(s, 0);
-    };
+    const char* valid = soaValid_.data() + row;
     switch (c.red->op) {
         case ReductionInfo::Op::Sum: {
             // Delta sum over per-processor accumulator copies. A valid
@@ -1220,29 +1147,23 @@ double SpmdSimulator::combineRelaxed(const CombinePlan& c) const {
             const double init = combineInit_[static_cast<size_t>(c.op->id)];
             double v = init;
             for (int p = 0; p < procCount_; ++p)
-                if (procValid(p)) v += procVal(p) - init;
+                if (valid[p] != 0) v += val[p] - init;
             return v;
         }
-        case ReductionInfo::Op::Max: {
-            bool seen = false;
-            double v = 0.0;
-            for (int p = 0; p < procCount_; ++p) {
-                if (!procValid(p)) continue;
-                v = seen ? std::max(v, procVal(p)) : procVal(p);
-                seen = true;
-            }
-            PHPF_ASSERT(seen, "relaxed Max combine with no valid copy");
-            return v;
-        }
+        case ReductionInfo::Op::Max:
         case ReductionInfo::Op::Min: {
+            const bool isMax = c.red->op == ReductionInfo::Op::Max;
             bool seen = false;
             double v = 0.0;
             for (int p = 0; p < procCount_; ++p) {
-                if (!procValid(p)) continue;
-                v = seen ? std::min(v, procVal(p)) : procVal(p);
+                if (valid[p] == 0) continue;
+                v = !seen  ? val[p]
+                    : isMax ? std::max(v, val[p])
+                            : std::min(v, val[p]);
                 seen = true;
             }
-            PHPF_ASSERT(seen, "relaxed Min combine with no valid copy");
+            PHPF_ASSERT(seen, std::string("relaxed ") + (isMax ? "Max" : "Min") +
+                                  " combine with no valid copy");
             return v;
         }
         default:
@@ -1294,10 +1215,8 @@ void SpmdSimulator::boundary(const Stmt* s) {
 void SpmdSimulator::takeCheckpoint(const Stmt* boundaryStmt) {
     std::chrono::steady_clock::time_point t0;
     if (ckptHist_ != nullptr) t0 = std::chrono::steady_clock::now();
-    // The SoA banks are authoritative mid-run; transcribe them back so
-    // the checkpoint's Store copies (and a later restore) see them.
-    // Same for the guard-accounting deltas.
-    if (engine_ == SimEngine::Bytecode) soaFlush();
+    // The checkpoint's procMetrics must include the guard-accounting
+    // deltas.
     flushAccounting();
     std::vector<CtrlFrame> path = ctrl_;
     if (boundaryStmt != nullptr) {
@@ -1308,7 +1227,7 @@ void SpmdSimulator::takeCheckpoint(const Stmt* boundaryStmt) {
         path.push_back(f);
     }
     ckpt_ = std::make_unique<Checkpoint>(Checkpoint{
-        procStore_, oracle_.store(), oracle_.statementsExecuted(),
+        soa_, soaValid_, oracle_.store(), oracle_.statementsExecuted(),
         procMetrics_, transfers_, procStmts_, instances_, events_,
         eventsPerOp_, elemsPerOp_, barrierEvents_, combineInit_,
         std::move(path),
@@ -1331,7 +1250,8 @@ void SpmdSimulator::restoreCheckpoint() {
         "sim.restore", "to_instances=" + std::to_string(ckpt_->instances) +
                            " recovery=" + std::to_string(recoveries_));
     const Checkpoint& ck = *ckpt_;
-    procStore_ = ck.procStore;
+    soa_ = ck.soa;
+    soaValid_ = ck.soaValid;
     oracle_.store() = ck.oracleStore;
     oracle_.setStatementsExecuted(ck.oracleExecuted);
     procMetrics_ = ck.procMetrics;
@@ -1339,6 +1259,9 @@ void SpmdSimulator::restoreCheckpoint() {
     procStmts_ = ck.procStmts;
     instances_ = ck.instances;
     events_ = ck.events;
+    // The memo may hold a context recorded after the checkpoint, which
+    // the restored event set lacks.
+    std::fill(ctxMemoSet_.begin(), ctxMemoSet_.end(), 0);
     eventsPerOp_ = ck.eventsPerOp;
     combineInit_ = ck.combineInit;
     elemsPerOp_ = ck.elemsPerOp;
@@ -1349,7 +1272,6 @@ void SpmdSimulator::restoreCheckpoint() {
     std::fill(execDelta_.begin(), execDelta_.end(), 0);
     accountedInstances_ = 0;
     denseAccounted_ = 0;
-    if (engine_ == SimEngine::Bytecode) soaLoad();
     // The control stack is rebuilt by the resume navigation; the phase
     // buffers hold no state at a statement boundary, but clear them
     // defensively.
@@ -1435,63 +1357,81 @@ void SpmdSimulator::resumeDo(const CtrlFrame& f, size_t depth) {
                 continue;
             }
             oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-            if (engine_ == SimEngine::Bytecode)
-                soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-            else
-                for (int p = 0; p < procCount_; ++p)
-                    procStore_[static_cast<size_t>(p)].set(
-                        s->loopVar, 0, static_cast<double>(iv));
+            soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
             execLoopBody(s);
         }
     }
     runCombines(s);
 }
 
-void SpmdSimulator::run() {
-    const auto t0 = std::chrono::steady_clock::now();
-    // Distribute initial (oracle-seeded) data: owners hold their
-    // elements, replicated data is everywhere.
+void SpmdSimulator::distributeInputs() {
     const ProcGrid& grid = low_.dataMapping().grid();
+    const Store& seeded = oracle_.store();
+    std::vector<int> stride(static_cast<size_t>(grid.rank()), 1);
+    for (int g = grid.rank() - 1; g > 0; --g)  // ProcGrid::linearize order
+        stride[static_cast<size_t>(g - 1)] =
+            stride[static_cast<size_t>(g)] * grid.extent(g);
+    std::vector<std::vector<int>> table;  // per array dim: lane part by index
+    std::vector<int> replicas;            // lane offsets over replicated dims
+    std::vector<size_t> idx;
     for (const Symbol& sym : prog_.symbols) {
-        const ArrayMap& map = low_.dataMapping().mapOf(sym.id);
         if (!sym.isArray()) {
-            for (int p = 0; p < procCount_; ++p)
-                procStore_[static_cast<size_t>(p)].set(
-                    sym.id, 0, oracle_.store().get(sym.id));
+            soaBroadcast(sym.id, 0, seeded.get(sym.id));
             continue;
         }
-        // Enumerate elements and place them on their owners.
-        std::vector<std::int64_t> idx(static_cast<size_t>(sym.rank()));
-        std::function<void(int)> rec = [&](int d) {
-            if (d == sym.rank()) {
-                const std::int64_t flat =
-                    procStore_[0].flatten(prog_, sym.id, idx);
-                const GridSet owners = map.ownerOf(idx, grid);
-                forEachGridProc(owners, grid, coordsScratch_, [&](int p) {
-                    procStore_[static_cast<size_t>(p)].set(
-                        sym.id, flat, oracle_.store().get(sym.id, flat));
-                    return true;
-                });
-                return;
+        // ArrayMap::ownerOf, factored per grid dim: the coordinate of the
+        // last array dim partitioned over it, else its fixedCoord, else
+        // every coordinate.
+        const ArrayMap& map = low_.dataMapping().mapOf(sym.id);
+        const size_t rank = sym.dims.size();
+        table.assign(rank, {});
+        replicas.assign(1, 0);
+        int base = 0;
+        for (int g = 0; g < grid.rank(); ++g) {
+            const int sg = stride[static_cast<size_t>(g)];
+            size_t d = rank;
+            for (size_t k = 0; k < rank; ++k)
+                if (map.dims[k].gridDim == g) d = k;
+            if (d < rank) {
+                const ArrayDimMap& m = map.dims[d];
+                for (std::int64_t i = sym.dims[d].lb; i <= sym.dims[d].ub; ++i)
+                    table[d].push_back(m.dist.ownerOf(i + m.alignOffset) * sg);
+            } else if (const int c = map.fixedCoord[static_cast<size_t>(g)];
+                       c >= 0) {
+                base += c * sg;
+            } else {
+                const size_t had = replicas.size();
+                for (int c = 1; c < grid.extent(g); ++c)
+                    for (size_t r = 0; r < had; ++r)
+                        replicas.push_back(replicas[r] + c * sg);
             }
-            const ArrayDim& dim = sym.dims[static_cast<size_t>(d)];
-            for (std::int64_t v = dim.lb; v <= dim.ub; ++v) {
-                idx[static_cast<size_t>(d)] = v;
-                rec(d + 1);
+        }
+        // Walk the elements in flat (column-major) order.
+        idx.assign(rank, 0);
+        for (std::int64_t f = 0; f < seeded.sizeOf(sym.id); ++f) {
+            std::int64_t at = soaRowOf(sym.id, f) + base;
+            for (size_t d = 0; d < rank; ++d)
+                if (!table[d].empty()) at += table[d][idx[d]];
+            for (const int r : replicas) {
+                soa_[static_cast<size_t>(at + r)] = seeded.get(sym.id, f);
+                soaValid_[static_cast<size_t>(at + r)] = 1;
             }
-        };
-        rec(0);
+            for (size_t d = 0; d < rank; ++d) {
+                if (++idx[d] < static_cast<size_t>(sym.dims[d].extent())) break;
+                idx[d] = 0;
+            }
+        }
     }
+}
+
+void SpmdSimulator::run() {
+    const auto t0 = std::chrono::steady_clock::now();
+    distributeInputs();
     recoveries_ = 0;
     checkpointsTaken_ = 0;
     instances_ = 0;
     ctrl_.clear();
     ckpt_.reset();
-    // Bytecode engine: the lane-major SoA banks become the authoritative
-    // per-processor state for the whole run; procStore_ is transcribed
-    // back at checkpoints and at run end (soaFlush), so the external
-    // Store-based interface is unchanged.
-    if (engine_ == SimEngine::Bytecode) soaLoad();
     // With crash recovery armed, take the initial checkpoint right after
     // initial distribution — a crash before the first periodic one
     // replays from the start of the program.
@@ -1520,13 +1460,11 @@ void SpmdSimulator::run() {
             }
         }
     } catch (...) {
-        // A SimFault escaping mid-run must still leave procStore_ and
-        // the per-proc metrics coherent for post-mortem inspection.
-        if (engine_ == SimEngine::Bytecode) soaFlush();
+        // A SimFault escaping mid-run must still leave the per-proc
+        // metrics coherent for post-mortem inspection.
         flushAccounting();
         throw;
     }
-    if (engine_ == SimEngine::Bytecode) soaFlush();
     flushAccounting();
     wallSec_ = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
@@ -1548,18 +1486,8 @@ std::int64_t SpmdSimulator::elementsOfOp(int opId) const {
 void SpmdSimulator::accountExecutors(const std::vector<int>& execs) {
     // Guard accounting: processors in `execs` pass their computation-
     // partitioning guard for this statement instance, everyone else
-    // evaluates the guard and skips.
-    if (engine_ != SimEngine::Bytecode) {
-        for (ProcSimMetrics& m : procMetrics_) ++m.stmtsSkipped;
-        for (const int p : execs) {
-            ProcSimMetrics& m = procMetrics_[static_cast<size_t>(p)];
-            ++m.stmtsExecuted;
-            --m.stmtsSkipped;
-        }
-        return;
-    }
-    // Bytecode engine: skipped = instances - executed, so only the
-    // executed counts (dense int64 array, one cache line for typical
+    // evaluates the guard and skips. skipped = instances - executed, so
+    // only the executed counts (dense int64 array, one cache line for typical
     // proc counts — or a single counter for guard-All instances) are
     // touched per instance; flushAccounting materializes the
     // ProcSimMetrics view at run/checkpoint boundaries.
@@ -1598,32 +1526,37 @@ double SpmdSimulator::imbalanceRatio() const {
     return static_cast<double>(maxExec) / mean;
 }
 
-double SpmdSimulator::valueOn(int proc, const std::string& name,
-                              std::int64_t flat) const {
+std::int64_t SpmdSimulator::laneOf(int proc, const std::string& name,
+                                   std::int64_t flat) const {
     const SymbolId s = prog_.findSymbol(name);
     PHPF_ASSERT(s != kNoSymbol, "unknown symbol " + name);
-    return procStore_[static_cast<size_t>(proc)].get(s, flat);
+    PHPF_ASSERT(proc >= 0 && proc < procCount_,
+                "processor " + std::to_string(proc) + " out of range");
+    return soaRowOf(s, flat) + proc;
+}
+
+double SpmdSimulator::valueOn(int proc, const std::string& name,
+                              std::int64_t flat) const {
+    return soa_[static_cast<size_t>(laneOf(proc, name, flat))];
 }
 
 bool SpmdSimulator::validOn(int proc, const std::string& name,
                             std::int64_t flat) const {
-    const SymbolId s = prog_.findSymbol(name);
-    PHPF_ASSERT(s != kNoSymbol, "unknown symbol " + name);
-    return procStore_[static_cast<size_t>(proc)].valid(s, flat);
+    return soaValid_[static_cast<size_t>(laneOf(proc, name, flat))] != 0;
 }
 
 double SpmdSimulator::maxErrorVsOracle(const std::string& name) const {
     const SymbolId s = prog_.findSymbol(name);
     PHPF_ASSERT(s != kNoSymbol, "unknown symbol " + name);
+    const Store& ref = oracle_.store();
     double maxErr = 0.0;
-    for (std::int64_t flat = 0; flat < procStore_[0].sizeOf(s); ++flat) {
-        const double ref = oracle_.store().get(s, flat);
-        for (int p = 0; p < procCount_; ++p) {
-            if (!procStore_[static_cast<size_t>(p)].valid(s, flat)) continue;
-            maxErr = std::max(
-                maxErr,
-                std::abs(procStore_[static_cast<size_t>(p)].get(s, flat) - ref));
-        }
+    for (std::int64_t flat = 0; flat < ref.sizeOf(s); ++flat) {
+        const double want = ref.get(s, flat);
+        const std::int64_t row = soaRowOf(s, flat);
+        for (int p = 0; p < procCount_; ++p)
+            if (soaValid_[static_cast<size_t>(row + p)] != 0)
+                maxErr = std::max(
+                    maxErr, std::abs(soa_[static_cast<size_t>(row + p)] - want));
     }
     return maxErr;
 }

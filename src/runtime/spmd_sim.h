@@ -58,14 +58,15 @@ struct SimRecoveryConfig {
 /// distributed-memory machine (our stand-in for the paper's 16-node
 /// SP2).
 ///
-/// Every simulated processor has its own Store; distributed arrays are
-/// valid only where owned (or received), privatized variables live as
-/// genuinely private per-processor copies. Statements execute in global
-/// lockstep under their computation-partitioning guards; a read of data
-/// the processor does not hold triggers the matching communication op,
-/// transfers the value from its owner, and accounts the message. A read
-/// with no covering comm op aborts — an insufficient communication plan
-/// is a hard error, which is exactly the property the tests exercise.
+/// Per-processor state is two lane-major banks (values, validity): one
+/// row per element of the oracle's Store, one lane per processor.
+/// Distributed arrays are valid only where owned (or received),
+/// privatized variables live as genuinely private per-processor copies.
+/// Statements execute in global lockstep under their computation-
+/// partitioning guards; a read of data the processor does not hold
+/// triggers the matching communication op, transfers the value from its
+/// owner, and accounts the message. A read with no covering comm op
+/// aborts — an insufficient communication plan is a hard error.
 ///
 /// Message accounting groups element transfers by (comm op, iteration
 /// vector at the op's placement level): one group is one vectorized
@@ -74,14 +75,14 @@ struct SimRecoveryConfig {
 ///
 /// The simulator runs on the calling thread. Every executor of a
 /// statement instance evaluates its right-hand side against the frozen
-/// pre-statement state: store writes (fetched-copy caching, lhs stores,
+/// pre-statement state: bank writes (fetched-copy caching, lhs stores,
 /// invalidation) are deferred to a merge at the end of the instance.
 /// Frozen validity is what lets the bytecode engine resolve each miss
 /// once per instance and still pick the source processor the
 /// interpreter's per-lane owner scan picks.
 ///
 /// Every subscript of a statement is checked against its declared
-/// bounds before an executor set or a store row is derived from it; an
+/// bounds before an executor set or a bank row is derived from it; an
 /// out-of-range subscript stops the run with a SimFault at site
 /// "sim.subscript".
 class SpmdSimulator {
@@ -89,10 +90,11 @@ public:
     /// `elemBytes` is the machine element size used for byte accounting
     /// (CostModel::elemBytes; REAL = 8 on the modelled SP2).
     ///
-    /// `engine` picks the eval-phase implementation: the tree-walking
-    /// interpreter or the register-bytecode VM (default). Both produce
-    /// bit-identical results AND metrics; every other phase (deferred
-    /// merge, checkpoints, fault injection, profiling) is shared code.
+    /// `engine` picks how values are computed and indices resolved: the
+    /// tree-walking interpreter or the register-bytecode VM (default).
+    /// Both produce bit-identical results AND metrics on the same banks;
+    /// every other phase (merge, checkpoints, faults, profiling) is
+    /// shared code.
     ///
     /// `relaxedMerge` opts into combining commutative reductions
     /// (sum/max/min) from the per-processor partial accumulators in
@@ -189,10 +191,10 @@ public:
     [[nodiscard]] double imbalanceRatio() const;
 
     /// The oracle (sequential reference) interpreter; seed inputs here
-    /// before run(). Inputs are mirrored to every processor's store as
-    /// initially-valid data (original HPF arrays start replicated until
-    /// first distributed write; this models "already distributed" input
-    /// without charging initial distribution).
+    /// before run(). run() first places each seeded array element on its
+    /// owner set and broadcasts scalars, as initially-valid data: this
+    /// models "already distributed" input without charging initial
+    /// distribution.
     [[nodiscard]] Interpreter& oracle() { return oracle_; }
 
     /// Value of `name` on processor `proc` (flat element index).
@@ -201,8 +203,8 @@ public:
     [[nodiscard]] bool validOn(int proc, const std::string& name,
                                std::int64_t flat = 0) const;
 
-    /// Assemble the global array from owner processors and compare with
-    /// the oracle; returns the max absolute difference.
+    /// Compare every valid per-processor copy of `name` with the
+    /// oracle; returns the max absolute difference.
     [[nodiscard]] double maxErrorVsOracle(const std::string& name) const;
 
     [[nodiscard]] std::int64_t statementsExecutedAllProcs() const {
@@ -244,12 +246,13 @@ private:
     };
 
     /// Full simulator state at one statement boundary. Restoring it and
-    /// replaying is deterministic: the stores define all values, the
-    /// event set / counters define all accounting, and the resume path
-    /// pins the control position — so a recovered run re-produces the
-    /// fault-free run bit for bit.
+    /// replaying is deterministic: the banks and the oracle store define
+    /// all values, the event set / counters define all accounting, and
+    /// the resume path pins the control position — so a recovered run
+    /// re-produces the fault-free run bit for bit.
     struct Checkpoint {
-        std::vector<Store> procStore;
+        std::vector<double> soa;
+        std::vector<char> soaValid;
         Store oracleStore;
         std::int64_t oracleExecuted = 0;
         std::vector<ProcSimMetrics> procMetrics;
@@ -324,7 +327,7 @@ private:
         bool laneUniform = false;
     };
 
-    /// A fetched-copy store write deferred to the end of the phase.
+    /// A fetched-copy bank write deferred to the end of the phase.
     struct PendingWrite {
         int proc;
         SymbolId sym;
@@ -340,6 +343,9 @@ private:
     };
 
     void buildPlans();
+    /// Place the oracle's seeded values on their owners' lanes (see
+    /// oracle()).
+    void distributeInputs();
     void execBlock(const std::vector<Stmt*>& block);
     /// execBlock starting at `start` (resume + goto continuation).
     void execBlockFrom(const std::vector<Stmt*>& block, size_t start);
@@ -406,10 +412,10 @@ private:
     /// Bytecode engine: one lane's fetch of a slot its processor does
     /// not hold — pending-copy check, then the per-phase resolved
     /// (value, source) with the transfer recorded. Out of line: cold
-    /// next to the contiguous SoA fast path.
+    /// next to the contiguous bank fast path.
     double missLaneBc(int proc, const StmtPlan& plan, int slot);
-    /// Bytecode engine: resolve each fetch slot's flat index, store
-    /// element and SoA row, flag the slots every executor holds
+    /// Bytecode engine: resolve each fetch slot's flat index, element
+    /// and bank row, flag the slots every executor holds
     /// (slotAllValid_) and resolve every other slot's miss once
     /// (resolveSlotMiss). True when no executor misses any slot.
     bool resolveSlots(const StmtPlan& plan, const std::vector<int>& execs);
@@ -417,20 +423,24 @@ private:
     /// validity is frozen within a phase, so every missing lane gets the
     /// identical value and source processor), before the lanes run.
     void resolveSlotMiss(const StmtPlan& plan, int slot, int firstProc);
-    /// Transcribe procStore_ into the lane-major SoA banks / back. The
-    /// banks are authoritative between run() start and end and across
-    /// checkpoint boundaries; procStore_ stays the external interface
-    /// (checkpoints, valueOn, maxErrorVsOracle).
-    void soaLoad();
-    void soaFlush();
-    /// SoA row base (element * procCount) of (sym, flat); bounds-checked
-    /// through Store::elemIndexOf like any store access.
+    /// First processor of `op`'s source owner set holding a valid copy
+    /// of bank row `row` (value to `v`). `forms`: the bytecode engine's
+    /// compiled source subscripts (null: walk the trees); `singleton`:
+    /// the descriptor pins every grid dim.
+    int holderOf(const CommOp& op, const std::vector<bc::IndexForm>* forms,
+                 bool singleton, std::int64_t row, const Expr* ref,
+                 double& v);
+    /// Bank row base (element * procCount) of (sym, flat), laid out by
+    /// the oracle's Store and bounds-checked through its elemIndexOf.
     [[nodiscard]] std::int64_t soaRowOf(SymbolId sym,
                                         std::int64_t flat) const {
-        return procStore_[0].elemIndexOf(sym, flat) * procCount_;
+        return oracle_.store().elemIndexOf(sym, flat) * procCount_;
     }
+    /// Bank index of processor `proc`'s copy of (name, flat).
+    [[nodiscard]] std::int64_t laneOf(int proc, const std::string& name,
+                                      std::int64_t flat) const;
     /// Write `v` valid to every processor's copy of scalar/element
-    /// (sym, flat) in the SoA banks (loop-variable and combine
+    /// (sym, flat) in the banks (loop-variable and combine
     /// broadcasts).
     void soaBroadcast(SymbolId sym, std::int64_t flat, double v) {
         const std::int64_t row = soaRowOf(sym, flat);
@@ -488,7 +498,6 @@ private:
     bool relaxed_;
     TargetKind targetKind_;
     std::int64_t barrierEvents_ = 0;  ///< shm only; see barrierEvents()
-    std::vector<Store> procStore_;
     std::vector<ProcSimMetrics> procMetrics_;
     std::int64_t transfers_ = 0;
     std::int64_t procStmts_ = 0;
@@ -514,7 +523,6 @@ private:
     std::vector<char> flagsScratch_;
     std::vector<double> values_;
     std::vector<std::int64_t> refFlat_;  ///< by Expr::id, per instance
-    std::vector<std::int64_t> ctxScratch_;
     /// The phase's deferred fetched-copy writes and observed transfers,
     /// drained by mergePhase.
     std::vector<PendingWrite> pending_;
@@ -526,15 +534,13 @@ private:
     /// (lane stride is the processor count).
     std::vector<double> regs_;
     std::vector<double> oracleRegs_;  ///< scalar VM register scratch
-    /// Bytecode engine: lane-major SoA state. Element e of processor p
-    /// lives at [e * procCount + p] (e = Store::elemIndexOf), so one
+    /// The per-processor state (both engines): element e of processor p
+    /// lives at [e * procCount + p] (e = the oracle's elemIndexOf), so a
     /// fetch reads procCount contiguous lanes and invalidating every
-    /// copy of an element is a procCount-byte memset. Authoritative
-    /// while run() executes; transcribed from/to procStore_ at run and
-    /// checkpoint boundaries (soaLoad/soaFlush).
+    /// copy of an element is a procCount-byte memset.
     std::vector<double> soa_;
     std::vector<char> soaValid_;
-    /// Per-phase slot scratch: SoA row base / store element index of
+    /// Per-phase slot scratch: bank row base / oracle element index of
     /// each fetch slot, and the once-per-phase miss memo (resolved
     /// value + source processor).
     std::vector<std::int64_t> slotRow_;
@@ -562,6 +568,11 @@ private:
     /// guaranteed duplicate).
     std::vector<std::uint64_t> opStamp_;
     std::uint64_t mergeStamp_ = 0;
+    /// Per-op noteEvent memo: the context the op recorded last, and
+    /// whether there is one (cleared on restore: the restored event set
+    /// may lack it). A repeat skips the interned sets.
+    std::vector<std::vector<std::int64_t>> ctxMemo_;
+    std::vector<char> ctxMemoSet_;
     /// Set by evalPhase: the bytecode slot pre-scan found every executor
     /// valid on every slot, so no lane can have recorded a pending
     /// write or miss — the merge is a provable no-op and execStmt skips

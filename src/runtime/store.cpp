@@ -1,7 +1,5 @@
 #include "runtime/store.h"
 
-#include <algorithm>
-
 #include "support/diagnostics.h"
 
 namespace phpf {
@@ -16,10 +14,7 @@ Store::Store(const Program& p) : prog_(&p) {
         total += s.elementCount();
     }
     data_.assign(static_cast<size_t>(total), 0.0);
-    valid_.assign(static_cast<size_t>(total), 0);
 }
-
-void Store::setAllValid() { std::fill(valid_.begin(), valid_.end(), 1); }
 
 std::string Store::describeAccess(SymbolId s, std::int64_t flat) const {
     if (s < 0 || static_cast<size_t>(s) >= size_.size())

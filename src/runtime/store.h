@@ -12,10 +12,8 @@ namespace phpf {
 /// Flat value storage for every symbol of a program. All values are
 /// held as doubles (integers are exactly representable far beyond any
 /// subscript range we use); arrays are laid out column-major like
-/// Fortran. The validity bitmap is used by the SPMD simulator to detect
-/// reads of data a processor was never sent — an insufficient
-/// communication plan trips an assertion instead of silently computing
-/// garbage.
+/// Fortran. The SPMD simulator lays out its per-processor lane banks
+/// by this store's element index (elemIndexOf).
 ///
 /// Element accesses bounds-check the flat index against the symbol's
 /// declared size in Debug builds (PHPF_DASSERT) and compile to bare
@@ -30,24 +28,9 @@ public:
     }
     void set(SymbolId s, std::int64_t flat, double v) {
         checkFlat(s, flat);
-        const std::int64_t at = offset_[static_cast<size_t>(s)] + flat;
-        data_[static_cast<size_t>(at)] = v;
-        valid_[static_cast<size_t>(at)] = 1;
+        data_[static_cast<size_t>(offset_[static_cast<size_t>(s)] + flat)] = v;
     }
     void setScalar(SymbolId s, double v) { set(s, 0, v); }
-
-    [[nodiscard]] bool valid(SymbolId s, std::int64_t flat = 0) const {
-        checkFlat(s, flat);
-        return valid_[static_cast<size_t>(offset_[static_cast<size_t>(s)] +
-                                          flat)] != 0;
-    }
-    void invalidate(SymbolId s, std::int64_t flat = 0) {
-        checkFlat(s, flat);
-        valid_[static_cast<size_t>(offset_[static_cast<size_t>(s)] + flat)] = 0;
-    }
-    /// Mark everything valid (sequential interpretation has no notion of
-    /// data placement).
-    void setAllValid();
 
     /// Column-major flat index of `idx` (1-based per declared bounds).
     [[nodiscard]] std::int64_t flatten(const Program& p, SymbolId s,
@@ -58,9 +41,9 @@ public:
     }
 
     /// Linear element index of (s, flat) in the flat data block. The
-    /// bytecode engine's SoA lane banks address per-processor state by
-    /// this index; it bounds-checks exactly like get/set, so an
-    /// out-of-range subscript trips the same symbol-named assertion.
+    /// SPMD simulator's lane banks address per-processor state by this
+    /// index; it bounds-checks exactly like get/set, so an out-of-range
+    /// subscript trips the same symbol-named assertion.
     [[nodiscard]] std::int64_t elemIndexOf(SymbolId s,
                                            std::int64_t flat = 0) const {
         checkFlat(s, flat);
@@ -70,12 +53,8 @@ public:
     [[nodiscard]] std::int64_t totalElems() const {
         return static_cast<std::int64_t>(data_.size());
     }
-    /// Raw blocks for bulk transcription (SoA load/flush); indexed by
-    /// elemIndexOf.
+    /// Raw value block, indexed by elemIndexOf.
     [[nodiscard]] const double* dataRaw() const { return data_.data(); }
-    [[nodiscard]] double* dataRaw() { return data_.data(); }
-    [[nodiscard]] const char* validRaw() const { return valid_.data(); }
-    [[nodiscard]] char* validRaw() { return valid_.data(); }
 
 private:
     void checkFlat([[maybe_unused]] SymbolId s,
@@ -94,7 +73,6 @@ private:
     std::vector<std::int64_t> offset_;
     std::vector<std::int64_t> size_;
     std::vector<double> data_;
-    std::vector<char> valid_;
 };
 
 }  // namespace phpf

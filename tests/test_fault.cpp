@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "driver/compiler.h"
+#include "frontend/parser.h"
 #include "obs/metrics.h"
 #include "programs/programs.h"
 #include "runtime/reliable_transport.h"
@@ -467,6 +468,59 @@ TEST(SimRecovery, PeriodicCheckpointsWithoutFaultsChangeNothing) {
     EXPECT_EQ(sim->recoveries(), 0);
     expectIdentical(snapshot(c, *base, {"x", "y"}),
                     snapshot(c, *sim, {"x", "y"}));
+}
+
+TEST(SimRecovery, EventMemoSurvivesCrashReplayOnEitherEngine) {
+    // The b(i-1) shift is placed in the j loop, outside the inner i
+    // loop, so its misses at i = 5, 9, 13 record the same op and
+    // context. A crash just after the first of them restores the
+    // checkpoint taken before it, whose event set lacks that event:
+    // the replay must record it again, although the op's event memo
+    // still holds that context. Crashing at every instance with a
+    // checkpoint at every boundary hits this once per context.
+    DiagEngine diags;
+    Parser parser(R"(program memo
+  real a(16), b(16)
+!hpf$ distribute (block) :: a
+!hpf$ align (i) with a(i) :: b
+  do j = 1, 3
+    do i = 1, 16
+      b(i) = a(i) + 1.0
+    end do
+    do i = 2, 16
+      a(i) = b(i-1)
+    end do
+  end do
+end
+)",
+                  diags);
+    Program p = parser.parse();
+    ASSERT_FALSE(diags.hasErrors()) << diags.dump();
+    TargetConfig opts;
+    opts.gridExtents = {4};
+    Compilation c = Compiler::compile(p, opts);
+    const int instances = 3 * (16 + 15);
+    for (const SimEngine engine : {SimEngine::Interp, SimEngine::Bytecode}) {
+        SCOPED_TRACE(simEngineName(engine));
+        SimulationRequest req;
+        req.engine = engine;
+        auto plain = c.simulate(req);
+        ASSERT_GE(plain->messageEvents(), 3);
+        req.checkpointEvery = 1;
+        for (int nth = 1; nth <= instances; ++nth) {
+            SCOPED_TRACE("crash at instance " + std::to_string(nth));
+            FaultInjector inj;
+            ASSERT_TRUE(inj.configure("proc.crash:nth=" + std::to_string(nth) +
+                                      ";limit=1"));
+            req.faults = &inj;
+            auto rec = c.simulate(req);
+            ASSERT_EQ(rec->recoveries(), 1);
+            ASSERT_EQ(rec->messageEvents(), plain->messageEvents());
+            for (const CommOp& op : c.lowering().commOps())
+                ASSERT_EQ(rec->eventsOfOp(op.id), plain->eventsOfOp(op.id))
+                    << "op " << op.id;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -835,9 +835,9 @@ TEST(Batch, RepeatExpandsAndRejectsAmbiguousJobs) {
 }
 
 // ---------------------------------------------------------------------
-// Simulation span regression: the sim-exec span must sit inside the
-// tracer's own timeline (the old reconstruction from wallSec could
-// drift before the enclosing span or go negative).
+// Simulation span regression: the sim-setup and sim-exec spans must sit
+// inside the tracer's own timeline (the old reconstruction from wallSec
+// could drift before the enclosing span or go negative), setup first.
 
 TEST(SimulateSpan, ExecSpanStaysInsideTheSimulateSpan) {
     Program p = programs::fig1(16);
@@ -848,20 +848,27 @@ TEST(SimulateSpan, ExecSpanStaysInsideTheSimulateSpan) {
     auto sim = c.simulate({.tracer = &tracer});
     ASSERT_NE(sim, nullptr);
 
+    const obs::TraceSpan* setup = nullptr;
     const obs::TraceSpan* exec = nullptr;
     const obs::TraceSpan* simulate = nullptr;
     for (const obs::TraceSpan& s : tracer.spans()) {
+        if (s.name == "sim-setup") setup = &s;
         if (s.name.rfind("sim-exec", 0) == 0) exec = &s;
         if (s.name == "simulate") simulate = &s;
     }
+    ASSERT_NE(setup, nullptr);
     ASSERT_NE(exec, nullptr);
     ASSERT_NE(simulate, nullptr);
-    ASSERT_TRUE(exec->closed());
     ASSERT_TRUE(simulate->closed());
-    EXPECT_GE(exec->startNs, simulate->startNs);
-    EXPECT_GE(exec->durNs, 0);
-    EXPECT_LE(exec->startNs + exec->durNs,
-              simulate->startNs + simulate->durNs);
+    EXPECT_EQ(setup->category, "sim");
+    for (const obs::TraceSpan* child : {setup, exec}) {
+        ASSERT_TRUE(child->closed());
+        EXPECT_GE(child->startNs, simulate->startNs);
+        EXPECT_GE(child->durNs, 0);
+        EXPECT_LE(child->startNs + child->durNs,
+                  simulate->startNs + simulate->durNs);
+    }
+    EXPECT_LE(setup->startNs + setup->durNs, exec->startNs);
 }
 
 }  // namespace

@@ -61,33 +61,13 @@ TEST(StoreTest, LowerBoundsRespected) {
     EXPECT_THROW((void)st.flatten(p, a, {-1}), InternalError);
 }
 
-TEST(StoreTest, ValidityTracking) {
-    Program p;
-    const SymbolId a = p.addSymbol("a", ScalarType::Real, {{1, 4}});
-    const SymbolId x = p.addSymbol("x", ScalarType::Real);
-    Store st(p);
-    EXPECT_FALSE(st.valid(a, 2));
-    EXPECT_FALSE(st.valid(x));
-    st.set(a, 2, 7.5);
-    EXPECT_TRUE(st.valid(a, 2));
-    EXPECT_FALSE(st.valid(a, 1));
-    EXPECT_DOUBLE_EQ(st.get(a, 2), 7.5);
-    st.invalidate(a, 2);
-    EXPECT_FALSE(st.valid(a, 2));
-    // The stale value remains readable (owners re-send it); only the
-    // validity bit changes.
-    EXPECT_DOUBLE_EQ(st.get(a, 2), 7.5);
-    st.setAllValid();
-    EXPECT_TRUE(st.valid(a, 1));
-}
-
 TEST(StoreTest, DisjointSymbolStorage) {
     Program p;
     const SymbolId a = p.addSymbol("a", ScalarType::Real, {{1, 4}});
     const SymbolId b = p.addSymbol("b", ScalarType::Real, {{1, 4}});
     Store st(p);
     for (int i = 0; i < 4; ++i) st.set(a, i, 1.0);
-    for (int i = 0; i < 4; ++i) EXPECT_FALSE(st.valid(b, i));
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(st.get(b, i), 0.0);
     st.set(b, 0, 2.0);
     EXPECT_DOUBLE_EQ(st.get(a, 0), 1.0);
     EXPECT_DOUBLE_EQ(st.get(b, 0), 2.0);

@@ -214,6 +214,30 @@ void expectOracleStoresIdentical(SpmdSimulator& a, SpmdSimulator& b) {
               0);
 }
 
+/// Bitwise comparison of the two runs' final per-processor state: the
+/// validity of every symbol, element and processor, and the value
+/// wherever the lane is valid.
+void expectProcStatesIdentical(const Program& prog, const SpmdSimulator& a,
+                               const SpmdSimulator& b) {
+    ASSERT_EQ(a.procCount(), b.procCount());
+    std::int64_t validLanes = 0;
+    for (const Symbol& s : prog.symbols)
+        for (std::int64_t f = 0; f < s.elementCount(); ++f)
+            for (int p = 0; p < a.procCount(); ++p) {
+                const bool valid = a.validOn(p, s.name, f);
+                ASSERT_EQ(valid, b.validOn(p, s.name, f))
+                    << s.name << " flat " << f << " on processor " << p;
+                if (!valid) continue;
+                ++validLanes;
+                const double va = a.valueOn(p, s.name, f);
+                const double vb = b.valueOn(p, s.name, f);
+                ASSERT_EQ(std::memcmp(&va, &vb, sizeof va), 0)
+                    << s.name << " flat " << f << " on processor " << p
+                    << ": " << va << " vs " << vb;
+            }
+    EXPECT_GT(validLanes, 0);
+}
+
 struct Kernel {
     const char* name;
     std::function<Program()> build;
@@ -324,6 +348,7 @@ TEST(VmDifferential, EnginesBitIdenticalAcrossKernelsAndThreadCounts) {
         // ...and match each other bit for bit, state and metrics.
         expectSnapshotsIdentical(si, sb);
         expectOracleStoresIdentical(*interp, *bytecode);
+        expectProcStatesIdentical(c.lowering().program(), *interp, *bytecode);
     }
 }
 
