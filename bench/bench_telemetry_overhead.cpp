@@ -1,16 +1,13 @@
-// Overhead of the telemetry layer (per-phase histograms, armed flight
-// recorder) on the SPMD simulator hot path.
+// Overhead of the telemetry layer (per-phase histograms) on the SPMD
+// simulator hot path.
 //
 // Telemetry is strictly opt-in: with no registry attached the simulator
-// pays one null check per phase, and a disabled flight recorder costs
-// one relaxed load per record site. This bench measures the same
-// TOMCATV workload in two configurations:
+// pays one null check per phase. This bench measures the same TOMCATV
+// workload in two configurations:
 //
-//   disabled — setTelemetry(nullptr), flight recorder off: the default
-//              every non-instrumented run gets
-//   armed    — a live MetricRegistry (per-phase histograms) and the
-//              global flight recorder enabled but with nothing firing
-//              into it beyond the simulator's own checkpoint events
+//   disabled — setTelemetry(nullptr): the default every
+//              non-instrumented run gets
+//   armed    — a live MetricRegistry (per-phase histograms)
 //
 // and enforces that the ARMED-but-idle layer stays within 2% of the
 // disabled run (median of interleaved runs; one re-measure round with
@@ -26,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -102,7 +98,6 @@ void printTable() {
     Compilation c = Compiler::compile(p, opts);
 
     obs::MetricRegistry reg;
-    obs::FlightRecorder::global().setEnabled(true);
 
     // Warm-up + divergence gate.
     const RunResult base = runWith(c, nullptr);
@@ -118,9 +113,6 @@ void printTable() {
         measure(c, reg, 11, &disabledSec, &armedSec);
         overheadPct = 100.0 * (armedSec - disabledSec) / disabledSec;
     }
-
-    obs::FlightRecorder::global().setEnabled(false);
-    obs::FlightRecorder::global().clear();
 
     printHeader(
         "Telemetry overhead: TOMCATV ((*,block), n = " + std::to_string(kN) +

@@ -1,6 +1,6 @@
 # Run a command and require a specific exit code — CTest's WILL_FAIL
 # only distinguishes zero from nonzero, but phpfc's contract is finer
-# (0 ok, 1 job failures, 2 usage, 3 batch aborted).
+# (0 ok, 1 failures, 2 usage).
 #
 #   cmake -DPHPFC=<binary> -DARGS=<;-separated args> -DEXPECT=<code>
 #         -P expect_exit.cmake

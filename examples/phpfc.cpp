@@ -2,16 +2,13 @@
 //
 //   phpfc FILE.hpf [--procs NxM] [--report] [--lower] [--cost]
 //         [--report=FILE.json] [--trace=FILE.json] [--no-sim]
-//         [--faults=SPEC] [--retry=N]
-//         [--checkpoint-every=N] [--serve-metrics=PORT]
-//         [--flight-recorder=FILE.jsonl]
+//         [--serve-metrics=PORT]
 //         [--profile] [--profile-folded=FILE.folded]
 //         [--no-privatization] [--producer-only] [--no-reduction-align]
 //         [--no-array-priv] [--no-partial-priv] [--no-cf-priv]
 //   phpfc --builtin=NAME ...  (tomcatv, dgefa, appsp, ... instead of a file)
 //   phpfc --batch=JOBS.json [--workers=N] [--cache-capacity=N]
-//         [--journal=FILE.jsonl] [--resume] [--faults=SPEC] [--retry=N]
-//         [--profile] [--serve-metrics=PORT] [--flight-recorder=FILE.jsonl]
+//         [--profile] [--serve-metrics=PORT]
 //
 // Parses the program, runs the privatization mapping pass, and prints
 // the requested stages. With no stage flags, prints everything.
@@ -26,26 +23,14 @@
 // the service metrics (cache hits/misses/evictions, coalesced joins,
 // per-stage latency histograms).
 //
-// Fault tolerance: `--faults=SPEC` arms the deterministic fault
-// injector (same grammar as PHPF_FAULTS, e.g.
-// "net.drop:p=0.02;seed=7,proc.crash:nth=40"); `--retry=N` bounds
-// transparent service retries and transport resend attempts;
-// `--checkpoint-every=N` checkpoints the simulator every N statement
-// instances. In batch mode, `--journal=FILE` appends one flushed JSONL
-// row per completed job (crash-safe) and `--resume` skips jobs already
-// journaled. Exit codes: 0 ok, 1 job failures, 2 usage, 3 batch
-// aborted mid-run (batch.abort fault).
+// Exit codes: 0 ok, 1 failures (a parse error, a simulation fault, a
+// failed batch job), 2 usage.
 //
 // Telemetry: `--serve-metrics=PORT` starts the loopback HTTP exposition
 // endpoint (GET /metrics Prometheus text, /healthz liveness JSON,
 // /report run/metrics JSON) and keeps the process alive after the work
 // finishes until GET /quitquitquit — scripts scrape, then release.
 // PORT 0 binds an ephemeral port; the bound port is printed on stderr.
-// `--flight-recorder=FILE` arms the in-memory flight recorder and dumps
-// its event ring (faults fired, retries, evictions, checkpoints) to
-// FILE as JSONL when a simulation fault escapes, a batch job fails, or
-// the batch aborts. `--faults=...` arms the recorder even without a
-// dump file so /report and post-mortem tooling can read it.
 //
 // Profiling: `--profile` arms the per-statement profiler inside the
 // functional simulation; the run report (schema v3) gains "profile"
@@ -57,6 +42,7 @@
 // jobs file's "profile" field). `--builtin=NAME` compiles a builtin
 // kernel (the same names the batch runner accepts) instead of a file.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -73,7 +59,6 @@
 #include "obs/calibration.h"
 #include "obs/chrome_trace.h"
 #include "obs/concurrent_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -100,13 +85,20 @@ int intFlag(const std::string& arg, std::size_t prefixLen) {
     }
 }
 
+/// Every extent must be a positive integer: "0", "-2" and "0x4" exit 2
+/// here instead of aborting in the processor grid.
 std::vector<int> parseGrid(const std::string& spec) {
     std::vector<int> grid;
     std::stringstream ss(spec);
     std::string part;
+    bool ok = true;
     try {
         while (std::getline(ss, part, 'x')) grid.push_back(std::stoi(part));
     } catch (const std::exception&) {
+        ok = false;
+    }
+    const auto nonPositive = [](int e) { return e < 1; };
+    if (!ok || std::any_of(grid.begin(), grid.end(), nonPositive)) {
         std::fprintf(stderr, "phpfc: bad --procs grid '%s' (want e.g. 2x4)\n",
                      spec.c_str());
         std::exit(2);
@@ -128,8 +120,6 @@ void usage() {
                  "bytecode; bit-identical)\n"
                  "             [--relaxed-merge]  (commutative reduction "
                  "merges, unordered)\n"
-                 "             [--faults=SPEC] [--retry=N] "
-                 "[--checkpoint-every=N]\n"
                  "             [--profile] [--profile-folded=FILE.folded]\n"
                  "             [--no-privatization] [--producer-only]\n"
                  "             [--no-reduction-align] [--no-array-priv]\n"
@@ -138,13 +128,10 @@ void usage() {
                  "of a file)\n"
                  "       phpfc --batch=JOBS.json [--workers=N] "
                  "[--cache-capacity=N]\n"
-                 "             [--journal=FILE.jsonl] [--resume] "
-                 "[--faults=SPEC] [--retry=N]\n"
                  "             [--profile]  (profiled sim for every job)\n"
                  "       both: [--serve-metrics=PORT]  (0 = ephemeral; "
                  "serves /metrics /healthz\n"
-                 "              /report until GET /quitquitquit)\n"
-                 "             [--flight-recorder=FILE.jsonl]\n");
+                 "              /report until GET /quitquitquit)\n");
 }
 
 /// Serve the attached registries until a scraper GETs /quitquitquit.
@@ -162,9 +149,7 @@ void serveUntilQuit(service::MetricsHttpServer& server) {
 }
 
 int runBatchMode(const std::string& jobsFile, int workers,
-                 std::size_t cacheCapacity, int retries,
-                 const std::string& journal, bool resume, int servePort,
-                 const std::string& flightFile, bool profileAll) {
+                 std::size_t cacheCapacity, int servePort, bool profileAll) {
     service::BatchSpec spec;
     std::string err;
     if (!service::loadBatchFile(jobsFile, &spec, &err)) {
@@ -176,7 +161,6 @@ int runBatchMode(const std::string& jobsFile, int workers,
     service::ServiceConfig cfg;
     cfg.workers = workers;
     if (cacheCapacity > 0) cfg.cacheCapacity = cacheCapacity;
-    if (retries >= 0) cfg.maxRetries = retries;
     obs::ConcurrentTracer ctracer;
     cfg.tracer = &ctracer;
     service::CompileService svc(cfg);
@@ -203,20 +187,14 @@ int runBatchMode(const std::string& jobsFile, int workers,
                      server.port());
     }
 
-    service::BatchRunOptions opts;
-    opts.journalPath = journal;
-    opts.resume = resume;
-    opts.flightRecorderPath = flightFile;
     const service::BatchOutcome outcome =
-        service::runBatch(svc, spec, std::cout, opts);
+        service::runBatch(svc, spec, std::cout);
     std::fprintf(stderr,
-                 "phpfc: %d job(s), %d ok, %d failed, %d skipped, "
-                 "%d cache hit(s), %d coalesced, %.3f s%s\n",
-                 outcome.jobs, outcome.ok, outcome.failed, outcome.skipped,
-                 outcome.cacheHits, outcome.coalesced, outcome.wallSec,
-                 outcome.aborted ? " [aborted]" : "");
+                 "phpfc: %d job(s), %d ok, %d failed, "
+                 "%d cache hit(s), %d coalesced, %.3f s\n",
+                 outcome.jobs, outcome.ok, outcome.failed, outcome.cacheHits,
+                 outcome.coalesced, outcome.wallSec);
     if (server.running()) serveUntilQuit(server);
-    if (outcome.aborted) return 3;
     return outcome.failed == 0 ? 0 : 1;
 }
 
@@ -240,12 +218,7 @@ int main(int argc, char** argv) {
     std::string batchFile;
     int batchWorkers = 0;
     std::size_t batchCacheCapacity = 0;
-    std::string journalFile;
-    bool resume = false;
-    int retries = -1;  ///< -1 = keep defaults
-    int checkpointEvery = 0;
     int servePort = -1;  ///< -1 = no exposition endpoint; 0 = ephemeral
-    std::string flightFile;
     bool profile = false;
     std::string foldedFile;
     std::string builtinName;
@@ -262,24 +235,8 @@ int main(int argc, char** argv) {
             batchWorkers = intFlag(arg, 10);
         else if (startsWith(arg, "--cache-capacity="))
             batchCacheCapacity = static_cast<std::size_t>(intFlag(arg, 17));
-        else if (startsWith(arg, "--faults=")) {
-            std::string ferr;
-            if (!FaultInjector::process().configure(arg.substr(9), &ferr)) {
-                std::fprintf(stderr, "phpfc: bad --faults spec: %s\n",
-                             ferr.c_str());
-                return 2;
-            }
-        } else if (startsWith(arg, "--retry="))
-            retries = intFlag(arg, 8);
-        else if (startsWith(arg, "--checkpoint-every="))
-            checkpointEvery = intFlag(arg, 19);
-        else if (startsWith(arg, "--journal="))
-            journalFile = arg.substr(10);
         else if (startsWith(arg, "--serve-metrics="))
             servePort = intFlag(arg, 16);
-        else if (startsWith(arg, "--flight-recorder="))
-            flightFile = arg.substr(18);
-        else if (arg == "--resume") resume = true;
         else if (arg == "--report") doReport = true;
         else if (startsWith(arg, "--report=")) reportFile = arg.substr(9);
         else if (startsWith(arg, "--trace=")) traceFile = arg.substr(8);
@@ -324,16 +281,9 @@ int main(int argc, char** argv) {
             file = arg;
         }
     }
-    // Arm the flight recorder whenever there is a dump destination or
-    // fault injection is live — the ring is cheap to fill and priceless
-    // when the injected fault actually escapes.
-    if (!flightFile.empty() || FaultInjector::processIfEnabled() != nullptr)
-        obs::FlightRecorder::global().setEnabled(true);
-
     if (!batchFile.empty())
         return runBatchMode(batchFile, batchWorkers, batchCacheCapacity,
-                            retries, journalFile, resume, servePort,
-                            flightFile, profile);
+                            servePort, profile);
     if (file.empty() && builtinName.empty()) {
         usage();
         return 2;
@@ -419,19 +369,12 @@ int main(int argc, char** argv) {
                    servePort >= 0 || profile || !foldedFile.empty());
     if (wantSim) {
         SimulationRequest sreq;
-        sreq.faults = FaultInjector::processIfEnabled();
-        sreq.checkpointEvery = checkpointEvery;
-        if (retries > 0) sreq.maxAttempts = retries;
         sreq.metrics = &runMetrics;
         sreq.profile = profile || !foldedFile.empty();
         try {
             sim = c.simulate(sreq);
         } catch (const SimFault& e) {
             std::fprintf(stderr, "phpfc: %s\n", e.what());
-            if (!flightFile.empty() &&
-                obs::FlightRecorder::global().dumpJsonl(flightFile))
-                std::fprintf(stderr, "phpfc: flight recorder dumped to %s\n",
-                             flightFile.c_str());
             return 1;
         }
     }

@@ -18,17 +18,11 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     const std::int64_t setupNs = tr != nullptr ? tr->nowNs() : 0;
     const int elemBytes =
         req.elemBytes > 0 ? req.elemBytes : target_.costModel.elemBytes;
-    SimRecoveryConfig recovery;
-    recovery.faults = req.faults;
-    recovery.checkpointEvery = req.checkpointEvery;
-    if (req.maxAttempts > 0) recovery.transport.maxAttempts = req.maxAttempts;
-    if (req.maxRecoveries > 0) recovery.maxRecoveries = req.maxRecoveries;
-    recovery.cancel = req.cancel;
     const SimEngine engine = req.engine.value_or(passes_.simEngine);
     const bool relaxed = req.relaxedMerge.value_or(passes_.relaxedMerge);
     auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes,
-                                               std::move(recovery), engine,
-                                               relaxed, target_.targetKind);
+                                               req.cancel, engine, relaxed,
+                                               target_.targetKind);
     sim->setTelemetry(req.metrics);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());

@@ -35,20 +35,6 @@ struct SimulationRequest {
     /// across threads (compile-service cache) needs a per-request tracer
     /// here to keep simulate() race-free.
     obs::Tracer* tracer = nullptr;
-    /// Fault source for the simulator's recovery layer (lossy-network
-    /// transport, proc-crash restarts). Null disables injection; the
-    /// default run is exactly the pre-fault-layer simulator.
-    const FaultInjector* faults = nullptr;
-    /// Checkpoint the simulator state every N statement instances
-    /// (SimRecoveryConfig::checkpointEvery); 0 = initial checkpoint
-    /// only.
-    int checkpointEvery = 0;
-    /// Transport retry budget: send attempts per logical message before
-    /// a transfer becomes a SimFault. 0 inherits the transport default.
-    int maxAttempts = 0;
-    /// proc.crash restore budget (SimRecoveryConfig::maxRecoveries).
-    /// 0 inherits the simulator default.
-    int maxRecoveries = 0;
     /// Cancellation for the simulation itself, polled at statement
     /// boundaries: a deadline or explicit cancel surfaces as a SimFault
     /// tagged "sim.cancel" (the compile service maps it to

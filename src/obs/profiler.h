@@ -26,11 +26,6 @@ namespace phpf::obs {
 /// every one would dominate it); the sample *counts* are deterministic
 /// (the tick sequence advances once per phase regardless of threads),
 /// the sampled durations are host-dependent.
-///
-/// The object is a plain copyable value: the simulator checkpoints it
-/// with the rest of its state, so a crash-recovered run reproduces the
-/// fault-free profile bit for bit (durations included — replayed phases
-/// re-sample on the same ticks).
 class StmtProfile {
 public:
     /// Wall-time sampling period (power of two), matching the
@@ -81,9 +76,9 @@ public:
     /// One vectorized message event attributed to the current instance.
     void addEvent() { ++rows_[static_cast<size_t>(cur_)].events; }
 
-    /// 1-in-kSampleEvery sampling decisions. The ticks live here (not in
-    /// the simulator) so they checkpoint/restore with the profile and
-    /// crash recovery replays the identical sample schedule.
+    /// 1-in-kSampleEvery sampling decisions. The ticks live here, apart
+    /// from the telemetry histograms' ticks, so the profile's sample
+    /// schedule is deterministic whatever else is armed.
     [[nodiscard]] bool sampleEval() {
         return (evalTick_++ & (kSampleEvery - 1)) == 0;
     }

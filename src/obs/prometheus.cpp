@@ -45,16 +45,10 @@ private:
             {"service.requests", "Compile requests accepted by the service"},
             {"service.compiles", "Requests that ran the full compile pipeline"},
             {"service.cache.hits", "Requests served from the artifact cache"},
-            {"service.cache.shed", "Cache evictions forced by memory pressure"},
-            {"service.cache.shed_entries",
-             "Artifact entries dropped by pressure shedding"},
             {"service.coalesced_joins",
              "Requests coalesced onto an identical in-flight compile"},
-            {"service.errors", "Requests that failed with a permanent error"},
+            {"service.errors", "Requests that failed with an error"},
             {"service.parse_errors", "Requests rejected at the parse stage"},
-            {"service.retries", "Transient-error retries inside the service"},
-            {"service.transient_faults",
-             "Injected or real transient faults observed"},
             {"service.deadline_exceeded",
              "Requests abandoned past their deadline"},
             {"service.queue.depth", "Jobs waiting for a service worker thread"},
@@ -64,7 +58,6 @@ private:
             {"service.queue_wait_us", "Queue wait before a worker picked up"},
             {"sim.phase.eval_us", "Simulator eval-phase latency per step"},
             {"sim.phase.merge_us", "Simulator merge-phase latency per step"},
-            {"sim.checkpoint_us", "Simulator checkpoint write latency"},
             {"stmt_self_time.us", "Per-statement self time from the profiler"},
             {"model_error.row_err_pct",
              "Per-row cost-model error against measurement"},

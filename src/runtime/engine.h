@@ -7,8 +7,8 @@ namespace phpf {
 
 /// Execution engine of the SPMD simulator's per-statement eval phase.
 /// Both engines share every other phase (deferred-write lockstep merge,
-/// checkpoints, fault injection, profiler hooks) and are bit-identical
-/// in results and metrics; bytecode is simply faster.
+/// profiler hooks) and are bit-identical in results and metrics;
+/// bytecode is simply faster.
 enum class SimEngine : std::uint8_t {
     Interp,    ///< tree-walking reference engine
     Bytecode,  ///< register-bytecode VM over SoA lanes (default)

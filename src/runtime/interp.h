@@ -31,10 +31,6 @@ public:
     [[nodiscard]] std::int64_t flatIndexOf(const Expr* arrayRef) const;
 
     [[nodiscard]] std::int64_t statementsExecuted() const { return executed_; }
-    /// Restore the executed-statement counter (checkpoint recovery: the
-    /// SPMD simulator snapshots/restores its oracle wholesale so a
-    /// replayed run's accounting stays bit-identical).
-    void setStatementsExecuted(std::int64_t n) { executed_ = n; }
     /// Count one statement executed outside execStmt (the SPMD
     /// simulator's bytecode engine applies Assign effects directly but
     /// must keep the oracle's accounting identical to execStmt).

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "ir/printer.h"
-#include "obs/flight_recorder.h"
 #include "runtime/flat_index.h"
 #include "runtime/vm.h"
 #include "support/diagnostics.h"
@@ -85,47 +84,15 @@ inline int firstZeroByte(const char* v, int n) {
     return -1;
 }
 
-/// Pops the back of `v` on scope exit when non-null; keeps the control
-/// stack balanced on every exit path (return, GotoSignal, CrashSignal).
-template <typename V>
-class FramePop {
-public:
-    explicit FramePop(V* v) : v_(v) {}
-    ~FramePop() {
-        if (v_ != nullptr) v_->pop_back();
-    }
-    FramePop(const FramePop&) = delete;
-    FramePop& operator=(const FramePop&) = delete;
-
-private:
-    V* v_;
-};
-
 }  // namespace
 
 SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
-                             SimRecoveryConfig recovery, SimEngine engine,
+                             CancelToken cancel, SimEngine engine,
                              bool relaxedMerge, TargetKind targetKind)
     : low_(low), prog_(low.program()), oracle_(prog_),
       procCount_(low.dataMapping().grid().totalProcs()),
       elemBytes_(elemBytes), engine_(engine), relaxed_(relaxedMerge),
-      targetKind_(targetKind) {
-    rcfg_ = std::move(recovery);
-    if (rcfg_.faults != nullptr && rcfg_.faults->enabled()) {
-        const FaultInjector& inj = *rcfg_.faults;
-        // No network inside one SMP node: the net.* sites stay unarmed
-        // under the shared-memory target (proc.crash still applies).
-        if (targetKind_ != TargetKind::SharedMemory &&
-            (inj.find(faultsite::kNetDrop) != nullptr ||
-             inj.find(faultsite::kNetDup) != nullptr ||
-             inj.find(faultsite::kNetDelay) != nullptr))
-            transport_ =
-                std::make_unique<ReliableTransport>(inj, rcfg_.transport);
-        crashSite_ = inj.find(faultsite::kProcCrash);
-    }
-    // Control frames are needed exactly when a checkpoint can be taken.
-    trackCtrl_ = crashSite_ != nullptr || rcfg_.checkpointEvery > 0;
-    boundaryArmed_ = trackCtrl_ || rcfg_.cancel.armed();
+      targetKind_(targetKind), cancel_(std::move(cancel)) {
     procMetrics_.assign(static_cast<size_t>(procCount_), ProcSimMetrics{});
     execDelta_.assign(static_cast<size_t>(procCount_), 0);
 
@@ -188,8 +155,6 @@ void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics) {
         metrics != nullptr ? &metrics->histogram("sim.phase.eval_us") : nullptr;
     mergeHist_ = metrics != nullptr ? &metrics->histogram("sim.phase.merge_us")
                                     : nullptr;
-    ckptHist_ =
-        metrics != nullptr ? &metrics->histogram("sim.checkpoint_us") : nullptr;
 }
 
 void SpmdSimulator::buildPlans() {
@@ -729,8 +694,8 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
     // long, so timing every one would cost more than the phase.
     const bool sampleEval =
         evalHist_ != nullptr && (evalTick_++ & (kTelemetrySample - 1)) == 0;
-    // The profiler keeps its own tick (checkpointed with the profile),
-    // so its sample schedule is deterministic even across recovery.
+    // The profiler keeps its own tick, so its sample schedule is
+    // deterministic whatever else is armed.
     const bool profEval = profile_ != nullptr && profile_->sampleEval();
     std::chrono::steady_clock::time_point t0;
     if (sampleEval || profEval) t0 = std::chrono::steady_clock::now();
@@ -820,10 +785,6 @@ void SpmdSimulator::mergePhase() {
         soaValid_[static_cast<size_t>(at)] = 1;
     }
     for (const MissRecord& m : misses_) {
-        // Lossy-network mode: every element transfer rides the reliable
-        // transport, polled in merge order, so a fixed seed reproduces
-        // the exact fault schedule.
-        if (transport_ != nullptr) transport_->deliver("element transfer");
         ++transfers_;
         ++elemsPerOp_[static_cast<size_t>(m.op->id)];
         ++procMetrics_[static_cast<size_t>(m.proc)].recvElements;
@@ -849,7 +810,7 @@ void SpmdSimulator::mergePhase() {
 void SpmdSimulator::execStmt(const Stmt* s) {
     switch (s->kind) {
         case StmtKind::Assign: {
-            if (boundaryArmed_) boundary(s);
+            if (cancel_.armed()) boundary();
             const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
             checkSubscripts(s, plan);
             const std::vector<int>& execs = executorsOf(s);
@@ -861,10 +822,8 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             }
             const bool bcMode = engine_ == SimEngine::Bytecode;
             if (bcMode && plan.laneUniform && evalHist_ == nullptr &&
-                mergeHist_ == nullptr && profile_ == nullptr &&
-                transport_ == nullptr) {
-                // No sampler needs its tick and no fault schedule is
-                // polled: take the fused uniform path.
+                mergeHist_ == nullptr && profile_ == nullptr) {
+                // No sampler needs its tick: take the fused uniform path.
                 execUniformBc(s, plan, execs);
                 break;
             }
@@ -926,7 +885,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             break;
         }
         case StmtKind::If: {
-            if (boundaryArmed_) boundary(s);
+            if (cancel_.armed()) boundary();
             const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
             checkSubscripts(s, plan);
             const std::vector<int>& execs = executorsOf(s);
@@ -948,13 +907,6 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                                             [slotElem_[slot]];
                                     }) != 0.0
                     : oracle_.eval(s->cond) != 0.0;
-            if (trackCtrl_) {
-                CtrlFrame f;
-                f.stmt = s;
-                f.taken = taken;
-                ctrl_.push_back(f);
-            }
-            FramePop pop{trackCtrl_ ? &ctrl_ : nullptr};
             if (taken)
                 execBlock(s->thenBody);
             else
@@ -979,25 +931,11 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                         combineInit_[static_cast<size_t>(c.op->id)] =
                             oracle_.store().get(c.op->ref->sym);
             }
-            if (trackCtrl_) {
-                // Bounds captured as evaluated at loop entry; a resumed
-                // loop iterates exactly as the original would have.
-                CtrlFrame f;
-                f.stmt = s;
-                f.iv = lb;
-                f.ub = ub;
-                f.step = step;
-                ctrl_.push_back(f);
-            }
-            {
-                FramePop pop{trackCtrl_ ? &ctrl_ : nullptr};
-                for (std::int64_t iv = lb; step > 0 ? iv <= ub : iv >= ub;
-                     iv += step) {
-                    if (trackCtrl_) ctrl_.back().iv = iv;
-                    oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-                    soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-                    execLoopBody(s);
-                }
+            for (std::int64_t iv = lb; step > 0 ? iv <= ub : iv >= ub;
+                 iv += step) {
+                oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
+                soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
+                execLoopBody(s);
             }
             runCombines(s);
             break;
@@ -1104,9 +1042,6 @@ void SpmdSimulator::runCombines(const Stmt* s) {
         profile_->setCurrent(s->id);
     for (const CombinePlan& c : plans_[static_cast<size_t>(s->id)].combines) {
         const CommOp& op = *c.op;
-        // The combine is a global communication event; it rides the
-        // reliable transport like any other transfer.
-        if (transport_ != nullptr) transport_->deliver("reduction combine");
         const bool relaxedOp = relaxed_ && relaxedCombinable(c.red->op);
         const double v =
             relaxedOp ? combineRelaxed(c) : oracle_.eval(op.ref);
@@ -1174,12 +1109,7 @@ double SpmdSimulator::combineRelaxed(const CombinePlan& c) const {
 }
 
 void SpmdSimulator::execBlock(const std::vector<Stmt*>& block) {
-    execBlockFrom(block, 0);
-}
-
-void SpmdSimulator::execBlockFrom(const std::vector<Stmt*>& block,
-                                  size_t start) {
-    for (size_t i = start; i < block.size(); ++i) {
+    for (size_t i = 0; i < block.size(); ++i) {
         try {
             execStmt(block[i]);
         } catch (GotoSignal& g) {
@@ -1196,172 +1126,13 @@ void SpmdSimulator::execBlockFrom(const std::vector<Stmt*>& block,
     }
 }
 
-void SpmdSimulator::boundary(const Stmt* s) {
-    if (rcfg_.cancel.cancelled())
+void SpmdSimulator::boundary() {
+    if (cancel_.cancelled())
         throw SimFault(faultsite::kSimCancel,
                        "simulation cancelled after " +
-                           std::to_string(instances_) +
-                           " statement instances (deadline or explicit "
+                           std::to_string(oracle_.statementsExecuted()) +
+                           " assignments (deadline or explicit "
                            "cancellation)");
-    ++instances_;
-    // Crash before checkpointing: the site's poll counter advances even
-    // across restores (injector state is deliberately not checkpointed),
-    // so a replay eventually gets past a firing poll — no livelock.
-    if (FaultInjector::poll(crashSite_)) throw CrashSignal{};
-    if (rcfg_.checkpointEvery > 0 && instances_ % rcfg_.checkpointEvery == 0)
-        takeCheckpoint(s);
-}
-
-void SpmdSimulator::takeCheckpoint(const Stmt* boundaryStmt) {
-    std::chrono::steady_clock::time_point t0;
-    if (ckptHist_ != nullptr) t0 = std::chrono::steady_clock::now();
-    // The checkpoint's procMetrics must include the guard-accounting
-    // deltas.
-    flushAccounting();
-    std::vector<CtrlFrame> path = ctrl_;
-    if (boundaryStmt != nullptr) {
-        // The boundary statement has not executed yet (the hook runs
-        // before any of its side effects), so it re-executes on resume.
-        CtrlFrame f;
-        f.stmt = boundaryStmt;
-        path.push_back(f);
-    }
-    ckpt_ = std::make_unique<Checkpoint>(Checkpoint{
-        soa_, soaValid_, oracle_.store(), oracle_.statementsExecuted(),
-        procMetrics_, transfers_, procStmts_, instances_, events_,
-        eventsPerOp_, elemsPerOp_, barrierEvents_, combineInit_,
-        std::move(path),
-        profile_ != nullptr
-            ? std::make_unique<obs::StmtProfile>(*profile_)
-            : nullptr});
-    ++checkpointsTaken_;
-    obs::FlightRecorder::global().record(
-        "sim.checkpoint", "instances=" + std::to_string(instances_) +
-                              " total=" + std::to_string(checkpointsTaken_));
-    if (ckptHist_ != nullptr)
-        ckptHist_->record(std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
-}
-
-void SpmdSimulator::restoreCheckpoint() {
-    PHPF_ASSERT(ckpt_ != nullptr, "restore without a checkpoint");
-    obs::FlightRecorder::global().record(
-        "sim.restore", "to_instances=" + std::to_string(ckpt_->instances) +
-                           " recovery=" + std::to_string(recoveries_));
-    const Checkpoint& ck = *ckpt_;
-    soa_ = ck.soa;
-    soaValid_ = ck.soaValid;
-    oracle_.store() = ck.oracleStore;
-    oracle_.setStatementsExecuted(ck.oracleExecuted);
-    procMetrics_ = ck.procMetrics;
-    transfers_ = ck.transfers;
-    procStmts_ = ck.procStmts;
-    instances_ = ck.instances;
-    events_ = ck.events;
-    // The memo may hold a context recorded after the checkpoint, which
-    // the restored event set lacks.
-    std::fill(ctxMemoSet_.begin(), ctxMemoSet_.end(), 0);
-    eventsPerOp_ = ck.eventsPerOp;
-    combineInit_ = ck.combineInit;
-    elemsPerOp_ = ck.elemsPerOp;
-    barrierEvents_ = ck.barrierEvents;
-    if (profile_ != nullptr && ck.profile != nullptr)
-        *profile_ = *ck.profile;
-    // Accounting since the checkpoint is rolled back with the metrics.
-    std::fill(execDelta_.begin(), execDelta_.end(), 0);
-    accountedInstances_ = 0;
-    denseAccounted_ = 0;
-    // The control stack is rebuilt by the resume navigation; the phase
-    // buffers hold no state at a statement boundary, but clear them
-    // defensively.
-    ctrl_.clear();
-    pending_.clear();
-    misses_.clear();
-}
-
-void SpmdSimulator::resumeInto(const std::vector<Stmt*>& block, size_t depth) {
-    const std::vector<CtrlFrame>& path = ckpt_->path;
-    PHPF_ASSERT(depth < path.size(), "resume path exhausted");
-    const CtrlFrame f = path[depth];  // copy: ckpt_ may be replaced below
-    size_t idx = block.size();
-    for (size_t i = 0; i < block.size(); ++i) {
-        if (block[i] == f.stmt) {
-            idx = i;
-            break;
-        }
-    }
-    PHPF_ASSERT(idx < block.size(),
-                "resume path statement not found in its block");
-    if (depth + 1 == path.size()) {
-        // The boundary statement itself: the checkpoint preceded its
-        // side effects, so re-execute it and the rest of the block.
-        execBlockFrom(block, idx);
-        return;
-    }
-    try {
-        if (f.stmt->kind == StmtKind::Do) {
-            resumeDo(f, depth);
-        } else {
-            PHPF_ASSERT(f.stmt->kind == StmtKind::If,
-                        "resume path frame is neither Do nor If");
-            // The If's own evaluation (predicate comm, accounting)
-            // happened before the checkpoint; descend straight into the
-            // branch that was in execution.
-            ctrl_.push_back(f);
-            FramePop pop{&ctrl_};
-            resumeInto(f.taken ? f.stmt->thenBody : f.stmt->elseBody,
-                       depth + 1);
-        }
-    } catch (GotoSignal& g) {
-        for (size_t j = idx + 1; j < block.size(); ++j) {
-            if (block[j]->label == g.label) {
-                execBlockFrom(block, j);
-                return;
-            }
-        }
-        throw;
-    }
-    execBlockFrom(block, idx + 1);
-}
-
-void SpmdSimulator::resumeDo(const CtrlFrame& f, size_t depth) {
-    const Stmt* s = f.stmt;
-    ctrl_.push_back(f);
-    {
-        FramePop pop{&ctrl_};
-        for (std::int64_t iv = f.iv; f.step > 0 ? iv <= f.ub : iv >= f.ub;
-             iv += f.step) {
-            ctrl_.back().iv = iv;
-            if (iv == f.iv) {
-                // The checkpointed iteration: its loop-variable stores
-                // are already part of the restored state; finish it from
-                // the recorded position.
-                try {
-                    resumeInto(s->body, depth + 1);
-                } catch (GotoSignal& g) {
-                    bool handled = false;
-                    for (size_t i = 0; i < s->body.size(); ++i) {
-                        if (s->body[i]->label == g.label) {
-                            std::vector<Stmt*> rest(
-                                s->body.begin() +
-                                    static_cast<std::ptrdiff_t>(i),
-                                s->body.end());
-                            execBlock(rest);
-                            handled = true;
-                            break;
-                        }
-                    }
-                    if (!handled) throw;
-                }
-                continue;
-            }
-            oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-            soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-            execLoopBody(s);
-        }
-    }
-    runCombines(s);
 }
 
 void SpmdSimulator::distributeInputs() {
@@ -1427,38 +1198,8 @@ void SpmdSimulator::distributeInputs() {
 void SpmdSimulator::run() {
     const auto t0 = std::chrono::steady_clock::now();
     distributeInputs();
-    recoveries_ = 0;
-    checkpointsTaken_ = 0;
-    instances_ = 0;
-    ctrl_.clear();
-    ckpt_.reset();
-    // With crash recovery armed, take the initial checkpoint right after
-    // initial distribution — a crash before the first periodic one
-    // replays from the start of the program.
-    if (crashSite_ != nullptr) takeCheckpoint(nullptr);
-    bool resuming = false;
     try {
-        for (;;) {
-            try {
-                if (resuming && !ckpt_->path.empty())
-                    resumeInto(prog_.top, 0);
-                else
-                    execBlock(prog_.top);
-                break;
-            } catch (CrashSignal&) {
-                ++recoveries_;
-                if (recoveries_ > rcfg_.maxRecoveries)
-                    throw SimFault(
-                        faultsite::kProcCrash,
-                        "recovery budget exhausted (" +
-                            std::to_string(rcfg_.maxRecoveries) +
-                            " recoveries; " +
-                            std::to_string(checkpointsTaken_) +
-                            " checkpoints taken)");
-                restoreCheckpoint();
-                resuming = true;
-            }
-        }
+        execBlock(prog_.top);
     } catch (...) {
         // A SimFault escaping mid-run must still leave the per-proc
         // metrics coherent for post-mortem inspection.
@@ -1490,7 +1231,7 @@ void SpmdSimulator::accountExecutors(const std::vector<int>& execs) {
     // only the executed counts (dense int64 array, one cache line for typical
     // proc counts — or a single counter for guard-All instances) are
     // touched per instance; flushAccounting materializes the
-    // ProcSimMetrics view at run/checkpoint boundaries.
+    // ProcSimMetrics view at the end of the run.
     ++accountedInstances_;
     if (&execs == &allProcs_) {
         ++denseAccounted_;

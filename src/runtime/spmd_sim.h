@@ -8,7 +8,6 @@
 #include "runtime/bytecode.h"
 #include "runtime/engine.h"
 #include "runtime/interp.h"
-#include "runtime/reliable_transport.h"
 #include "spmd/lowering.h"
 #include "support/arena.h"
 #include "target/target_kind.h"
@@ -27,31 +26,6 @@ struct ProcSimMetrics {
     std::int64_t stmtsSkipped = 0;  ///< guard evaluated false
     std::int64_t recvElements = 0;
     std::int64_t sentElements = 0;
-};
-
-/// Fault-injection and recovery configuration of one simulated run.
-/// Defaults leave the whole layer off: a default-constructed config
-/// costs the hot path one branch per statement instance and nothing
-/// else (bench/bench_fault_overhead.cpp enforces ≈0 overhead).
-struct SimRecoveryConfig {
-    /// Fault source; null disables injection entirely. The simulator
-    /// resolves the net.* sites into a reliable transport and the
-    /// proc.crash site into checkpoint-restore recovery.
-    const FaultInjector* faults = nullptr;
-    /// Checkpoint the full simulator state every N statement instances
-    /// (0 = only the initial checkpoint, taken whenever recovery can be
-    /// needed). A crash restores the latest checkpoint and replays —
-    /// deterministically, so results and all metrics stay bit-identical
-    /// to the fault-free run.
-    int checkpointEvery = 0;
-    /// proc.crash restore budget; exceeding it surfaces a SimFault.
-    int maxRecoveries = 64;
-    /// Retry/backoff/timeout budget of the reliable transport.
-    TransportConfig transport;
-    /// Polled at statement boundaries: a cancelled token (deadline or
-    /// explicit) stops the run with a SimFault at site "sim.cancel",
-    /// leaving no partially merged phase behind.
-    CancelToken cancel;
 };
 
 /// Functional simulator of the SPMD execution of a lowered program on a
@@ -93,8 +67,12 @@ public:
     /// `engine` picks how values are computed and indices resolved: the
     /// tree-walking interpreter or the register-bytecode VM (default).
     /// Both produce bit-identical results AND metrics on the same banks;
-    /// every other phase (merge, checkpoints, faults, profiling) is
-    /// shared code.
+    /// every other phase (merge, profiling) is shared code.
+    ///
+    /// `cancel` is polled at statement boundaries (only when the token
+    /// is armed): a cancelled token (deadline or explicit) stops the run
+    /// with a SimFault at site "sim.cancel", leaving no partially merged
+    /// phase behind.
     ///
     /// `relaxedMerge` opts into combining commutative reductions
     /// (sum/max/min) from the per-processor partial accumulators in
@@ -110,30 +88,24 @@ public:
     /// message-passing "transfer" does), so results are bit-identical
     /// across targets. Under SharedMemory the simulator additionally
     /// counts barrier epochs (each vectorized sync event is one
-    /// producers-then-consumers barrier of the modelled SMP) and does
-    /// not arm the lossy-network transport — there is no network inside
-    /// one SMP node (proc.crash recovery still applies).
+    /// producers-then-consumers barrier of the modelled SMP).
     explicit SpmdSimulator(const SpmdLowering& low, int elemBytes = 8,
-                           SimRecoveryConfig recovery = {},
+                           CancelToken cancel = {},
                            SimEngine engine = SimEngine::Bytecode,
                            bool relaxedMerge = false,
                            TargetKind targetKind = TargetKind::MessagePassing);
 
-    /// Throws SimFault when injected faults exhaust the recovery budget,
-    /// the recovery cancel token fires, or a subscript falls outside
-    /// its declared bounds; any other outcome (including every recovered
-    /// fault) leaves results and metrics bit-identical to a fault-free
-    /// run.
+    /// Throws SimFault when the cancel token fires or a subscript falls
+    /// outside its declared bounds.
     void run();
 
     /// Opt into telemetry before run(). `metrics` (nullable) receives
     /// per-phase latency histograms (sim.phase.eval_us /
-    /// sim.phase.merge_us / sim.checkpoint_us) — histogram references
-    /// are resolved here once, so the hot path never does a name
-    /// lookup. Phases are microseconds long, so the eval/merge
-    /// histograms sample 1 in kTelemetrySample phases (clock reads on
-    /// every phase would dominate the phase itself); checkpoints are
-    /// rare and timed unconditionally. Null (the default) keeps the
+    /// sim.phase.merge_us) — histogram references are resolved here
+    /// once, so the hot path never does a name lookup. Phases are
+    /// microseconds long, so the histograms sample 1 in
+    /// kTelemetrySample phases (clock reads on every phase would
+    /// dominate the phase itself). Null (the default) keeps the
     /// zero-overhead behaviour.
     void setTelemetry(obs::MetricRegistry* metrics);
 
@@ -211,68 +183,9 @@ public:
         return procStmts_;
     }
 
-    /// True when a fault spec armed any part of the recovery layer.
-    [[nodiscard]] bool faultLayerActive() const {
-        return transport_ != nullptr || crashSite_ != nullptr;
-    }
-    /// Reliable-transport accounting (null when no net.* site armed).
-    [[nodiscard]] const TransportStats* transportStats() const {
-        return transport_ != nullptr ? &transport_->stats() : nullptr;
-    }
-    /// Successful proc.crash recoveries of the last run.
-    [[nodiscard]] int recoveries() const { return recoveries_; }
-    /// Checkpoints taken during the last run (initial one included).
-    [[nodiscard]] std::int64_t checkpointsTaken() const {
-        return checkpointsTaken_;
-    }
-
 private:
     struct GotoSignal {
         int label;
-    };
-    /// Thrown when the proc.crash site fires at a statement boundary;
-    /// run() restores the latest checkpoint and resumes.
-    struct CrashSignal {};
-
-    /// One active control construct (Do or If) on the execution path.
-    /// The stack mirrors the C++ call stack of execStmt; a checkpoint
-    /// copies it (plus the boundary statement) as its resume path. Loop
-    /// frames capture the bounds *as evaluated at loop entry*, so a
-    /// resumed loop iterates exactly as the original would have.
-    struct CtrlFrame {
-        const Stmt* stmt = nullptr;
-        bool taken = false;  ///< If: branch in execution
-        std::int64_t iv = 0, ub = 0, step = 1;  ///< Do: current/captured
-    };
-
-    /// Full simulator state at one statement boundary. Restoring it and
-    /// replaying is deterministic: the banks and the oracle store define
-    /// all values, the event set / counters define all accounting, and
-    /// the resume path pins the control position — so a recovered run
-    /// re-produces the fault-free run bit for bit.
-    struct Checkpoint {
-        std::vector<double> soa;
-        std::vector<char> soaValid;
-        Store oracleStore;
-        std::int64_t oracleExecuted = 0;
-        std::vector<ProcSimMetrics> procMetrics;
-        std::int64_t transfers = 0;
-        std::int64_t procStmts = 0;
-        std::int64_t instances = 0;
-        InternedEventSet events;
-        std::vector<std::int64_t> eventsPerOp;
-        std::vector<std::int64_t> elemsPerOp;
-        std::int64_t barrierEvents = 0;
-        /// Relaxed-merge loop-entry accumulator snapshots (by CommOp
-        /// id), so a recovered relaxed run replays identically.
-        std::vector<double> combineInit;
-        /// Enclosing Do/If frames + the boundary statement last; empty
-        /// = start of the program.
-        std::vector<CtrlFrame> path;
-        /// Profiler state (sample ticks included), so a recovered run
-        /// reproduces the fault-free profile bit for bit. Null when
-        /// profiling is off.
-        std::unique_ptr<obs::StmtProfile> profile;
     };
 
     /// A reduction's global combine applied at the end of one loop nest.
@@ -347,15 +260,13 @@ private:
     /// oracle()).
     void distributeInputs();
     void execBlock(const std::vector<Stmt*>& block);
-    /// execBlock starting at `start` (resume + goto continuation).
-    void execBlockFrom(const std::vector<Stmt*>& block, size_t start);
     void execStmt(const Stmt* s);
-    /// Bytecode engine, lane-uniform Assign with telemetry, profiler and
-    /// transport all unarmed: the fused fast path. One pass resolves the
-    /// fetch slots, applies any misses in place (same slot-major lane
-    /// order and per-merge event memo as evalPhase + mergePhase), runs
-    /// the oracle chunk once and broadcasts the result — no deferred
-    /// record vectors, no second slot walk. Any armed observer falls
+    /// Bytecode engine, lane-uniform Assign with telemetry and profiler
+    /// unarmed: the fused fast path. One pass resolves the fetch slots,
+    /// applies any misses in place (same slot-major lane order and
+    /// per-merge event memo as evalPhase + mergePhase), runs the oracle
+    /// chunk once and broadcasts the result — no deferred record
+    /// vectors, no second slot walk. Any armed observer falls
     /// back to the general path, which keeps its sampling ticks; the
     /// two paths produce identical state, metrics and events.
     void execUniformBc(const Stmt* s, const StmtPlan& plan,
@@ -365,17 +276,9 @@ private:
     void execLoopBody(const Stmt* s);
     /// Loop-end global reduction combines of `s` (a Do statement).
     void runCombines(const Stmt* s);
-    /// Statement-boundary hook of the recovery layer: cancellation,
-    /// proc.crash polling, periodic checkpoints. Only called when
-    /// boundaryArmed_.
-    void boundary(const Stmt* s);
-    void takeCheckpoint(const Stmt* boundaryStmt);
-    void restoreCheckpoint();
-    /// Re-enter `block` along the checkpoint's resume path at `depth`.
-    void resumeInto(const std::vector<Stmt*>& block, size_t depth);
-    /// Resume a Do frame: finish the checkpointed iteration via the
-    /// path, then iterate on with the frame's captured bounds.
-    void resumeDo(const CtrlFrame& f, size_t depth);
+    /// Statement-boundary cancel poll. Only called when cancel_ is
+    /// armed.
+    void boundary();
     /// Set of linear proc ids executing statement `s` now. Returns a
     /// reference to a per-instance scratch (or the constant all-procs
     /// set); valid until the next call.
@@ -464,9 +367,9 @@ private:
     /// Accumulates into flat delta counters (one int per processor, not
     /// a ProcSimMetrics sweep); flushAccounting materializes them.
     void accountExecutors(const std::vector<int>& execs);
-    /// Fold the executed/skipped deltas into procMetrics_. Called
-    /// wherever procMetrics_ must be externally coherent: checkpoint
-    /// capture, run end (normal and fault exits).
+    /// Fold the executed/skipped deltas into procMetrics_. Called at run
+    /// end (normal and fault exits), where procMetrics_ must be
+    /// externally coherent.
     void flushAccounting();
     /// Bytecode engine: the single processor of a fully-pinned
     /// descriptor (execSingleton / slotSrcSingleton plans).
@@ -569,8 +472,7 @@ private:
     std::vector<std::uint64_t> opStamp_;
     std::uint64_t mergeStamp_ = 0;
     /// Per-op noteEvent memo: the context the op recorded last, and
-    /// whether there is one (cleared on restore: the restored event set
-    /// may lack it). A repeat skips the interned sets.
+    /// whether there is one. A repeat skips the interned sets.
     std::vector<std::vector<std::int64_t>> ctxMemo_;
     std::vector<char> ctxMemoSet_;
     /// Set by evalPhase: the bytecode slot pre-scan found every executor
@@ -581,21 +483,9 @@ private:
     /// Relaxed merge: loop-entry accumulator snapshot by CommOp id.
     std::vector<double> combineInit_;
 
-    // --- fault injection & recovery (all null/false when disabled) ---
-    SimRecoveryConfig rcfg_;
-    std::unique_ptr<ReliableTransport> transport_;
-    FaultSite* crashSite_ = nullptr;
-    /// True when boundary() has any work (crash site, periodic
-    /// checkpoints, or an armed cancel token): the only per-statement
-    /// cost of the disabled layer is this one branch.
-    bool boundaryArmed_ = false;
-    /// Maintain ctrl_ frames (true iff a checkpoint can be taken).
-    bool trackCtrl_ = false;
-    std::int64_t instances_ = 0;  ///< statement-boundary counter
-    int recoveries_ = 0;
-    std::int64_t checkpointsTaken_ = 0;
-    std::vector<CtrlFrame> ctrl_;  ///< live Do/If frames (see CtrlFrame)
-    std::unique_ptr<Checkpoint> ckpt_;
+    // --- cancellation (an unarmed token costs one branch per statement
+    // instance) ---
+    CancelToken cancel_;
 
     // --- telemetry (all null when not opted in via setTelemetry) ---
     /// 1-in-N phase sampling for the eval/merge histograms (power of
@@ -606,7 +496,6 @@ private:
     obs::MetricRegistry* metrics_ = nullptr;
     obs::Histogram* evalHist_ = nullptr;    ///< sim.phase.eval_us
     obs::Histogram* mergeHist_ = nullptr;   ///< sim.phase.merge_us
-    obs::Histogram* ckptHist_ = nullptr;    ///< sim.checkpoint_us
 
     // --- per-statement profiler (null when not opted in) ---
     std::unique_ptr<obs::StmtProfile> profile_;

@@ -1,8 +1,5 @@
 #include "service/artifact_cache.h"
 
-#include <algorithm>
-
-#include "obs/flight_recorder.h"
 #include "service/fingerprint.h"
 
 namespace phpf::service {
@@ -56,35 +53,10 @@ void ArtifactCache::put(const std::string& key,
     s.lru.emplace_front(key, std::move(value));
     s.index.emplace(key, s.lru.begin());
     while (s.lru.size() > shardCapacity_) {
-        obs::FlightRecorder::global().record(
-            "cache.evict", "key=" + s.lru.back().first.substr(0, 40));
         s.index.erase(s.lru.back().first);
         s.lru.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-}
-
-std::size_t ArtifactCache::shed(std::size_t targetEntries) {
-    // Walk shards with a global keep budget (one shard lock at a time):
-    // each shard keeps what is left of the budget, so at most
-    // `targetEntries` survive in total even when the entries are spread
-    // one-per-shard. A per-shard equal split cannot guarantee that —
-    // ceil(target/shards) >= 1 would keep every singleton shard intact.
-    std::size_t keepBudget = targetEntries;
-    std::size_t dropped = 0;
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mu);
-        const std::size_t keep = std::min(sh->lru.size(), keepBudget);
-        keepBudget -= keep;
-        while (sh->lru.size() > keep) {
-            sh->index.erase(sh->lru.back().first);
-            sh->lru.pop_back();
-            ++dropped;
-        }
-    }
-    evictions_.fetch_add(static_cast<std::int64_t>(dropped),
-                         std::memory_order_relaxed);
-    return dropped;
 }
 
 CacheStats ArtifactCache::stats() const {

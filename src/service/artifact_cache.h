@@ -48,12 +48,6 @@ public:
     void put(const std::string& key,
              std::shared_ptr<const CompileArtifact> value);
 
-    /// Memory-pressure shedding: drop least-recently-used entries until
-    /// at most `targetEntries` remain (spread across shards). Returns
-    /// how many entries were dropped; outstanding shared_ptr holders
-    /// keep their artifacts alive.
-    std::size_t shed(std::size_t targetEntries);
-
     [[nodiscard]] CacheStats stats() const;
 
 private:

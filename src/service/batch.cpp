@@ -1,13 +1,14 @@
 #include "service/batch.h"
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <fstream>
 #include <future>
+#include <map>
 #include <ostream>
-#include <set>
 #include <sstream>
 
-#include "obs/flight_recorder.h"
 #include "programs/programs.h"
 
 namespace phpf::service {
@@ -95,8 +96,15 @@ bool parseOptions(const obs::Json& o, BatchJob* job, std::string* err) {
             m.controlFlowPrivatization = v.boolValue();
         else if (key == "rewrite_induction")
             job->passes.rewriteInduction = v.boolValue();
-        else if (key == "elem_bytes")
+        else if (key == "elem_bytes") {
+            // Byte accounting scales by it: zero or a negative size would
+            // price communication at zero or negative bytes.
+            if (v.intValue() < 1 || v.intValue() > INT_MAX) {
+                *err = "elem_bytes must be a positive size, got " + v.dump();
+                return false;
+            }
             job->target.costModel.elemBytes = static_cast<int>(v.intValue());
+        }
         else if (key == "combine_messages")
             job->target.costModel.combineMessages = v.boolValue();
         else if (key == "sim_engine") {
@@ -142,9 +150,13 @@ bool parseBatchJob(const obs::Json& j, int index, BatchJob* job,
         job->deadlineMs = v->intValue();
     if (const obs::Json* v = j.find("profile")) job->profile = v->boolValue();
     if (const obs::Json* v = j.find("grid")) {
-        if (!v->isArray() || v->size() == 0) {
+        const auto positive = [](const obs::Json& e) {
+            return e.intValue() >= 1 && e.intValue() <= INT_MAX;
+        };
+        if (!v->isArray() || v->size() == 0 ||
+            !std::all_of(v->items().begin(), v->items().end(), positive)) {
             *err = "job " + std::to_string(index) + ": grid must be a "
-                   "nonempty array";
+                   "nonempty array of positive extents";
             return false;
         }
         job->target.gridExtents.clear();
@@ -272,83 +284,34 @@ bool requestOfJob(const BatchJob& job, CompileRequest* out, std::string* err) {
 }
 
 BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
-                      std::ostream& out, const BatchRunOptions& opts) {
+                      std::ostream& out) {
     const auto t0 = std::chrono::steady_clock::now();
     BatchOutcome outcome;
     outcome.jobs = static_cast<int>(spec.jobs.size());
-
-    // Resume: collect the names already journaled by a previous
-    // (possibly killed) run. A torn final line — the crash happened
-    // mid-write — fails to parse and is simply not counted as done.
-    std::set<std::string> done;
-    // Per-job model-error MAPE for the summary's calibration section:
-    // filled from live profiled rows and — on resume — from journaled
-    // rows, so skipped jobs keep their profile data in the summary.
+    // Per-job model-error MAPE of the profiled rows, for the summary's
+    // calibration section.
     std::map<std::string, double> mapeByJob;
-    if (opts.resume && !opts.journalPath.empty()) {
-        std::ifstream in(opts.journalPath);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty()) continue;
-            std::string perr;
-            const obs::Json row = obs::Json::parse(line, &perr);
-            if (!perr.empty() || !row.isObject()) continue;
-            if (row.find("summary") != nullptr) continue;
-            if (const obs::Json* v = row.find("job")) {
-                done.insert(v->stringValue());
-                if (const obs::Json* cal = row.find("calibration"))
-                    if (const obs::Json* m = cal->find("mape_sec_pct"))
-                        mapeByJob[v->stringValue()] = m->numberValue();
-            }
-        }
-    }
-    std::ofstream journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, std::ios::app);
-
-    const FaultInjector* finj = opts.faults != nullptr
-                                    ? opts.faults
-                                    : FaultInjector::processIfEnabled();
-    FaultSite* abortSite =
-        finj != nullptr ? finj->find(faultsite::kBatchAbort) : nullptr;
 
     struct Pending {
         const BatchJob* job;
         std::shared_future<CompileResult> fut;
         std::string error;  ///< request construction failure
-        bool skipped = false;
     };
     std::vector<Pending> pending;
     pending.reserve(spec.jobs.size());
     for (const BatchJob& job : spec.jobs) {
         Pending p;
         p.job = &job;
-        if (done.count(job.name) != 0) {
-            p.skipped = true;
-            ++outcome.skipped;
-        } else {
-            CompileRequest req;
-            std::string err;
-            if (requestOfJob(job, &req, &err))
-                p.fut = svc.submit(std::move(req));
-            else
-                p.error = std::move(err);
-        }
+        CompileRequest req;
+        std::string err;
+        if (requestOfJob(job, &req, &err))
+            p.fut = svc.submit(std::move(req));
+        else
+            p.error = std::move(err);
         pending.push_back(std::move(p));
     }
 
-    const auto emit = [&](const obs::Json& row) {
-        out << row.dump(-1) << "\n";
-        if (journal.is_open()) {
-            // Append + flush per row: everything this run completed
-            // survives a kill at any point.
-            journal << row.dump(-1) << "\n";
-            journal.flush();
-        }
-    };
-
     for (const Pending& p : pending) {
-        if (p.skipped) continue;
         obs::Json row = obs::Json::object();
         row.set("job", p.job->name);
         obs::Json grid = obs::Json::array();
@@ -359,7 +322,7 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
             row.set("code", errorCodeName(ErrorCode::EmptyRequest));
             row.set("error", p.error);
             ++outcome.failed;
-            emit(row);
+            out << row.dump(-1) << "\n";
             continue;
         }
         const CompileResult r = p.fut.get();
@@ -367,7 +330,6 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
         row.set("code", errorCodeName(r.code));
         row.set("cache_hit", r.cacheHit);
         row.set("coalesced", r.coalesced);
-        if (r.retries > 0) row.set("retries", r.retries);
         row.set("parse_us", r.parseUs);
         row.set("compile_us", r.compileUs);
         row.set("total_us", r.totalUs);
@@ -404,27 +366,8 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
         } else {
             ++outcome.failed;
             row.set("error", r.error);
-            obs::FlightRecorder::global().record(
-                "batch.job_fail",
-                p.job->name + " " + statusName(r.status));
-            if (!opts.flightRecorderPath.empty())
-                obs::FlightRecorder::global().dumpJsonl(
-                    opts.flightRecorderPath);
         }
-        emit(row);
-        // Simulated kill of the batch runner: stop right after a row
-        // hit the journal — no summary, later jobs never awaited. The
-        // deterministic stand-in for SIGKILL that the resume tests and
-        // the CI round-trip drive.
-        if (FaultInjector::poll(abortSite)) {
-            outcome.aborted = true;
-            obs::FlightRecorder::global().record("batch.abort",
-                                                 "after " + p.job->name);
-            if (!opts.flightRecorderPath.empty())
-                obs::FlightRecorder::global().dumpJsonl(
-                    opts.flightRecorderPath);
-            break;
-        }
+        out << row.dump(-1) << "\n";
     }
 
     outcome.wallSec =
@@ -433,7 +376,6 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
                 std::chrono::steady_clock::now() - t0)
                 .count()) /
         1e6;
-    if (outcome.aborted) return outcome;
 
     obs::Json summary = obs::Json::object();
     summary.set("summary", true);
@@ -441,15 +383,14 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
     // v2: the embedded service registry's histograms gained
     // p50/p90/p99 quantile estimates.
     // v3: profiled jobs carry a per-row "calibration" object and the
-    // summary aggregates their model-error MAPE (journaled rows of a
-    // resumed run included).
-    summary.set("schema_version", 3);
+    // summary aggregates their model-error MAPE.
+    // v4: no "skipped" count (the journal and resume are gone).
+    summary.set("schema_version", 4);
     summary.set("jobs", outcome.jobs);
     summary.set("ok", outcome.ok);
     summary.set("failed", outcome.failed);
     summary.set("cache_hits", outcome.cacheHits);
     summary.set("coalesced_joins", outcome.coalesced);
-    summary.set("skipped", outcome.skipped);
     summary.set("wall_sec", outcome.wallSec);
     if (!mapeByJob.empty()) {
         obs::Json cal = obs::Json::object();

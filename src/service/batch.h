@@ -37,7 +37,8 @@ struct BatchSpec {
 /// Parse a jobs document: either {"jobs": [...]} or a bare array of job
 /// objects (fields: program|file|source, n/niter/nx/ny/nz, grid,
 /// options{...}, deadline_ms, name, repeat). Returns false with *err
-/// set on malformed input.
+/// set on malformed input, including a grid extent or elem_bytes below
+/// 1.
 bool parseBatchSpec(const obs::Json& doc, BatchSpec* out, std::string* err);
 
 /// Read + parse a jobs file from disk.
@@ -54,33 +55,7 @@ struct BatchOutcome {
     int failed = 0;  ///< parse errors, deadline misses, internal errors
     int cacheHits = 0;
     int coalesced = 0;
-    int skipped = 0;  ///< resumed: journal already had the row
-    /// True when the batch.abort fault site killed the run mid-matrix
-    /// (the simulated crash of the batch runner: later rows were never
-    /// awaited and no summary was written).
-    bool aborted = false;
     double wallSec = 0;
-};
-
-/// Crash-safety knobs of one runBatch() invocation.
-struct BatchRunOptions {
-    /// Append every completed job row to this JSONL file, flushed
-    /// before the next result is awaited — a killed run leaves a valid
-    /// journal of everything it finished. Empty disables journaling.
-    /// The journal holds job rows only (never the summary row), so
-    /// resuming from it is a pure name-set lookup.
-    std::string journalPath;
-    /// Skip jobs that already have a row in the journal: a kill +
-    /// `--resume` sequence completes the matrix with each job having
-    /// run exactly once.
-    bool resume = false;
-    /// Fault source for the batch.abort site (null = the process-wide
-    /// injector).
-    const FaultInjector* faults = nullptr;
-    /// When non-empty, the global flight recorder dumps its event ring
-    /// to this JSONL path the moment a job fails or the batch aborts —
-    /// the post-mortem is on disk even if the process dies right after.
-    std::string flightRecorderPath;
 };
 
 /// Run every job through the service concurrently (submit() on the
@@ -88,6 +63,6 @@ struct BatchRunOptions {
 /// order, then a final summary row ({"summary": true, ...}) carrying
 /// the service metrics snapshot.
 BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
-                      std::ostream& out, const BatchRunOptions& opts = {});
+                      std::ostream& out);
 
 }  // namespace phpf::service

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 
 #include "frontend/parser.h"
-#include "obs/flight_recorder.h"
 #include "service/fingerprint.h"
 #include "spmd/spmd_text.h"
+#include "support/fault.h"
 
 namespace phpf::service {
 
@@ -19,29 +18,6 @@ double usSince(std::chrono::steady_clock::time_point t0) {
                    std::chrono::steady_clock::now() - t0)
                    .count()) /
            1000.0;
-}
-
-/// Fresh Program for a retry attempt; the failed attempt may have
-/// mutated (or adopted) the one it ran on. Null when re-production
-/// fails — the caller then keeps the previous result.
-std::unique_ptr<Program> remakeProgram(const CompileRequest& req) {
-    std::unique_ptr<Program> prog;
-    if (!req.source.empty()) {
-        DiagEngine diags;
-        Parser parser(req.source, diags);
-        prog = std::make_unique<Program>(parser.parse());
-        if (diags.hasErrors()) return nullptr;
-    } else if (req.build) {
-        try {
-            prog = std::make_unique<Program>(req.build());
-        } catch (const std::exception&) {
-            return nullptr;
-        }
-    } else {
-        return nullptr;
-    }
-    prog->finalize();
-    return prog;
 }
 
 }  // namespace
@@ -61,14 +37,7 @@ CompileService::CompileService(ServiceConfig cfg)
       cache_(cfg.cacheCapacity, cfg.cacheShards),
       pool_(std::make_unique<TaskPool>(
           std::min(cfg.workers > 0 ? cfg.workers : hardwareThreads(), 8),
-          "svc-worker")) {
-    const FaultInjector* faults =
-        cfg_.faults != nullptr ? cfg_.faults : FaultInjector::processIfEnabled();
-    if (faults != nullptr) {
-        transientSite_ = faults->find(faultsite::kSvcTransient);
-        memPressureSite_ = faults->find(faultsite::kSvcMemPressure);
-    }
-}
+          "svc-worker")) {}
 
 CompileService::~CompileService() { pool_->drain(); }
 
@@ -158,11 +127,12 @@ CompileResult CompileService::compileAt(const CompileRequest& req,
     }
 
     // --- coalesce with an identical in-flight compile ----------------
-    // Joiners only ever adopt a *successful* leader result: adopting a
-    // failure would fan one transient hiccup out to every waiter. A
-    // joiner that observes a failed leader loops back and compiles for
-    // itself (the bound only guards against a pathological key that
-    // fails forever under heavy contention).
+    // Joiners only ever adopt a *successful* leader result: a leader's
+    // failure may be its own (its deadline ran out, not the joiner's),
+    // so adopting it would fan one request's failure out to every
+    // waiter. A joiner that observes a failed leader loops back and
+    // compiles for itself (the bound only guards against a pathological
+    // key that fails forever under heavy contention).
     std::shared_ptr<Inflight> mine;
     for (int joins = 0; mine == nullptr; ++joins) {
         std::shared_ptr<Inflight> theirs;
@@ -200,7 +170,7 @@ CompileResult CompileService::compileAt(const CompileRequest& req,
         r.cacheHit = true;
     } else {
         const double parseUs = r.parseUs;
-        r = runJobWithRetry(req, key, std::move(prog), diags, submitted);
+        r = runJob(req, key, std::move(prog), diags, submitted);
         r.parseUs = parseUs;
     }
 
@@ -226,18 +196,6 @@ CompileResult CompileService::runJob(const CompileRequest& req,
     CompileResult r;
     r.key = key;
     const Clock::time_point compile0 = Clock::now();
-
-    // Injected transient failure (svc.transient): the job dies before
-    // doing any work, exactly like a worker lost to the environment.
-    // The retry wrapper re-runs it; what must NOT happen is this result
-    // reaching the artifact cache.
-    if (FaultInjector::poll(transientSite_)) {
-        r.status = CompileStatus::Error;
-        r.code = ErrorCode::TransientFault;
-        r.error = "injected transient service fault (site svc.transient)";
-        r.compileUs = usSince(compile0);
-        return r;
-    }
 
     CancelSource cancel;
     if (req.deadlineMs > 0)
@@ -315,24 +273,18 @@ CompileResult CompileService::runJob(const CompileRequest& req,
                 .record(static_cast<double>(s.durNs) / 1000.0);
         }
 
-        // Memory-pressure hook: when the svc.mem_pressure site fires,
-        // shed the LRU before growing it with this artifact.
-        if (FaultInjector::poll(memPressureSite_)) shedCache();
-
         r.status = CompileStatus::Ok;
         r.code = ErrorCode::None;
         r.artifact = std::move(artifact);
     } catch (const SimFault& e) {
-        // A cancelled/faulted embedded simulation is a typed outcome,
-        // not an internal error. An out-of-range subscript is the
-        // program's own fault: a retry would fail the same way.
+        // A cancelled or faulted embedded simulation is a typed outcome,
+        // not an internal error. Any other site (an out-of-range
+        // subscript) is the program's own fault.
         const bool cancelled = e.site() == faultsite::kSimCancel;
         r.status = cancelled ? CompileStatus::DeadlineExceeded
                              : CompileStatus::Error;
         r.code = cancelled ? ErrorCode::DeadlineExceeded
-                 : e.site() == faultsite::kSimSubscript
-                     ? ErrorCode::ProgramFault
-                     : ErrorCode::TransientFault;
+                           : ErrorCode::ProgramFault;
         r.error = e.what();
     } catch (const std::exception& e) {
         r.status = CompileStatus::Error;
@@ -348,53 +300,7 @@ CompileResult CompileService::runJob(const CompileRequest& req,
     return r;
 }
 
-CompileResult CompileService::runJobWithRetry(const CompileRequest& req,
-                                              const std::string& key,
-                                              std::unique_ptr<Program> prog,
-                                              DiagEngine& diags,
-                                              Clock::time_point submitted) {
-    CompileResult r = runJob(req, key, std::move(prog), diags, submitted);
-    for (int attempt = 1;
-         attempt <= cfg_.maxRetries && isTransient(r.code); ++attempt) {
-        registry_.counter("service.transient_faults").add();
-        registry_.counter("service.retries").add();
-        obs::FlightRecorder::global().record(
-            "service.retry", req.name + " attempt=" + std::to_string(attempt) +
-                                 " code=" + errorCodeName(r.code));
-        if (cfg_.retryBackoffMs > 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                cfg_.retryBackoffMs << std::min(attempt - 1, 20)));
-        std::unique_ptr<Program> fresh = remakeProgram(req);
-        if (fresh == nullptr) break;  // keep the transient failure result
-        CompileResult next = runJob(req, key, std::move(fresh), diags,
-                                    submitted);
-        next.retries = attempt;
-        r = std::move(next);
-    }
-    if (isTransient(r.code)) {
-        // Exhausted the budget while still transient: count the final
-        // failure too, so the metric reflects every transient outcome.
-        registry_.counter("service.transient_faults").add();
-    }
-    return r;
-}
-
-std::size_t CompileService::shedCache(std::size_t targetEntries) {
-    const std::size_t dropped = cache_.shed(targetEntries);
-    obs::FlightRecorder::global().record(
-        "cache.shed", "dropped=" + std::to_string(dropped));
-    registry_.counter("service.cache.shed").add();
-    registry_.counter("service.cache.shed_entries")
-        .add(static_cast<std::int64_t>(dropped));
-    return dropped;
-}
-
 void CompileService::recordOutcome(const CompileResult& r) {
-    if (r.status != CompileStatus::Ok) {
-        obs::FlightRecorder::global().record(
-            "service.fail",
-            std::string(statusName(r.status)) + " " + r.error.substr(0, 120));
-    }
     registry_.counter("service.requests").add();
     switch (r.status) {
         case CompileStatus::Ok:
@@ -435,9 +341,6 @@ ServiceStats CompileService::stats() const {
     s.parseErrors = registry_.counterValue("service.parse_errors");
     s.deadlineExceeded = registry_.counterValue("service.deadline_exceeded");
     s.errors = registry_.counterValue("service.errors");
-    s.retries = registry_.counterValue("service.retries");
-    s.transientFaults = registry_.counterValue("service.transient_faults");
-    s.shedEntries = registry_.counterValue("service.cache.shed_entries");
     return s;
 }
 

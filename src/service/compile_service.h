@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "service/artifact_cache.h"
 #include "service/error_code.h"
-#include "support/fault.h"
 #include "support/parallel.h"
 
 namespace phpf::service {
@@ -76,17 +75,14 @@ struct CompileArtifact {
 
 struct CompileResult {
     CompileStatus status = CompileStatus::Error;
-    /// Machine-readable failure class; None iff status is Ok. Retry
-    /// policy and tests branch on this, never on `error` text.
+    /// Machine-readable failure class; None iff status is Ok. Callers
+    /// and tests branch on this, never on `error` text.
     ErrorCode code = ErrorCode::Internal;
     std::shared_ptr<const CompileArtifact> artifact;  ///< null unless Ok
     bool cacheHit = false;
     /// True when this request joined an identical in-flight compile
     /// instead of running its own.
     bool coalesced = false;
-    /// Transparent retries this result consumed (transient failures
-    /// re-run with backoff; the last attempt's outcome is what you see).
-    int retries = 0;
     std::string key;      ///< empty for parse errors
     std::string error;    ///< message for non-Ok statuses
     double parseUs = 0;   ///< parse/build + fingerprint time
@@ -102,15 +98,6 @@ struct ServiceConfig {
     /// Total artifact-cache entries across shards.
     std::size_t cacheCapacity = 256;
     int cacheShards = 8;
-    /// Transparent retries of a transient failure (isTransient(code))
-    /// per request, each preceded by an exponentially growing backoff.
-    /// 0 disables retrying.
-    int maxRetries = 2;
-    /// First retry backoff; doubles per attempt.
-    std::int64_t retryBackoffMs = 1;
-    /// Fault source for the svc.* sites. Null consults the process-wide
-    /// injector (PHPF_FAULTS / --faults) at construction.
-    const FaultInjector* faults = nullptr;
     /// Optional cross-thread tracer. When set, every request records a
     /// root span ("request:<name>"), worker-side spans adopt the
     /// submitting thread's context (so async jobs parent under their
@@ -126,9 +113,6 @@ struct ServiceStats {
     std::int64_t parseErrors = 0;
     std::int64_t deadlineExceeded = 0;
     std::int64_t errors = 0;
-    std::int64_t retries = 0;         ///< transparent transient re-runs
-    std::int64_t transientFaults = 0; ///< transient failures observed
-    std::int64_t shedEntries = 0;     ///< cache entries dropped by shedding
     CacheStats cache;
     std::size_t queueDepth = 0;
     int activeJobs = 0;
@@ -157,13 +141,6 @@ public:
     /// Asynchronous compile on the worker pool. The deadline clock
     /// starts now, so queue wait counts against it.
     [[nodiscard]] std::shared_future<CompileResult> submit(CompileRequest req);
-
-    /// Memory-pressure hook: drop least-recently-used cached artifacts
-    /// down to `targetEntries` (default: half the current size). Wired
-    /// to the svc.mem_pressure fault site and callable directly by an
-    /// embedding host under real memory pressure. Returns entries shed.
-    std::size_t shedCache(std::size_t targetEntries);
-    std::size_t shedCache() { return shedCache(cache_.stats().size / 2); }
 
     [[nodiscard]] ServiceStats stats() const;
     /// Service metric snapshot: the registry (counters + per-stage
@@ -201,23 +178,11 @@ private:
                                        std::unique_ptr<Program> prog,
                                        DiagEngine& diags,
                                        Clock::time_point submitted);
-    /// runJob plus the transient-retry loop: a failure with a transient
-    /// ErrorCode re-runs (on a freshly built program — the failed
-    /// attempt may have mutated the old one) after exponential backoff,
-    /// up to ServiceConfig::maxRetries times.
-    [[nodiscard]] CompileResult runJobWithRetry(const CompileRequest& req,
-                                                const std::string& key,
-                                                std::unique_ptr<Program> prog,
-                                                DiagEngine& diags,
-                                                Clock::time_point submitted);
     void recordOutcome(const CompileResult& r);
 
     ServiceConfig cfg_;
     ArtifactCache cache_;
     std::unique_ptr<TaskPool> pool_;
-    /// svc.* sites resolved once at construction (null = not armed).
-    FaultSite* transientSite_ = nullptr;
-    FaultSite* memPressureSite_ = nullptr;
 
     std::mutex inflightMu_;
     std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;

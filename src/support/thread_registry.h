@@ -8,12 +8,11 @@
 namespace phpf {
 
 /// Process-wide registry of the threads that participate in telemetry:
-/// every thread that touches a ConcurrentTracer or the flight recorder
-/// gets a small stable integer id (assigned on first use, in first-use
-/// order) and an optional human-readable name. Pool workers register
-/// names like "svc-worker-0"; the Chrome trace
-/// exporter turns them into named per-thread rows and the flight
-/// recorder stamps every event with the recording tid.
+/// every thread that touches a ConcurrentTracer gets a small stable
+/// integer id (assigned on first use, in first-use order) and an
+/// optional human-readable name. Pool workers register names like
+/// "svc-worker-0"; the Chrome trace exporter turns them into named
+/// per-thread rows.
 ///
 /// Ids are never reused within a process; name lookups snapshot under a
 /// mutex, while the per-thread id itself is a thread_local read (the

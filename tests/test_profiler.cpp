@@ -1,10 +1,10 @@
 // The per-statement profiler and the cost-model calibration layer:
 // exact-count accounting against the simulator's own totals, bit-exact
-// determinism across runs and crash recovery, the run report's
+// determinism across runs, the run report's
 // profile/calibration sections (added in schema v3), flamegraph folded
 // stacks, Prometheus export of the phpf_stmt_self_time_* and
 // phpf_model_error_* series, service-side profiled-artifact caching
-// (cold/warm identical calibration), the batch runner's v3 calibration
+// (cold/warm identical calibration), the batch runner's calibration
 // summary, and the histogram/JSON-escaping edge cases the profile
 // surfaces lean on.
 
@@ -27,7 +27,6 @@
 #include "programs/programs.h"
 #include "service/batch.h"
 #include "service/compile_service.h"
-#include "support/fault.h"
 
 namespace phpf {
 namespace {
@@ -72,22 +71,13 @@ Json countsOnlyProfileJson(const Program& p, const StmtProfile& prof,
     return j;
 }
 
-ProfiledRun runProfiled(const std::function<Program()>& make,
-                        const char* faults = nullptr,
-                        int checkpointEvery = 0) {
+ProfiledRun runProfiled(const std::function<Program()>& make) {
     Program p = make();
     TargetConfig opts;
     opts.gridExtents = {4};
     Compilation c = Compiler::compile(p, opts);
-    FaultInjector inj;
     SimulationRequest req;
     req.profile = true;
-    if (faults != nullptr) {
-        EXPECT_TRUE(inj.configure(faults));
-        req.faults = &inj;
-        req.checkpointEvery = checkpointEvery;
-        req.maxRecoveries = 8;
-    }
     auto sim = c.simulate(req);
     ProfiledRun out;
     EXPECT_NE(sim->profile(), nullptr);
@@ -203,7 +193,7 @@ TEST(ProfilerTotals, SelfTimeEstimateScalesSampledTime) {
 }
 
 // ---------------------------------------------------------------------
-// Determinism: bit-identical counts across runs and recovery
+// Determinism: bit-identical counts across runs
 // ---------------------------------------------------------------------
 
 TEST(ProfilerDeterminism, RepeatedRunsAreIdentical) {
@@ -211,18 +201,6 @@ TEST(ProfilerDeterminism, RepeatedRunsAreIdentical) {
     const ProfiledRun b = runProfiled(makeTomcatv());
     EXPECT_EQ(a.profileDump, b.profileDump);
     EXPECT_EQ(a.calibrationDump, b.calibrationDump);
-}
-
-TEST(ProfilerDeterminism, CrashRecoveryReproducesTheProfile) {
-    // A proc crash rolls the simulator back to the last checkpoint; the
-    // profile (tick counters included) checkpoints with it, so the
-    // recovered run's counts and sample schedule match the fault-free
-    // run exactly.
-    const ProfiledRun clean = runProfiled(makeTomcatv());
-    const ProfiledRun faulted = runProfiled(
-        makeTomcatv(), "proc.crash:nth=17;limit=3", /*checkpointEvery=*/10);
-    EXPECT_EQ(faulted.profileDump, clean.profileDump);
-    EXPECT_EQ(faulted.calibrationDump, clean.calibrationDump);
 }
 
 // ---------------------------------------------------------------------
@@ -585,7 +563,7 @@ TEST(ServiceProfile, ProfiledAndPlainRequestsAreDistinctCacheEntries) {
 }
 
 // ---------------------------------------------------------------------
-// Batch: v3 rows + calibration summary, resume keeps journaled MAPEs
+// Batch: profiled rows + calibration summary
 // ---------------------------------------------------------------------
 
 service::BatchSpec profiledBatchSpec() {
@@ -636,7 +614,7 @@ TEST(BatchProfile, RowsAndSummaryCarryCalibration) {
     EXPECT_EQ(plain.find("calibration"), nullptr);
 
     const Json& summary = rows[2];
-    EXPECT_EQ(summary.at("schema_version").intValue(), 3);
+    EXPECT_EQ(summary.at("schema_version").intValue(), 4);
     ASSERT_NE(summary.find("calibration"), nullptr);
     const Json& cal = summary.at("calibration");
     EXPECT_EQ(cal.at("jobs_profiled").intValue(), 1);
@@ -646,43 +624,6 @@ TEST(BatchProfile, RowsAndSummaryCarryCalibration) {
     EXPECT_NEAR(cal.at("mean_mape_sec_pct").numberValue(),
                 prof.at("calibration").at("mape_sec_pct").numberValue(),
                 1e-9);
-}
-
-TEST(BatchProfile, ResumeKeepsJournaledCalibrationInTheSummary) {
-    const std::string journal = "test_profiler_batch_journal.jsonl";
-    std::remove(journal.c_str());
-    double firstMape = -1.0;
-    {
-        service::CompileService svc;
-        std::ostringstream out;
-        service::BatchRunOptions opts;
-        opts.journalPath = journal;
-        const service::BatchOutcome outcome =
-            service::runBatch(svc, profiledBatchSpec(), out, opts);
-        ASSERT_EQ(outcome.ok, 2);
-        firstMape = batchRows(out.str())[0]
-                        .at("calibration")
-                        .at("mape_sec_pct")
-                        .numberValue();
-    }
-    // Second run resumes: both jobs are journaled, so nothing recompiles
-    // — yet the summary still reports the profiled job's MAPE, read
-    // back from the journal.
-    service::CompileService svc;
-    std::ostringstream out;
-    service::BatchRunOptions opts;
-    opts.journalPath = journal;
-    opts.resume = true;
-    const service::BatchOutcome outcome =
-        service::runBatch(svc, profiledBatchSpec(), out, opts);
-    EXPECT_EQ(outcome.skipped, 2);
-    const std::vector<Json> rows = batchRows(out.str());
-    const Json& summary = rows.back();
-    ASSERT_NE(summary.find("calibration"), nullptr);
-    const Json& cal = summary.at("calibration");
-    EXPECT_EQ(cal.at("jobs_profiled").intValue(), 1);
-    EXPECT_NEAR(cal.at("mean_mape_sec_pct").numberValue(), firstMape, 1e-9);
-    std::remove(journal.c_str());
 }
 
 TEST(BatchProfile, JobsFileProfileFieldParses) {

@@ -9,7 +9,6 @@
 #include "driver/compiler.h"
 #include "programs/programs.h"
 #include "spmd/spmd_text.h"
-#include "support/fault.h"
 #include "target/target.h"
 
 namespace phpf {
@@ -259,23 +258,6 @@ TEST(Target, ShmSimulationCountsBarrierEpochs) {
     EXPECT_EQ(sim->bytesMoved(), mpSim->bytesMoved());
     EXPECT_EQ(sim->statementsExecutedAllProcs(),
               mpSim->statementsExecutedAllProcs());
-}
-
-TEST(Target, ShmSimulationIgnoresNetworkFaultSites) {
-    // There is no network inside one SMP node: net.* fault sites must
-    // not arm the lossy transport under shm (proc.crash still applies).
-    Program p = programs::fig1(16);
-    TargetConfig conf;
-    conf.gridExtents = {4};
-    conf.targetKind = TargetKind::SharedMemory;
-    Compilation c = Compiler::compile(p, conf);
-    FaultInjector inj;
-    ASSERT_TRUE(inj.configure("net.drop:p=1.0"));  // drop everything
-    SimulationRequest req;
-    req.faults = &inj;
-    req.maxAttempts = 2;
-    auto sim = c.simulate(req);  // must not throw SimFault
-    EXPECT_GT(sim->statementsExecutedAllProcs(), 0);
 }
 
 // ---------------------------------------------------------------------

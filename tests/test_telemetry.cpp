@@ -1,17 +1,13 @@
 // The service-grade telemetry layer: quantile estimation on the
 // fixed-boundary histograms, Prometheus text exposition, the
 // thread-safe concurrent tracer (cross-thread span parenting, Tracer
-// import, per-thread Chrome rows), the flight-recorder ring (ordering,
-// wrap-around, concurrent writers, dump-on-fault), the process thread
-// registry with pool worker naming, and the loopback HTTP exposition
-// endpoint.
+// import, per-thread Chrome rows), the process thread registry with
+// pool worker naming, and the loopback HTTP exposition endpoint.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -22,12 +18,10 @@
 #include "driver/compiler.h"
 #include "obs/chrome_trace.h"
 #include "obs/concurrent_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "programs/programs.h"
 #include "service/http_exposition.h"
-#include "support/fault.h"
 #include "support/parallel.h"
 #include "support/thread_registry.h"
 
@@ -48,7 +42,6 @@ using obs::ConcurrentScopedSpan;
 using obs::ConcurrentSpan;
 using obs::ConcurrentTracer;
 using obs::ContextScope;
-using obs::FlightRecorder;
 using obs::Histogram;
 using obs::Json;
 using obs::MetricRegistry;
@@ -455,140 +448,6 @@ TEST(TelemetryChromeTrace, EmitsNamedPerThreadRowsAndSpanIds) {
     EXPECT_TRUE(sawChildWithParent);
     EXPECT_EQ(threadNames.count("trace-test-worker"), 1u);
     EXPECT_GE(threadNames.size(), 2u);  // main + the worker
-}
-
-// ---------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------
-
-TEST(TelemetryFlightRecorder, DisabledRecorderDropsEverything) {
-    FlightRecorder fr(8);
-    fr.record("x", "y");
-    EXPECT_EQ(fr.recorded(), 0);
-    EXPECT_TRUE(fr.snapshot().empty());
-}
-
-TEST(TelemetryFlightRecorder, RingKeepsTheLastNOldestFirst) {
-    FlightRecorder fr(4);
-    fr.setEnabled(true);
-    for (int i = 0; i < 6; ++i)
-        fr.record("ev", "d" + std::to_string(i));
-    EXPECT_EQ(fr.recorded(), 6);
-    const auto events = fr.snapshot();
-    ASSERT_EQ(events.size(), 4u);
-    for (size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].seq, 2 + i);
-        EXPECT_EQ(events[i].detail, "d" + std::to_string(2 + i));
-        EXPECT_EQ(events[i].type, "ev");
-    }
-    fr.clear();
-    EXPECT_TRUE(fr.snapshot().empty());
-    EXPECT_EQ(fr.recorded(), 0);
-}
-
-TEST(TelemetryFlightRecorder, OversizedStringsAreTruncatedNotCorrupted) {
-    FlightRecorder fr(2);
-    fr.setEnabled(true);
-    const std::string longType(100, 't');
-    const std::string longDetail(500, 'd');
-    fr.record(longType, longDetail);
-    const auto events = fr.snapshot();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].type, std::string(FlightRecorder::kTypeMax, 't'));
-    EXPECT_EQ(events[0].detail, std::string(FlightRecorder::kDetailMax, 'd'));
-}
-
-TEST(TelemetryFlightRecorder, ConcurrentWritersNeverTearSlots) {
-    FlightRecorder fr(64);
-    fr.setEnabled(true);
-    std::vector<std::thread> ts;
-    for (int k = 0; k < 4; ++k)
-        ts.emplace_back([&fr] {
-            for (int i = 0; i < 2000; ++i) {
-                const std::string n = std::to_string(i % 50);
-                fr.record("k" + n, "v" + n);
-            }
-        });
-    for (auto& t : ts) t.join();
-    EXPECT_EQ(fr.recorded(), 4 * 2000);
-    const auto events = fr.snapshot();
-    EXPECT_LE(events.size(), 64u);
-    std::uint64_t prevSeq = 0;
-    for (const auto& e : events) {
-        // A torn slot would pair a type from one record with the detail
-        // of another; the suffixes must always agree.
-        ASSERT_GE(e.type.size(), 2u);
-        ASSERT_GE(e.detail.size(), 2u);
-        EXPECT_EQ(e.type.substr(1), e.detail.substr(1))
-            << e.type << " / " << e.detail;
-        if (prevSeq != 0) EXPECT_GT(e.seq, prevSeq);
-        prevSeq = e.seq;
-    }
-}
-
-TEST(TelemetryFlightRecorder, DumpJsonlIsParseableLineByLine) {
-    FlightRecorder fr(8);
-    fr.setEnabled(true);
-    fr.record("fault.fire", "proc.crash poll=3 fire=1");
-    fr.record("service.retry", "attempt=1 Unavailable");
-    const std::string path = "test_flight_dump.jsonl";
-    ASSERT_TRUE(fr.dumpJsonl(path));
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::vector<Json> lines;
-    while (std::getline(in, line)) {
-        std::string err;
-        Json j = Json::parse(line, &err);
-        ASSERT_TRUE(err.empty()) << err << " in: " << line;
-        lines.push_back(std::move(j));
-    }
-    ASSERT_EQ(lines.size(), 3u);  // header + 2 events
-    EXPECT_EQ(lines[0].at("schema").stringValue(), "phpf.flight_recorder");
-    EXPECT_EQ(lines[0].at("recorded").intValue(), 2);
-    EXPECT_EQ(lines[1].at("type").stringValue(), "fault.fire");
-    EXPECT_EQ(lines[2].at("type").stringValue(), "service.retry");
-    EXPECT_FALSE(lines[1].at("thread").stringValue().empty());
-    std::remove(path.c_str());
-}
-
-TEST(TelemetryFlightRecorder, InjectedProcCrashLeavesFaultEventsInTheRing) {
-    FlightRecorder& fr = FlightRecorder::global();
-    fr.clear();
-    fr.setEnabled(true);
-
-    Program p = programs::tomcatv(10, 2);
-    TargetConfig opts;
-    opts.gridExtents = {4};
-    Compilation c = Compiler::compile(p, opts);
-    FaultInjector inj;
-    ASSERT_TRUE(inj.configure("proc.crash:p=1;seed=3"));
-    SimulationRequest req;
-    req.faults = &inj;
-    req.maxRecoveries = 2;
-    EXPECT_THROW({ auto sim = c.simulate(req); }, SimFault);
-
-    bool sawFire = false, sawRestore = false;
-    for (const auto& e : fr.snapshot()) {
-        if (e.type == "fault.fire" &&
-            e.detail.find("proc.crash") != std::string::npos)
-            sawFire = true;
-        if (e.type == "sim.restore") sawRestore = true;
-    }
-    EXPECT_TRUE(sawFire);
-    EXPECT_TRUE(sawRestore);
-
-    const std::string path = "test_flight_crash.jsonl";
-    ASSERT_TRUE(fr.dumpJsonl(path));
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_NE(buf.str().find("\"fault.fire\""), std::string::npos);
-    EXPECT_NE(buf.str().find("proc.crash"), std::string::npos);
-    std::remove(path.c_str());
-
-    fr.setEnabled(false);
-    fr.clear();
 }
 
 // ---------------------------------------------------------------------

@@ -155,7 +155,7 @@ TEST(IndexForm, AffineFormsMatchSubscriptTrees) {
 // =====================================================================
 // Differential: the interp and bytecode engines are bit-identical in
 // results AND every exposed metric, for every kernel, with identical
-// profiler counts and identical checkpoint/crash-replay behaviour.
+// profiler counts.
 
 struct Snapshot {
     std::int64_t transfers = 0;
@@ -381,36 +381,6 @@ TEST(VmDifferential, ProfilerCountsIdenticalAcrossEngines) {
             // Sample *counts* are deterministic (durations are not).
             EXPECT_EQ(ra.evalSamples, rb.evalSamples);
             EXPECT_EQ(ra.mergeSamples, rb.mergeSamples);
-        }
-    }
-}
-
-TEST(VmDifferential, CrashReplayBitIdenticalOnEitherEngine) {
-    for (const char* which : {"tomcatv", "dgefa"}) {
-        for (const SimEngine engine :
-             {SimEngine::Interp, SimEngine::Bytecode}) {
-            const auto ks = kernels();
-            const Kernel& k = *std::find_if(
-                ks.begin(), ks.end(),
-                [&](const Kernel& c) { return std::string(c.name) == which; });
-            Program p = k.build();
-            TargetConfig opts;
-            opts.gridExtents = k.grid;
-            Compilation c = Compiler::compile(p, opts);
-            auto plain = c.simulate({.seed = k.seed, .engine = engine});
-            FaultInjector inj;
-            ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
-            auto recovered = c.simulate({.seed = k.seed,
-                                         .faults = &inj,
-                                         .checkpointEvery = 10,
-                                         .engine = engine});
-            SCOPED_TRACE(std::string(which) + " engine=" +
-                         simEngineName(engine));
-            EXPECT_GT(recovered->recoveries(), 0);
-            EXPECT_GT(recovered->checkpointsTaken(), 1);
-            expectSnapshotsIdentical(snap(c, *plain, k.outputs),
-                                     snap(c, *recovered, k.outputs));
-            expectOracleStoresIdentical(*plain, *recovered);
         }
     }
 }
