@@ -75,8 +75,12 @@ void BM_PredictCostTomcatv(benchmark::State& state) {
     TargetConfig opts;
     opts.gridExtents = {16};
     Compilation c = Compiler::compile(p, opts);
+    // Through the Target, not c.predictCost(): the Compilation memoizes
+    // its pricing, and this must time the evaluator's walk every time.
+    const Target& target = c.compileTarget();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(c.predictCost().totalSec());
+        benchmark::DoNotOptimize(
+            target.predictCost(c.lowering(), c.target()).totalSec());
     }
 }
 BENCHMARK(BM_PredictCostTomcatv);

@@ -8,6 +8,14 @@ void Compilation::adoptProgram(std::unique_ptr<Program> p) {
     ownedProgram_ = std::move(p);
 }
 
+CostBreakdown Compilation::predictCostFor(TargetKind kind) const {
+    const auto k = static_cast<size_t>(kind);
+    std::call_once(pricing_->once[k], [&] {
+        pricing_->cost[k] = targetFor(kind).predictCost(*lowering_, target_);
+    });
+    return pricing_->cost[k];
+}
+
 std::unique_ptr<SpmdSimulator> Compilation::simulate(
     const SimulationRequest& req) const {
     obs::Tracer* tr = req.tracer != nullptr ? req.tracer : tracer_.get();

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -104,16 +106,17 @@ public:
         return targetFor(target_.targetKind);
     }
     /// Analytic performance prediction on the compiled target's machine.
+    /// Priced on first use and memoized (see predictCostFor).
     [[nodiscard]] CostBreakdown predictCost() const {
-        return compileTarget().predictCost(*lowering_, target_);
+        return predictCostFor(target_.targetKind);
     }
     /// Cross-target prediction: price THIS lowering under `kind`'s
     /// machine model. The lowering structure is target-independent, so
     /// this is what the run report's "which target wins" comparison
-    /// evaluates — no second compilation needed.
-    [[nodiscard]] CostBreakdown predictCostFor(TargetKind kind) const {
-        return targetFor(kind).predictCost(*lowering_, target_);
-    }
+    /// evaluates — no second compilation needed. Each target is priced
+    /// at most once per Compilation, race-free under sharing: every
+    /// later call (and buildRunReport) reads the memoized breakdown.
+    [[nodiscard]] CostBreakdown predictCostFor(TargetKind kind) const;
     /// Functional SPMD simulation (small problem sizes): returns the
     /// simulator after a full run. Seed inputs, override the engine
     /// or element size via the request's named fields.
@@ -153,6 +156,16 @@ private:
     int inductionRewrites_ = 0;
     std::shared_ptr<obs::Tracer> tracer_;
     std::vector<Diagnostic> diagnostics_;
+
+    /// One lazily filled pricing slot per TargetKind. Behind a pointer
+    /// because a once_flag cannot move, and Compilation must.
+    struct PricingMemo {
+        static constexpr size_t kKinds =
+            static_cast<size_t>(TargetKind::SharedMemory) + 1;
+        std::array<std::once_flag, kKinds> once;
+        std::array<CostBreakdown, kKinds> cost;
+    };
+    std::unique_ptr<PricingMemo> pricing_ = std::make_unique<PricingMemo>();
 };
 
 /// The pipeline stages, in execution order. InductionRewrite includes

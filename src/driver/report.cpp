@@ -166,8 +166,8 @@ obs::Json Compilation::buildRunReport(const SpmdSimulator* sim) const {
 
     root.set("target", compileTarget().describe(target_));
 
-    // Price the lowering once per target: the compiled target's pricing
-    // is the cost prediction, and both feed the target comparison.
+    // The memoized pricing of each target: the compiled target's is the
+    // cost prediction, and both feed the target comparison.
     const CostBreakdown mp = predictCostFor(TargetKind::MessagePassing);
     const CostBreakdown shm = predictCostFor(TargetKind::SharedMemory);
     {

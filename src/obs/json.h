@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,7 +8,10 @@ namespace phpf::obs {
 
 /// Minimal ordered JSON value: enough to emit the run report / Chrome
 /// trace and to parse them back in tests and tools. Object keys keep
-/// insertion order so emitted reports diff cleanly across runs.
+/// insertion order so emitted reports diff cleanly across runs. An
+/// object is two parallel vectors (keys, values) with no index: the
+/// objects this project builds hold at most a few dozen keys, so a
+/// scan beats a node-per-key map on both set() and find().
 class Json {
 public:
     enum class Kind : std::uint8_t { Null, Bool, Int, Double, String, Array, Object };
@@ -76,11 +77,15 @@ public:
     /// Serialize; `indent` < 0 means compact single-line output.
     [[nodiscard]] std::string dump(int indent = 2) const;
 
-    /// Parse `text`; on failure returns Null and fills `*err` when given.
+    /// Parse RFC 8259 JSON `text`; on failure returns Null and fills
+    /// `*err` when given. Arrays and objects nested more than 512 deep
+    /// fail too, so a hostile input cannot exhaust the stack.
     [[nodiscard]] static Json parse(const std::string& text,
                                     std::string* err = nullptr);
 
 private:
+    friend class JsonParser;  // appends parsed members without a scan
+
     void dumpTo(std::string& out, int indent, int depth) const;
 
     Kind kind_ = Kind::Null;
@@ -90,7 +95,6 @@ private:
     std::string str_;
     std::vector<Json> items_;           ///< array elements / object values
     std::vector<std::string> keys_;     ///< object keys, insertion order
-    std::map<std::string, size_t> index_;  ///< key -> position in items_
 };
 
 /// JSON string escaping (shared with hand-rolled emitters).

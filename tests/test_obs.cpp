@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "driver/compiler.h"
 #include "obs/chrome_trace.h"
 #include "obs/json.h"
@@ -143,6 +145,182 @@ TEST(ObsJson, ParseReportsErrors) {
     const obs::Json j = obs::Json::parse("{\"unterminated\": ", &err);
     EXPECT_TRUE(j.isNull());
     EXPECT_FALSE(err.empty());
+}
+
+// The exact bytes dump() writes: doubles as printf's %.12g on both sides
+// of its fixed/exponent switch, non-finite doubles as null, the int64
+// extremes, every escape, empty containers and nested indentation.
+TEST(ObsJson, DumpBytesArePinned) {
+    obs::Json root = obs::Json::object();
+    obs::Json doubles = obs::Json::array();
+    for (double v : {1e-05, 0.0001, 4.02285714286e-05, 123456789012.0,
+                     1234567890123.0, 1e+21, -0.0, 0.1 + 0.2})
+        doubles.push(v);
+    root.set("doubles", std::move(doubles));
+    obs::Json nonFinite = obs::Json::array();
+    nonFinite.push(std::numeric_limits<double>::quiet_NaN());
+    nonFinite.push(std::numeric_limits<double>::infinity());
+    nonFinite.push(-std::numeric_limits<double>::infinity());
+    root.set("non_finite", std::move(nonFinite));
+    obs::Json ints = obs::Json::array();
+    ints.push(std::numeric_limits<std::int64_t>::min());
+    ints.push(std::numeric_limits<std::int64_t>::max());
+    ints.push(0);
+    ints.push(-1);
+    root.set("ints", std::move(ints));
+    root.set("escapes", std::string("q\" b\\ n\n r\r t\t bs\b ff\f "
+                                    "x01\x01 x1f\x1f slash/ utf8\xc3\xa9"));
+    root.set("empty_array", obs::Json::array());
+    root.set("empty_object", obs::Json::object());
+    obs::Json inner = obs::Json::object();
+    inner.set("k", true);
+    inner.set("n", nullptr);
+    obs::Json list = obs::Json::array();
+    list.push(std::move(inner));
+    list.push(obs::Json::array());
+    obs::Json nested = obs::Json::object();
+    nested.set("list", std::move(list));
+    root.set("nested", std::move(nested));
+    root.set("key \"quoted\"\t", 1);
+
+    const std::string escapes =
+        R"("q\" b\\ n\n r\r t\t bs\u0008 ff\u000c x01\u0001 x1f\u001f )"
+        "slash/ utf8\xc3\xa9\"";
+    EXPECT_EQ(root.dump(-1),
+              "{\"doubles\": [1e-05,0.0001,4.02285714286e-05,123456789012,"
+              "1.23456789012e+12,1e+21,-0,0.3],"
+              "\"non_finite\": [null,null,null],"
+              "\"ints\": [-9223372036854775808,9223372036854775807,0,-1],"
+              "\"escapes\": " + escapes + ","
+              "\"empty_array\": [],\"empty_object\": {},"
+              "\"nested\": {\"list\": [{\"k\": true,\"n\": null},[]]},"
+              "\"key \\\"quoted\\\"\\t\": 1}");
+    EXPECT_EQ(root.dump(2),
+              "{\n"
+              "  \"doubles\": [\n"
+              "    1e-05,\n"
+              "    0.0001,\n"
+              "    4.02285714286e-05,\n"
+              "    123456789012,\n"
+              "    1.23456789012e+12,\n"
+              "    1e+21,\n"
+              "    -0,\n"
+              "    0.3\n"
+              "  ],\n"
+              "  \"non_finite\": [\n"
+              "    null,\n"
+              "    null,\n"
+              "    null\n"
+              "  ],\n"
+              "  \"ints\": [\n"
+              "    -9223372036854775808,\n"
+              "    9223372036854775807,\n"
+              "    0,\n"
+              "    -1\n"
+              "  ],\n"
+              "  \"escapes\": " + escapes + ",\n"
+              "  \"empty_array\": [],\n"
+              "  \"empty_object\": {},\n"
+              "  \"nested\": {\n"
+              "    \"list\": [\n"
+              "      {\n"
+              "        \"k\": true,\n"
+              "        \"n\": null\n"
+              "      },\n"
+              "      []\n"
+              "    ]\n"
+              "  },\n"
+              "  \"key \\\"quoted\\\"\\t\": 1\n"
+              "}");
+}
+
+TEST(ObsJson, ParseRejectsDeepNestingInsteadOfOverflowingTheStack) {
+    std::string err;
+    const obs::Json j = obs::Json::parse(std::string(1000000, '['), &err);
+    EXPECT_TRUE(j.isNull());
+    EXPECT_NE(err.find("nesting deeper than 512"), std::string::npos) << err;
+}
+
+TEST(ObsJson, ParseAcceptsNestingUpToTheCap) {
+    const auto arrays = [](int depth) {
+        return std::string(static_cast<size_t>(depth), '[') +
+               std::string(static_cast<size_t>(depth), ']');
+    };
+    std::string objects;
+    for (int d = 0; d < 513; ++d) objects += "{\"k\": ";
+    objects += "1" + std::string(513, '}');
+    std::string err;
+    EXPECT_TRUE(obs::Json::parse(arrays(512), &err).isArray());
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_TRUE(obs::Json::parse(arrays(513), &err).isNull());
+    EXPECT_FALSE(err.empty());
+    err.clear();
+    EXPECT_TRUE(obs::Json::parse(objects, &err).isNull());
+    EXPECT_FALSE(err.empty());
+}
+
+TEST(ObsJson, ParseRejectsMalformedNumbers) {
+    for (const char* bad : {"-", "--5", "1e", "1e+", "1.", "1.2.3", ".5", "+1",
+                            "01", "-01", "[1,-]", "0x10", "1E400"}) {
+        std::string err;
+        EXPECT_TRUE(obs::Json::parse(bad, &err).isNull()) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+}
+
+TEST(ObsJson, ParseReadsTheNumberGrammar) {
+    const obs::Json j = obs::Json::parse(
+        "[0, -0, -12, 1.5e3, 2E-2, 1e+2, -9223372036854775808, "
+        "9223372036854775808]");
+    ASSERT_EQ(j.size(), 8u);
+    const std::vector<obs::Json>& v = j.items();
+    EXPECT_EQ(v[0].kind(), obs::Json::Kind::Int);
+    EXPECT_EQ(v[1].kind(), obs::Json::Kind::Int);
+    EXPECT_EQ(v[1].intValue(), 0);
+    EXPECT_EQ(v[2].intValue(), -12);
+    EXPECT_EQ(v[3].kind(), obs::Json::Kind::Double);
+    EXPECT_EQ(v[3].numberValue(), 1500.0);
+    EXPECT_EQ(v[4].numberValue(), 0.02);
+    EXPECT_EQ(v[5].numberValue(), 100.0);
+    EXPECT_EQ(v[6].kind(), obs::Json::Kind::Int);
+    EXPECT_EQ(v[6].intValue(), std::numeric_limits<std::int64_t>::min());
+    // Past int64: read as a double, not clamped.
+    EXPECT_EQ(v[7].kind(), obs::Json::Kind::Double);
+    EXPECT_EQ(v[7].numberValue(), 9223372036854775808.0);
+}
+
+TEST(ObsJson, ParseDecodesEveryEscape) {
+    std::string err;
+    const obs::Json j = obs::Json::parse(
+        R"("\" \\ \/ \b \f \n \r \t \u0041 \u00e9 \ud83d\ude00")", &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(j.stringValue(),
+              "\" \\ / \b \f \n \r \t A \xc3\xa9 \xf0\x9f\x98\x80");
+}
+
+TEST(ObsJson, ParseRejectsBadEscapesAndRawControlCharacters) {
+    for (const char* bad :
+         {R"("\uzz12")", R"("\u12")", R"("\q")", R"("\ud800")",
+          R"("\ud800\u0041")", R"("\udc00")", "\"tab\there\"", "\"\\"}) {
+        std::string err;
+        EXPECT_TRUE(obs::Json::parse(bad, &err).isNull()) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+}
+
+TEST(ObsJson, DuplicateKeysKeepTheirFirstPositionAndLastValue) {
+    const obs::Json parsed =
+        obs::Json::parse(R"({"a": 1, "b": 2, "a": 3})");
+    obs::Json built = obs::Json::object();
+    built.set("a", 1);
+    built.set("b", 2);
+    built.set("a", 3);
+    const obs::Json* both[] = {&parsed, &built};
+    for (const obs::Json* j : both) {
+        EXPECT_EQ(j->keys(), (std::vector<std::string>{"a", "b"}));
+        EXPECT_EQ(j->at("a").intValue(), 3);
+        EXPECT_EQ(j->at("b").intValue(), 2);
+    }
 }
 
 // ---------------------------------------------------------------------------

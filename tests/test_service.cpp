@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -914,6 +916,18 @@ TEST(Batch, RejectsNonPositiveElemBytesAtLoad) {
                   std::string::npos)
             << err;
     }
+}
+
+TEST(Batch, DeeplyNestedJobsFileLoadsAsAnError) {
+    // A million nested arrays once overflowed the parser's stack.
+    const std::string path = ::testing::TempDir() + "phpf_nested_jobs.json";
+    std::ofstream(path) << std::string(1000000, '[');
+    service::BatchSpec batch;
+    std::string err;
+    EXPECT_FALSE(service::loadBatchFile(path, &batch, &err));
+    EXPECT_NE(err.find("nesting deeper than 512"), std::string::npos) << err;
+    EXPECT_TRUE(batch.jobs.empty());
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
 #include "driver/compiler.h"
 #include "programs/programs.h"
 #include "spmd/spmd_text.h"
@@ -423,6 +426,77 @@ TEST(Target, CostContractHoldsOnEveryTableCellAndFigure) {
                                c.predictCostFor(TargetKind::MessagePassing));
             expectReportedCost(cmp.at("shm"), "sync_events",
                                c.predictCostFor(TargetKind::SharedMemory));
+        }
+    }
+}
+
+// The pricing memo under sharing: threads that read one const
+// Compilation at once, through every pricing entry point and in
+// different orders (as concurrent service requests read one cached
+// artifact), all see the same breakdown, bit-equal to a fresh walk of
+// the evaluator.
+TEST(CompilationPricing, SharedCompilationPricesConsistentlyAcrossThreads) {
+    constexpr int kThreads = 4;
+    const std::vector<std::pair<const char*, std::function<Program()>>>
+        kernels = {{"tomcatv", [] { return programs::tomcatv(513, 100); }},
+                   {"dgefa", [] { return programs::dgefa(1000); }}};
+    for (const auto& [name, build] : kernels) {
+        for (TargetKind compiled :
+             {TargetKind::MessagePassing, TargetKind::SharedMemory}) {
+            SCOPED_TRACE(std::string(name) + " " + targetKindName(compiled));
+            Program p = build();
+            TargetConfig conf;
+            conf.gridExtents = {16};
+            conf.targetKind = compiled;
+            const Compilation c = Compiler::compile(p, conf);
+            const auto fresh = [&](TargetKind kind) {
+                return targetFor(kind).predictCost(c.lowering(), c.target());
+            };
+
+            struct Seen {
+                CostBreakdown own, mp, shm;
+                obs::Json report;
+            };
+            std::vector<Seen> seen(kThreads);
+            std::latch start(kThreads);
+            std::vector<std::thread> threads;
+            for (int t = 0; t < kThreads; ++t)
+                threads.emplace_back([&, t] {
+                    Seen& s = seen[static_cast<size_t>(t)];
+                    start.arrive_and_wait();
+                    // Rotate the entry points so each slot's first
+                    // filler differs from thread to thread.
+                    for (int k = 0; k < 4; ++k) {
+                        switch ((t + k) % 4) {
+                            case 0: s.report = c.buildRunReport(); break;
+                            case 1: s.own = c.predictCost(); break;
+                            case 2:
+                                s.mp = c.predictCostFor(
+                                    TargetKind::MessagePassing);
+                                break;
+                            case 3:
+                                s.shm =
+                                    c.predictCostFor(TargetKind::SharedMemory);
+                                break;
+                        }
+                    }
+                });
+            for (std::thread& th : threads) th.join();
+
+            const CostBreakdown mp = fresh(TargetKind::MessagePassing);
+            const CostBreakdown shm = fresh(TargetKind::SharedMemory);
+            const CostBreakdown& own =
+                compiled == TargetKind::SharedMemory ? shm : mp;
+            for (const Seen& s : seen) {
+                expectSameCost(s.own, own);
+                expectSameCost(s.mp, mp);
+                expectSameCost(s.shm, shm);
+                expectReportedCost(s.report.at("cost_prediction"),
+                                   "message_events", own);
+                const obs::Json& cmp = s.report.at("target_comparison");
+                expectReportedCost(cmp.at("mp"), "sync_events", mp);
+                expectReportedCost(cmp.at("shm"), "sync_events", shm);
+            }
         }
     }
 }
