@@ -2,40 +2,35 @@
 //
 //   phpfc FILE.hpf [--procs NxM] [--report] [--lower] [--cost]
 //         [--report=FILE.json] [--trace=FILE.json] [--no-sim]
-//         [--serve-metrics=PORT]
 //         [--profile] [--profile-folded=FILE.folded]
 //         [--no-privatization] [--producer-only] [--no-reduction-align]
 //         [--no-array-priv] [--no-partial-priv] [--no-cf-priv]
 //   phpfc --builtin=NAME ...  (tomcatv, dgefa, appsp, ... instead of a file)
 //   phpfc --batch=JOBS.json [--workers=N] [--cache-capacity=N]
-//         [--profile] [--serve-metrics=PORT]
+//         [--profile]
 //
 // Parses the program, runs the privatization mapping pass, and prints
 // the requested stages. With no stage flags, prints everything.
 // `--report=FILE` writes the machine-readable JSON run report (pass
 // timings, decision records with rejected-alternative costs, cost
-// prediction, simulation metrics); `--trace=FILE` writes a Chrome
-// trace_event file openable in chrome://tracing / Perfetto.
+// prediction, simulation metrics); `--trace=FILE` writes the run's
+// spans (parse, each pass, simulate) as a Chrome trace_event file
+// openable in chrome://tracing / Perfetto.
 //
 // `--batch=JOBS.json` runs a jobs file (program × grid × option
 // variants) through the concurrent compile service and emits one JSONL
 // row per job on stdout, plus a final {"summary": true, ...} row with
 // the service metrics (cache hits/misses/evictions, coalesced joins,
-// per-stage latency histograms).
+// per-stage latency histograms). `--workers=0` (the default) sizes the
+// pool from the hardware and `--cache-capacity=0` keeps the default
+// capacity; a negative count is a usage error.
 //
 // Exit codes: 0 ok, 1 failures (a parse error, a simulation fault, a
 // failed batch job), 2 usage.
 //
-// Telemetry: `--serve-metrics=PORT` starts the loopback HTTP exposition
-// endpoint (GET /metrics Prometheus text, /healthz liveness JSON,
-// /report run/metrics JSON) and keeps the process alive after the work
-// finishes until GET /quitquitquit — scripts scrape, then release.
-// PORT 0 binds an ephemeral port; the bound port is printed on stderr.
-//
 // Profiling: `--profile` arms the per-statement profiler inside the
-// functional simulation; the run report (schema v3) gains "profile"
-// and "calibration" sections, /metrics gains phpf_stmt_self_time_* and
-// phpf_model_error_* series, and `--profile-folded=FILE` writes
+// functional simulation; the run report gains "profile" and
+// "calibration" sections, and `--profile-folded=FILE` writes
 // flamegraph.pl-ready collapsed stacks weighted by estimated
 // per-statement self time. In batch mode `--profile` turns on the
 // profiled simulation for every job (also settable per job via the
@@ -43,13 +38,11 @@
 // kernel (the same names the batch runner accepts) instead of a file.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include <iostream>
 
@@ -58,16 +51,12 @@
 #include "ir/printer.h"
 #include "obs/calibration.h"
 #include "obs/chrome_trace.h"
-#include "obs/concurrent_trace.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "service/batch.h"
 #include "service/compile_service.h"
-#include "service/http_exposition.h"
 #include "spmd/cost_report.h"
 #include "spmd/spmd_text.h"
-#include "support/thread_registry.h"
 
 using namespace phpf;
 
@@ -83,6 +72,18 @@ int intFlag(const std::string& arg, std::size_t prefixLen) {
                      arg.c_str());
         std::exit(2);
     }
+}
+
+/// intFlag for a count: a negative value exits 2 instead of wrapping
+/// to a huge size_t (--cache-capacity) or meaning "auto" (--workers).
+int countFlag(const std::string& arg, std::size_t prefixLen) {
+    const int v = intFlag(arg, prefixLen);
+    if (v < 0) {
+        std::fprintf(stderr, "phpfc: '%s' must not be negative\n",
+                     arg.c_str());
+        std::exit(2);
+    }
+    return v;
 }
 
 /// Every extent must be a positive integer: "0", "-2" and "0x4" exit 2
@@ -127,29 +128,12 @@ void usage() {
                  "       phpfc --builtin=NAME ...  (builtin kernel instead "
                  "of a file)\n"
                  "       phpfc --batch=JOBS.json [--workers=N] "
-                 "[--cache-capacity=N]\n"
-                 "             [--profile]  (profiled sim for every job)\n"
-                 "       both: [--serve-metrics=PORT]  (0 = ephemeral; "
-                 "serves /metrics /healthz\n"
-                 "              /report until GET /quitquitquit)\n");
-}
-
-/// Serve the attached registries until a scraper GETs /quitquitquit.
-/// This is how the CI smoke test (and any operator script) gets a
-/// deterministic window to curl the endpoints after the work lands,
-/// followed by a clean exit instead of a kill.
-void serveUntilQuit(service::MetricsHttpServer& server) {
-    std::fprintf(stderr,
-                 "phpfc: serving http://127.0.0.1:%d/metrics "
-                 "(GET /quitquitquit to stop)\n",
-                 server.port());
-    while (!server.quitRequested())
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    server.stop();
+                 "[--cache-capacity=N]  (0 = default)\n"
+                 "             [--profile]  (profiled sim for every job)\n");
 }
 
 int runBatchMode(const std::string& jobsFile, int workers,
-                 std::size_t cacheCapacity, int servePort, bool profileAll) {
+                 std::size_t cacheCapacity, bool profileAll) {
     service::BatchSpec spec;
     std::string err;
     if (!service::loadBatchFile(jobsFile, &spec, &err)) {
@@ -161,31 +145,7 @@ int runBatchMode(const std::string& jobsFile, int workers,
     service::ServiceConfig cfg;
     cfg.workers = workers;
     if (cacheCapacity > 0) cfg.cacheCapacity = cacheCapacity;
-    obs::ConcurrentTracer ctracer;
-    cfg.tracer = &ctracer;
     service::CompileService svc(cfg);
-
-    service::MetricsHttpServer server(servePort);
-    if (servePort >= 0) {
-        server.addRegistry("phpf", &svc.metrics());
-        server.setHealthProvider([&svc] {
-            const service::ServiceStats st = svc.stats();
-            obs::Json h = obs::Json::object();
-            h.set("queue_depth", static_cast<std::int64_t>(st.queueDepth));
-            h.set("active_jobs", st.activeJobs);
-            h.set("workers", st.workers);
-            h.set("requests", st.requests);
-            return h;
-        });
-        server.setReportProvider([&svc] { return svc.metricsJson(); });
-        std::string serr;
-        if (!server.start(&serr)) {
-            std::fprintf(stderr, "phpfc: --serve-metrics: %s\n", serr.c_str());
-            return 2;
-        }
-        std::fprintf(stderr, "phpfc: metrics on http://127.0.0.1:%d\n",
-                     server.port());
-    }
 
     const service::BatchOutcome outcome =
         service::runBatch(svc, spec, std::cout);
@@ -194,7 +154,6 @@ int runBatchMode(const std::string& jobsFile, int workers,
                  "%d cache hit(s), %d coalesced, %.3f s\n",
                  outcome.jobs, outcome.ok, outcome.failed, outcome.cacheHits,
                  outcome.coalesced, outcome.wallSec);
-    if (server.running()) serveUntilQuit(server);
     return outcome.failed == 0 ? 0 : 1;
 }
 
@@ -205,7 +164,6 @@ bool startsWith(const std::string& s, const char* prefix) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    thread_registry::setCurrentName("main");
     std::string file;
     std::vector<int> grid{4};
     bool doReport = false, doLower = false, doCost = false, doSpmd = false;
@@ -218,7 +176,6 @@ int main(int argc, char** argv) {
     std::string batchFile;
     int batchWorkers = 0;
     std::size_t batchCacheCapacity = 0;
-    int servePort = -1;  ///< -1 = no exposition endpoint; 0 = ephemeral
     bool profile = false;
     std::string foldedFile;
     std::string builtinName;
@@ -232,11 +189,9 @@ int main(int argc, char** argv) {
         else if (startsWith(arg, "--profile-folded="))
             foldedFile = arg.substr(17);
         else if (startsWith(arg, "--workers="))
-            batchWorkers = intFlag(arg, 10);
+            batchWorkers = countFlag(arg, 10);
         else if (startsWith(arg, "--cache-capacity="))
-            batchCacheCapacity = static_cast<std::size_t>(intFlag(arg, 17));
-        else if (startsWith(arg, "--serve-metrics="))
-            servePort = intFlag(arg, 16);
+            batchCacheCapacity = static_cast<std::size_t>(countFlag(arg, 17));
         else if (arg == "--report") doReport = true;
         else if (startsWith(arg, "--report=")) reportFile = arg.substr(9);
         else if (startsWith(arg, "--trace=")) traceFile = arg.substr(8);
@@ -283,7 +238,7 @@ int main(int argc, char** argv) {
     }
     if (!batchFile.empty())
         return runBatchMode(batchFile, batchWorkers, batchCacheCapacity,
-                            servePort, profile);
+                            profile);
     if (file.empty() && builtinName.empty()) {
         usage();
         return 2;
@@ -304,11 +259,7 @@ int main(int argc, char** argv) {
     }
 
     // One tracer covers the whole run so the front end's span lands on
-    // the same timeline as the compiler passes and the simulation. The
-    // concurrent tracer is the export timeline: the session tracer's
-    // spans are merged into it before the Chrome trace is written.
-    obs::ConcurrentTracer ctracer;
-    obs::MetricRegistry runMetrics;
+    // the same timeline as the compiler passes and the simulation.
     auto tracer = std::make_shared<obs::Tracer>();
     DiagEngine diags;
     // --builtin resolves through the batch runner's kernel table so the
@@ -358,18 +309,15 @@ int main(int argc, char** argv) {
                     report.str(p).c_str());
     }
 
-    // The JSON report and the exposition endpoint carry per-processor
-    // metrics only when the functional simulation runs (zero-seeded
-    // inputs; message and guard accounting do not depend on values).
-    // The Chrome trace needs the run too, for its simulate and sim-exec
-    // spans.
+    // The JSON report carries per-processor metrics only when the
+    // functional simulation runs (zero-seeded inputs; message and guard
+    // accounting do not depend on values). The Chrome trace needs the
+    // run too, for its simulate, sim-setup and sim-exec spans.
     std::unique_ptr<SpmdSimulator> sim;
-    const bool wantSim =
-        runSim && (!reportFile.empty() || !traceFile.empty() ||
-                   servePort >= 0 || profile || !foldedFile.empty());
+    const bool wantSim = runSim && (!reportFile.empty() || !traceFile.empty() ||
+                                    profile || !foldedFile.empty());
     if (wantSim) {
         SimulationRequest sreq;
-        sreq.metrics = &runMetrics;
         sreq.profile = profile || !foldedFile.empty();
         try {
             sim = c.simulate(sreq);
@@ -379,13 +327,9 @@ int main(int argc, char** argv) {
         }
     }
     if (sim != nullptr && sim->profile() != nullptr) {
-        // Feed the profile into the run registry so --serve-metrics
-        // exposes phpf_stmt_self_time_* and phpf_model_error_* series.
-        obs::exportStmtSelfTime(runMetrics, *sim->profile());
         const obs::CalibrationReport cal = obs::buildCalibration(
             c.lowering(), target.costModel, *sim, *sim->profile(),
             c.mappingPass().decisionLog());
-        cal.exportTo(runMetrics);
         std::printf("calibration: %d/%d rows joined, model MAPE %.2f%%\n",
                     cal.summary.joined, static_cast<int>(cal.rows.size()),
                     cal.summary.mapeSecPct);
@@ -412,33 +356,13 @@ int main(int argc, char** argv) {
         std::printf("run report written to %s\n", reportFile.c_str());
     }
     if (!traceFile.empty()) {
-        // Merge the session's spans onto the export timeline.
-        ctracer.importTracer(*tracer, {}, ctracer.nowNs() - tracer->nowNs());
-        if (!obs::writeChromeTrace(ctracer, traceFile, "phpfc " + p.name)) {
+        if (!obs::writeChromeTrace(*tracer, traceFile, "phpfc " + p.name)) {
             std::fprintf(stderr, "phpfc: cannot write %s\n", traceFile.c_str());
             return 1;
         }
         std::printf("chrome trace written to %s (open in chrome://tracing "
                     "or ui.perfetto.dev)\n",
                     traceFile.c_str());
-    }
-    if (servePort >= 0) {
-        service::MetricsHttpServer server(servePort);
-        server.addRegistry("phpf", &runMetrics);
-        server.setHealthProvider([&] {
-            obs::Json h = obs::Json::object();
-            h.set("program", p.name);
-            h.set("sim_ran", sim != nullptr);
-            return h;
-        });
-        const obs::Json report = c.buildRunReport(sim.get());
-        server.setReportProvider([report] { return report; });
-        std::string serr;
-        if (!server.start(&serr)) {
-            std::fprintf(stderr, "phpfc: --serve-metrics: %s\n", serr.c_str());
-            return 2;
-        }
-        serveUntilQuit(server);
     }
     return 0;
 }

@@ -31,7 +31,6 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes,
                                                req.cancel, engine, relaxed,
                                                target_.targetKind);
-    sim->setTelemetry(req.metrics);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());
     const std::int64_t startNs = tr != nullptr ? tr->nowNs() : 0;

@@ -42,9 +42,6 @@ struct SimulationRequest {
     /// tagged "sim.cancel" (the compile service maps it to
     /// DeadlineExceeded / Cancelled).
     CancelToken cancel = {};
-    /// Telemetry opt-in forwarded to SpmdSimulator::setTelemetry():
-    /// per-phase latency histograms into `metrics`. Nullable.
-    obs::MetricRegistry* metrics = nullptr;
     /// Arm the per-statement profiler (SpmdSimulator::enableProfiling):
     /// the returned simulator carries a StmtProfile, buildRunReport()
     /// adds the schema-v3 "profile" and "calibration" sections, and the

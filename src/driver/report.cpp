@@ -12,7 +12,6 @@
 #include "ir/printer.h"
 #include "obs/calibration.h"
 #include "obs/chrome_trace.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "spmd/cost_report.h"
 
@@ -139,7 +138,9 @@ obs::Json Compilation::buildRunReport(const SpmdSimulator* sim) const {
     // error with per-DecisionRecord joins) sections.
     // v4: the simulator runs on one thread; "simulation" drops its
     // thread count and parallel-speedup estimate.
-    root.set("schema_version", 4);
+    // v5: no "metrics" key (it embedded a process-wide registry that
+    // nothing wrote, so it was {} on every run).
+    root.set("schema_version", 5);
     root.set("program", program_ != nullptr ? program_->name : "");
 
     obs::Json grid = obs::Json::array();
@@ -257,7 +258,6 @@ obs::Json Compilation::buildRunReport(const SpmdSimulator* sim) const {
         root.set("calibration", cal.toJson());
     }
 
-    root.set("metrics", obs::MetricRegistry::global().toJson());
     return root;
 }
 

@@ -6,6 +6,7 @@
 
 #include "ir/printer.h"
 #include "ir/program.h"
+#include "obs/metrics.h"
 #include "runtime/spmd_sim.h"
 #include "spmd/cost_eval.h"
 
@@ -98,17 +99,6 @@ Json CalibrationReport::toJson(int worstN) const {
         wj.push(rowJson(rows[static_cast<size_t>(i)]));
     root.set("worst", std::move(wj));
     return root;
-}
-
-void CalibrationReport::exportTo(MetricRegistry& reg) const {
-    reg.gauge("model_error.mape_sec_pct").set(summary.mapeSecPct);
-    reg.gauge("model_error.mape_events_pct").set(summary.mapeEventsPct);
-    reg.gauge("model_error.mape_bytes_pct").set(summary.mapeBytesPct);
-    reg.gauge("model_error.rows_joined")
-        .set(static_cast<double>(summary.joined));
-    Histogram& h = reg.histogram("model_error.row_err_pct");
-    for (const CalibrationRow& r : rows)
-        if (r.joined) h.record(r.errPct);
 }
 
 CalibrationReport buildCalibration(const SpmdLowering& low,

@@ -6,7 +6,6 @@
 
 #include "obs/decision_log.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace phpf {
@@ -25,8 +24,8 @@ namespace phpf::obs {
 /// "Measured" is *re-costed* from the simulator's exact, deterministic
 /// counters (events, element transfers, per-proc statement executions)
 /// through the same CostModel primitives — never wall time — so every
-/// calibration row is bit-identical across sim-thread counts, across
-/// cold/warm service cache hits, and across machines. That is what lets
+/// calibration row is bit-identical across runs, across cold/warm
+/// service cache hits, and across machines. That is what lets
 /// the model-error MAPE be committed as a bench baseline and
 /// regression-gated in CI.
 struct CalibrationRow {
@@ -70,12 +69,6 @@ public:
     /// The run report's "calibration" section: summary, error
     /// quantiles, every row, and the worst-N offenders with evidence.
     [[nodiscard]] Json toJson(int worstN = 5) const;
-
-    /// Export the summary as gauges (model_error.mape_sec_pct /
-    /// model_error.mape_events_pct / model_error.mape_bytes_pct /
-    /// model_error.rows_joined — Prometheus: phpf_model_error_*) plus a
-    /// model_error.row_err_pct histogram of every joined row.
-    void exportTo(MetricRegistry& reg) const;
 };
 
 /// Join the analytic cost model's per-statement and per-comm-op

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "obs/concurrent_trace.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -17,19 +16,6 @@ namespace phpf::obs {
 
 /// Write the Chrome trace to `path`; returns false on I/O failure.
 bool writeChromeTrace(const Tracer& tracer, const std::string& path,
-                      const std::string& processName = "phpf");
-
-/// Convert a ConcurrentTracer's merged spans to Chrome trace_event
-/// JSON. Unlike the single-threaded overload, each recording thread
-/// becomes its own named row: a thread_name metadata ("M") event per
-/// registered tid (names from the process thread registry, e.g.
-/// "svc-worker-2"), and every span is emitted on its real tid with its
-/// span id and parent id in args so cross-thread parenting survives the
-/// export.
-[[nodiscard]] Json buildChromeTrace(const ConcurrentTracer& tracer,
-                                    const std::string& processName = "phpf");
-
-bool writeChromeTrace(const ConcurrentTracer& tracer, const std::string& path,
                       const std::string& processName = "phpf");
 
 }  // namespace phpf::obs

@@ -78,9 +78,4 @@ Json MetricRegistry::toJson() const {
     return out;
 }
 
-MetricRegistry& MetricRegistry::global() {
-    static MetricRegistry g;
-    return g;
-}
-
 }  // namespace phpf::obs

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/json.h"
 
@@ -106,24 +104,6 @@ public:
     [[nodiscard]] double p90() const { return quantile(0.90); }
     [[nodiscard]] double p99() const { return quantile(0.99); }
 
-    /// Rebuild an exported histogram (count/sum/min/max + leading log2
-    /// buckets, the MetricRegistry::toJson shape). Adds on top of
-    /// current state.
-    void restore(std::int64_t count, double sum, double mn, double mx,
-                 const std::vector<std::int64_t>& buckets) {
-        if (count <= 0) return;
-        count_.fetch_add(count, std::memory_order_relaxed);
-        addToDouble(sum_, sum);
-        updateMin(mn);
-        updateMax(mx);
-        const int n = std::min(kBuckets, static_cast<int>(buckets.size()));
-        for (int i = 0; i < n; ++i)
-            if (buckets[static_cast<size_t>(i)] != 0)
-                buckets_[static_cast<size_t>(i)].fetch_add(
-                    buckets[static_cast<size_t>(i)],
-                    std::memory_order_relaxed);
-    }
-
 private:
     static void addToDouble(std::atomic<double>& a, double d) {
         double cur = a.load(std::memory_order_relaxed);
@@ -151,16 +131,16 @@ private:
     std::atomic<std::int64_t> buckets_[kBuckets] = {};
 };
 
-/// Named metrics of one run (or of the whole process via `global()`).
-/// Lookup lazily creates; names use dotted paths ("sim.transfers").
+/// Named metrics of one owner (the compile service records into one).
+/// Lookup lazily creates; names use dotted paths ("service.compile_us").
 /// std::map keeps export order deterministic.
 ///
 /// Thread-safe: a mutex guards map *structure* (lazy creation and
 /// iteration); the metric objects themselves are atomic, so the common
 /// pattern — resolve a reference once, update it from many threads —
 /// never takes the lock on the hot path. References returned by
-/// counter()/gauge()/histogram() stay valid until clear() (std::map
-/// nodes are stable).
+/// counter()/gauge()/histogram() stay valid for the registry's lifetime
+/// (std::map nodes are stable).
 class MetricRegistry {
 public:
     Counter& counter(const std::string& name) {
@@ -176,25 +156,6 @@ public:
         return histograms_[name];
     }
 
-    /// Iterate every metric under the structure lock. The visitor
-    /// patterns the exporters need, without handing out the raw maps
-    /// (which could then be walked concurrently with an insert).
-    template <typename F>
-    void forEachCounter(F&& f) const {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& [name, m] : counters_) f(name, m);
-    }
-    template <typename F>
-    void forEachGauge(F&& f) const {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& [name, m] : gauges_) f(name, m);
-    }
-    template <typename F>
-    void forEachHistogram(F&& f) const {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& [name, m] : histograms_) f(name, m);
-    }
-
     /// Value of a counter without creating it (0 when absent).
     [[nodiscard]] std::int64_t counterValue(const std::string& name) const {
         std::lock_guard<std::mutex> lock(mu_);
@@ -202,21 +163,10 @@ public:
         return it == counters_.end() ? 0 : it->second.value();
     }
 
-    void clear() {
-        std::lock_guard<std::mutex> lock(mu_);
-        counters_.clear();
-        gauges_.clear();
-        histograms_.clear();
-    }
-
     /// {"counters": {...}, "gauges": {...}, "histograms": {...}}; empty
     /// sections are omitted. Histograms carry count/sum/min/max/mean,
     /// the log2 buckets, and p50/p90/p99 estimates.
     [[nodiscard]] Json toJson() const;
-
-    /// Process-wide registry for code with no natural owner to hang a
-    /// registry off (bench harnesses, ad-hoc instrumentation).
-    static MetricRegistry& global();
 
 private:
     mutable std::mutex mu_;

@@ -5,6 +5,7 @@
 
 #include "ir/printer.h"
 #include "ir/program.h"
+#include "obs/metrics.h"
 
 namespace phpf::obs {
 
@@ -147,15 +148,6 @@ std::string foldedStacks(const Program& p, const StmtProfile& prof) {
         out += line;
     });
     return out;
-}
-
-void exportStmtSelfTime(MetricRegistry& reg, const StmtProfile& prof) {
-    Histogram& h = reg.histogram("stmt_self_time.us");
-    for (int id = 0; id < prof.stmtCount(); ++id) {
-        const StmtProfile::Row& r = prof.row(id);
-        if (r.instances == 0) continue;
-        h.record(prof.selfUsEst(id));
-    }
 }
 
 }  // namespace phpf::obs

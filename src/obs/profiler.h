@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace phpf {
 class Program;
@@ -19,18 +18,16 @@ namespace phpf::obs {
 ///
 /// Counts (instances, per-proc statement executions, element transfers,
 /// message events) are exact and — like every simulator metric —
-/// bit-identical across lockstep worker-thread counts: they are bumped
-/// on the main thread at statement boundaries and merge barriers, in
-/// deterministic order. Wall time is 1-in-kSampleEvery sampled (the
-/// kTelemetrySample discipline: a phase is microseconds long, so timing
+/// bit-identical across runs: the simulator bumps them at statement
+/// boundaries and merges, in deterministic order. Wall time is
+/// 1-in-kSampleEvery sampled (a phase is microseconds long, so timing
 /// every one would dominate it); the sample *counts* are deterministic
-/// (the tick sequence advances once per phase regardless of threads),
-/// the sampled durations are host-dependent.
+/// (the tick sequence advances once per phase), the sampled durations
+/// are host-dependent.
 class StmtProfile {
 public:
-    /// Wall-time sampling period (power of two), matching the
-    /// simulator's kTelemetrySample so the armed-overhead budget is the
-    /// same <2% the telemetry bench enforces.
+    /// Wall-time sampling period (power of two); bench_profile_overhead
+    /// holds the armed profiler to a <2% budget.
     static constexpr std::uint32_t kSampleEvery = 64;
 
     struct Row {
@@ -76,9 +73,7 @@ public:
     /// One vectorized message event attributed to the current instance.
     void addEvent() { ++rows_[static_cast<size_t>(cur_)].events; }
 
-    /// 1-in-kSampleEvery sampling decisions. The ticks live here, apart
-    /// from the telemetry histograms' ticks, so the profile's sample
-    /// schedule is deterministic whatever else is armed.
+    /// 1-in-kSampleEvery sampling decisions, one tick per phase.
     [[nodiscard]] bool sampleEval() {
         return (evalTick_++ & (kSampleEvery - 1)) == 0;
     }
@@ -146,9 +141,5 @@ private:
 /// flamegraph.pl turns it into a loop-nest flame graph.
 [[nodiscard]] std::string foldedStacks(const Program& p,
                                        const StmtProfile& prof);
-
-/// Export per-statement self-time estimates as the stmt_self_time.us
-/// histogram (Prometheus: phpf_stmt_self_time_us) on `reg`.
-void exportStmtSelfTime(MetricRegistry& reg, const StmtProfile& prof);
 
 }  // namespace phpf::obs

@@ -149,14 +149,6 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     }
 }
 
-void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics) {
-    metrics_ = metrics;
-    evalHist_ =
-        metrics != nullptr ? &metrics->histogram("sim.phase.eval_us") : nullptr;
-    mergeHist_ = metrics != nullptr ? &metrics->histogram("sim.phase.merge_us")
-                                    : nullptr;
-}
-
 void SpmdSimulator::buildPlans() {
     plans_.resize(static_cast<size_t>(prog_.stmtCount()));
     for (const auto& r : low_.reductions()) {
@@ -688,24 +680,16 @@ bool SpmdSimulator::resolveSlots(const StmtPlan& plan,
 void SpmdSimulator::evalPhase(const StmtPlan& plan,
                               const std::vector<int>& execs, const Expr* e,
                               SymbolId directSym) {
-    // Telemetry is opt-in (evalHist_ resolved once in setTelemetry);
-    // unarmed runs pay a null check, not a clock read. Armed runs
-    // sample 1 in kTelemetrySample phases: a phase is microseconds
-    // long, so timing every one would cost more than the phase.
-    const bool sampleEval =
-        evalHist_ != nullptr && (evalTick_++ & (kTelemetrySample - 1)) == 0;
-    // The profiler keeps its own tick, so its sample schedule is
-    // deterministic whatever else is armed.
+    // The profiler samples 1 in StmtProfile::kSampleEvery phases:
+    // unprofiled runs pay a null check, not a clock read.
     const bool profEval = profile_ != nullptr && profile_->sampleEval();
     std::chrono::steady_clock::time_point t0;
-    if (sampleEval || profEval) t0 = std::chrono::steady_clock::now();
+    if (profEval) t0 = std::chrono::steady_clock::now();
     const auto recordEval = [&] {
-        if (!sampleEval && !profEval) return;
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (sampleEval) evalHist_->record(us);
-        if (profEval) profile_->addEvalSample(us);
+        if (!profEval) return;
+        profile_->addEvalSample(std::chrono::duration<double, std::micro>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
     };
     const bool bcMode = engine_ == SimEngine::Bytecode;
     const size_t ne = execs.size();
@@ -769,11 +753,9 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
 }
 
 void SpmdSimulator::mergePhase() {
-    const bool sampleMerge =
-        mergeHist_ != nullptr && (mergeTick_++ & (kTelemetrySample - 1)) == 0;
     const bool profMerge = profile_ != nullptr && profile_->sampleMerge();
     std::chrono::steady_clock::time_point t0;
-    if (sampleMerge || profMerge) t0 = std::chrono::steady_clock::now();
+    if (profMerge) t0 = std::chrono::steady_clock::now();
     // Event-context memo: the oracle's scalars are constant for the
     // whole merge, so after noteEvent(op) ran once, repeating it for
     // the same op is a guaranteed duplicate (InternedEventSet::record
@@ -798,13 +780,10 @@ void SpmdSimulator::mergePhase() {
     }
     pending_.clear();
     misses_.clear();
-    if (sampleMerge || profMerge) {
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (sampleMerge) mergeHist_->record(us);
-        if (profMerge) profile_->addMergeSample(us);
-    }
+    if (profMerge)
+        profile_->addMergeSample(std::chrono::duration<double, std::micro>(
+                                     std::chrono::steady_clock::now() - t0)
+                                     .count());
 }
 
 void SpmdSimulator::execStmt(const Stmt* s) {
@@ -821,9 +800,9 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                 profile_->addExecutors(execs);
             }
             const bool bcMode = engine_ == SimEngine::Bytecode;
-            if (bcMode && plan.laneUniform && evalHist_ == nullptr &&
-                mergeHist_ == nullptr && profile_ == nullptr) {
-                // No sampler needs its tick: take the fused uniform path.
+            if (bcMode && plan.laneUniform && profile_ == nullptr) {
+                // The profiler does not need its tick: take the fused
+                // uniform path.
                 execUniformBc(s, plan, execs);
                 break;
             }
@@ -842,9 +821,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             // Evaluate on every executor against the pre-statement state.
             evalPhase(plan, execs, s->rhs,
                       direct ? s->lhs->sym : kNoSymbol);
-            if (!phaseClean_ || mergeHist_ != nullptr ||
-                profile_ != nullptr)
-                mergePhase();
+            if (!phaseClean_ || profile_ != nullptr) mergePhase();
             // The statement's effect on the oracle: the bytecode engine
             // runs the same chunk on the reference state, so it never
             // pays a tree walk either.
@@ -896,9 +873,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                 profile_->addExecutors(execs);
             }
             evalPhase(plan, execs, s->cond);  // predicate comm
-            if (!phaseClean_ || mergeHist_ != nullptr ||
-                profile_ != nullptr)
-                mergePhase();
+            if (!phaseClean_ || profile_ != nullptr) mergePhase();
             const bool taken =
                 engine_ == SimEngine::Bytecode
                     ? vm::runScalar(plan.code.value, oracleRegs_.data(),

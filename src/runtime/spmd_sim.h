@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "runtime/bytecode.h"
 #include "runtime/engine.h"
@@ -98,16 +97,6 @@ public:
     /// Throws SimFault when the cancel token fires or a subscript falls
     /// outside its declared bounds.
     void run();
-
-    /// Opt into telemetry before run(). `metrics` (nullable) receives
-    /// per-phase latency histograms (sim.phase.eval_us /
-    /// sim.phase.merge_us) — histogram references are resolved here
-    /// once, so the hot path never does a name lookup. Phases are
-    /// microseconds long, so the histograms sample 1 in
-    /// kTelemetrySample phases (clock reads on every phase would
-    /// dominate the phase itself). Null (the default) keeps the
-    /// zero-overhead behaviour.
-    void setTelemetry(obs::MetricRegistry* metrics);
 
     /// Opt into the per-statement profiler before run(). Counts
     /// (instances, per-proc executions, transfers, events) are exact
@@ -261,14 +250,14 @@ private:
     void distributeInputs();
     void execBlock(const std::vector<Stmt*>& block);
     void execStmt(const Stmt* s);
-    /// Bytecode engine, lane-uniform Assign with telemetry and profiler
-    /// unarmed: the fused fast path. One pass resolves the fetch slots,
-    /// applies any misses in place (same slot-major lane order and
-    /// per-merge event memo as evalPhase + mergePhase), runs the oracle
-    /// chunk once and broadcasts the result — no deferred record
-    /// vectors, no second slot walk. Any armed observer falls
-    /// back to the general path, which keeps its sampling ticks; the
-    /// two paths produce identical state, metrics and events.
+    /// Bytecode engine, lane-uniform Assign with the profiler unarmed:
+    /// the fused fast path. One pass resolves the fetch slots, applies
+    /// any misses in place (same slot-major lane order and per-merge
+    /// event memo as evalPhase + mergePhase), runs the oracle chunk
+    /// once and broadcasts the result — no deferred record vectors, no
+    /// second slot walk. An armed profiler falls back to the general
+    /// path, which keeps its sampling ticks; the two paths produce
+    /// identical state, metrics and events.
     void execUniformBc(const Stmt* s, const StmtPlan& plan,
                        const std::vector<int>& execs);
     /// One iteration of Do statement `s`'s body, with the forward-goto
@@ -478,7 +467,7 @@ private:
     /// Set by evalPhase: the bytecode slot pre-scan found every executor
     /// valid on every slot, so no lane can have recorded a pending
     /// write or miss — the merge is a provable no-op and execStmt skips
-    /// it when no sampler needs its tick.
+    /// it unless the profiler needs its tick.
     bool phaseClean_ = false;
     /// Relaxed merge: loop-entry accumulator snapshot by CommOp id.
     std::vector<double> combineInit_;
@@ -486,16 +475,6 @@ private:
     // --- cancellation (an unarmed token costs one branch per statement
     // instance) ---
     CancelToken cancel_;
-
-    // --- telemetry (all null when not opted in via setTelemetry) ---
-    /// 1-in-N phase sampling for the eval/merge histograms (power of
-    /// two; the armed-but-idle overhead budget is <2% of the run).
-    static constexpr std::uint32_t kTelemetrySample = 64;
-    std::uint32_t evalTick_ = 0;
-    std::uint32_t mergeTick_ = 0;
-    obs::MetricRegistry* metrics_ = nullptr;
-    obs::Histogram* evalHist_ = nullptr;    ///< sim.phase.eval_us
-    obs::Histogram* mergeHist_ = nullptr;   ///< sim.phase.merge_us
 
     // --- per-statement profiler (null when not opted in) ---
     std::unique_ptr<obs::StmtProfile> profile_;

@@ -1,5 +1,7 @@
 #include "service/artifact_cache.h"
 
+#include <cstdint>
+
 #include "service/fingerprint.h"
 
 namespace phpf::service {
@@ -12,9 +14,10 @@ ArtifactCache::ArtifactCache(std::size_t capacity, int shards) {
     // a uselessly tiny LRU.
     if (static_cast<std::size_t>(shards) > capacity)
         shards = static_cast<int>(capacity);
-    shardCapacity_ =
-        (capacity + static_cast<std::size_t>(shards) - 1) /
-        static_cast<std::size_t>(shards);
+    // Rounded-up split; `capacity + shards - 1` would wrap near
+    // SIZE_MAX and leave every shard with room for nothing.
+    const auto n = static_cast<std::size_t>(shards);
+    shardCapacity_ = capacity / n + (capacity % n != 0 ? 1 : 0);
     shards_.reserve(static_cast<std::size_t>(shards));
     for (int i = 0; i < shards; ++i)
         shards_.push_back(std::make_unique<Shard>());
@@ -64,7 +67,12 @@ CacheStats ArtifactCache::stats() const {
     st.hits = hits_.load(std::memory_order_relaxed);
     st.misses = misses_.load(std::memory_order_relaxed);
     st.evictions = evictions_.load(std::memory_order_relaxed);
-    st.capacity = shardCapacity_ * shards_.size();
+    // Saturates: near SIZE_MAX the rounded-up split times the shard
+    // count would wrap.
+    st.capacity =
+        shardCapacity_ > SIZE_MAX / shards_.size()
+            ? SIZE_MAX
+            : shardCapacity_ * shards_.size();
     st.shards = static_cast<int>(shards_.size());
     for (const auto& sh : shards_) {
         std::lock_guard<std::mutex> lock(sh->mu);

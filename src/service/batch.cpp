@@ -5,9 +5,11 @@
 #include <climits>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "programs/programs.h"
 
@@ -136,6 +138,19 @@ bool parseBatchJob(const obs::Json& j, int index, BatchJob* job,
     if (!j.isObject()) {
         *err = "job " + std::to_string(index) + " is not an object";
         return false;
+    }
+    // A misspelt key ("grd") or an option outside "options" would
+    // otherwise run the job with a default the file did not ask for.
+    static constexpr std::string_view kKeys[] = {
+        "name", "program", "file", "source",      "n",       "niter",   "nx",
+        "ny",   "nz",      "grid", "deadline_ms", "profile", "options", "repeat"};
+    for (const std::string& key : j.keys()) {
+        if (std::find(std::begin(kKeys), std::end(kKeys), key) ==
+            std::end(kKeys)) {
+            *err = "job " + std::to_string(index) + ": unknown key '" +
+                   key + "'";
+            return false;
+        }
     }
     if (const obs::Json* v = j.find("name")) job->name = v->stringValue();
     if (const obs::Json* v = j.find("program")) job->program = v->stringValue();

@@ -1,7 +1,6 @@
 #include "service/compile_service.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "frontend/parser.h"
 #include "service/fingerprint.h"
@@ -33,11 +32,9 @@ const char* statusName(CompileStatus s) {
 }
 
 CompileService::CompileService(ServiceConfig cfg)
-    : cfg_(cfg),
-      cache_(cfg.cacheCapacity, cfg.cacheShards),
+    : cache_(cfg.cacheCapacity, cfg.cacheShards),
       pool_(std::make_unique<TaskPool>(
-          std::min(cfg.workers > 0 ? cfg.workers : hardwareThreads(), 8),
-          "svc-worker")) {}
+          std::min(cfg.workers > 0 ? cfg.workers : hardwareThreads(), 8))) {}
 
 CompileService::~CompileService() { pool_->drain(); }
 
@@ -47,17 +44,11 @@ CompileResult CompileService::compile(const CompileRequest& req) {
 
 std::shared_future<CompileResult> CompileService::submit(CompileRequest req) {
     const Clock::time_point submitted = Clock::now();
-    // The submitting thread's trace context rides along with the job so
-    // the worker's spans parent under the caller's request/batch span.
-    obs::SpanContext parent{};
-    if (cfg_.tracer != nullptr) parent = cfg_.tracer->currentContext();
     auto promise = std::make_shared<std::promise<CompileResult>>();
     std::shared_future<CompileResult> fut(promise->get_future());
-    pool_->post([this, req = std::move(req), submitted, parent,
+    pool_->post([this, req = std::move(req), submitted,
                  promise = std::move(promise)]() mutable {
         registry_.histogram("service.queue_wait_us").record(usSince(submitted));
-        std::optional<obs::ContextScope> scope;
-        if (cfg_.tracer != nullptr) scope.emplace(*cfg_.tracer, parent);
         promise->set_value(compileAt(req, submitted));
     });
     registry_.gauge("service.queue.depth")
@@ -67,9 +58,6 @@ std::shared_future<CompileResult> CompileService::submit(CompileRequest req) {
 
 CompileResult CompileService::compileAt(const CompileRequest& req,
                                         Clock::time_point submitted) {
-    const std::string spanName =
-        "request:" + (req.name.empty() ? std::string("?") : req.name);
-    obs::ConcurrentScopedSpan reqSpan(cfg_.tracer, spanName.c_str(), "service");
     CompileResult r;
     const auto finish = [&](CompileResult res) {
         res.totalUs = usSince(submitted);
@@ -206,23 +194,11 @@ CompileResult CompileService::runJob(const CompileRequest& req,
     session.tracer = std::make_shared<obs::Tracer>();
     session.diags = &diags;
     session.cancel = cancel.token();
-    const std::shared_ptr<obs::Tracer> sessionTracer = session.tracer;
-    // Merge the single-threaded session tracer's per-pass spans into
-    // the service tracer under this job's context, shifting the
-    // session's private timeline onto the service's.
-    const auto importSession = [&] {
-        if (cfg_.tracer == nullptr || sessionTracer == nullptr) return;
-        const std::int64_t offset =
-            cfg_.tracer->nowNs() - sessionTracer->nowNs();
-        cfg_.tracer->importTracer(*sessionTracer,
-                                  cfg_.tracer->currentContext(), offset);
-    };
 
     try {
         CompilePipeline pipe(*prog, req.target, req.passes,
                              std::move(session));
         if (!pipe.run()) {
-            importSession();
             r.status = CompileStatus::DeadlineExceeded;
             r.code = ErrorCode::DeadlineExceeded;
             r.error = "deadline of " + std::to_string(req.deadlineMs) +
@@ -263,7 +239,6 @@ CompileResult CompileService::runJob(const CompileRequest& req,
         owned->adoptProgram(std::move(prog));
         artifact->compilation = std::move(owned);
 
-        importSession();
         // Per-stage latency histograms from the pipeline's own spans.
         for (const obs::TraceSpan& s :
              artifact->compilation->tracer()->spans()) {
@@ -332,8 +307,6 @@ void CompileService::recordOutcome(const CompileResult& r) {
 ServiceStats CompileService::stats() const {
     ServiceStats s;
     s.cache = cache_.stats();
-    s.queueDepth = pool_->queueDepth();
-    s.activeJobs = pool_->active();
     s.workers = pool_->threads();
     s.requests = registry_.counterValue("service.requests");
     s.compiles = registry_.counterValue("service.compiles");
@@ -362,11 +335,6 @@ obs::Json CompileService::metricsJson() const {
     queue.set("workers", pool_->threads());
     root.set("queue", std::move(queue));
     return root;
-}
-
-void CompileService::withMetrics(
-    const std::function<void(const obs::MetricRegistry&)>& fn) const {
-    fn(registry_);
 }
 
 }  // namespace phpf::service

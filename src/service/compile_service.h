@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "driver/compiler.h"
-#include "obs/concurrent_trace.h"
 #include "obs/metrics.h"
 #include "service/artifact_cache.h"
 #include "service/error_code.h"
@@ -98,12 +97,6 @@ struct ServiceConfig {
     /// Total artifact-cache entries across shards.
     std::size_t cacheCapacity = 256;
     int cacheShards = 8;
-    /// Optional cross-thread tracer. When set, every request records a
-    /// root span ("request:<name>"), worker-side spans adopt the
-    /// submitting thread's context (so async jobs parent under their
-    /// request instead of floating), and each compiled job's per-pass
-    /// session spans are imported beneath it. Must outlive the service.
-    obs::ConcurrentTracer* tracer = nullptr;
 };
 
 struct ServiceStats {
@@ -114,8 +107,6 @@ struct ServiceStats {
     std::int64_t deadlineExceeded = 0;
     std::int64_t errors = 0;
     CacheStats cache;
-    std::size_t queueDepth = 0;
-    int activeJobs = 0;
     int workers = 0;
 };
 
@@ -148,17 +139,6 @@ public:
     /// in a JSON run report or the batch summary row.
     [[nodiscard]] obs::Json metricsJson() const;
 
-    /// Visit the registry the service records into. (The registry is
-    /// itself thread-safe now; this remains for callers that want a
-    /// scoped read without naming the member.)
-    void withMetrics(const std::function<void(const obs::MetricRegistry&)>& fn) const;
-
-    /// Direct read access to the service's metric registry (thread-safe;
-    /// the exposition endpoint scrapes this).
-    [[nodiscard]] const obs::MetricRegistry& metrics() const {
-        return registry_;
-    }
-
 private:
     struct Inflight {
         std::mutex mu;
@@ -180,7 +160,6 @@ private:
                                        Clock::time_point submitted);
     void recordOutcome(const CompileResult& r);
 
-    ServiceConfig cfg_;
     ArtifactCache cache_;
     std::unique_ptr<TaskPool> pool_;
 

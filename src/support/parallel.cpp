@@ -3,8 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "support/thread_registry.h"
-
 namespace phpf {
 
 int hardwareThreads() {
@@ -12,16 +10,10 @@ int hardwareThreads() {
     return n > 0 ? n : 1;
 }
 
-TaskPool::TaskPool(int threads, std::string namePrefix)
-    : nThreads_(threads < 1 ? 1 : threads) {
+TaskPool::TaskPool(int threads) : nThreads_(threads < 1 ? 1 : threads) {
     threads_.reserve(static_cast<size_t>(nThreads_));
     for (int w = 0; w < nThreads_; ++w)
-        threads_.emplace_back([this, w, namePrefix] {
-            if (!namePrefix.empty())
-                thread_registry::setCurrentName(namePrefix + "-" +
-                                                std::to_string(w));
-            workerMain();
-        });
+        threads_.emplace_back([this] { workerMain(); });
 }
 
 TaskPool::~TaskPool() {

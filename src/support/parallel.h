@@ -32,9 +32,7 @@ class TaskPool {
 public:
     /// `threads` workers are spawned eagerly; values < 1 are treated
     /// as 1. The caller does NOT participate.
-    /// When `namePrefix` is non-empty, worker w registers itself as
-    /// "<namePrefix>-<w>" in the process thread registry.
-    explicit TaskPool(int threads, std::string namePrefix = "");
+    explicit TaskPool(int threads);
     /// Finishes every queued task, then joins the workers.
     ~TaskPool();
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "driver/compiler.h"
 #include "obs/chrome_trace.h"
@@ -106,6 +108,88 @@ TEST(ObsMetrics, RegistryToJsonOmitsEmptySections) {
     EXPECT_EQ(j.at("counters").at("only.counter").intValue(), 3);
     EXPECT_EQ(j.find("gauges"), nullptr);
     EXPECT_EQ(j.find("histograms"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Histogram quantiles (and concurrent writers)
+// ---------------------------------------------------------------------------
+
+TEST(TelemetryQuantiles, UniformDistributionEstimatesAreTight) {
+    obs::Histogram h;
+    // 1..1000 uniformly: inside each power-of-two bucket the samples
+    // really are uniform, so the interpolation should be near-exact.
+    for (int v = 1; v <= 1000; ++v) h.record(v);
+    EXPECT_NEAR(h.p50(), 500.0, 25.0);
+    EXPECT_NEAR(h.p90(), 900.0, 25.0);
+    EXPECT_NEAR(h.p99(), 990.0, 25.0);
+    EXPECT_NEAR(h.quantile(0.0), 1.0, 1.0);
+    EXPECT_NEAR(h.quantile(1.0), 1000.0, 1.0);
+}
+
+TEST(TelemetryQuantiles, ConstantDistributionCollapsesToTheValue) {
+    obs::Histogram h;
+    for (int i = 0; i < 100; ++i) h.record(42.0);
+    // The covering bucket is [32, 64) but the observed min/max clamp
+    // the interpolation to the single real value.
+    EXPECT_DOUBLE_EQ(h.p50(), 42.0);
+    EXPECT_DOUBLE_EQ(h.p90(), 42.0);
+    EXPECT_DOUBLE_EQ(h.p99(), 42.0);
+}
+
+TEST(TelemetryQuantiles, HeavyTailSeparatesBodyFromTail) {
+    obs::Histogram h;
+    for (int i = 0; i < 99; ++i) h.record(10.0);
+    h.record(10000.0);
+    // The body sits in the [8, 16) bucket: the estimate stays inside
+    // that bucket (the documented guarantee), far from the tail.
+    EXPECT_GE(h.p50(), 10.0);
+    EXPECT_LT(h.p50(), 16.0);
+    EXPECT_GE(h.p90(), 10.0);
+    EXPECT_LT(h.p90(), 16.0);
+    EXPECT_GT(h.p99(), 100.0);  // the tail sample dominates p99
+    EXPECT_EQ(h.count(), 100);
+}
+
+TEST(TelemetryQuantiles, EmptyHistogramIsZero) {
+    obs::Histogram h;
+    EXPECT_DOUBLE_EQ(h.p50(), 0.0);
+    EXPECT_DOUBLE_EQ(h.p99(), 0.0);
+}
+
+TEST(TelemetryQuantiles, ConcurrentRecordersLoseNothing) {
+    obs::Histogram h;
+    constexpr int kThreads = 8, kPerThread = 20000;
+    std::vector<std::thread> ts;
+    ts.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        ts.emplace_back([&h] {
+            for (int i = 0; i < kPerThread; ++i)
+                h.record(static_cast<double>(1 + i % 100));
+        });
+    for (auto& t : ts) t.join();
+    EXPECT_EQ(h.count(), kThreads * kPerThread);
+    // Every thread records the same multiset, so the exact sum is known.
+    const double perThread = 20000.0 / 100.0 * (100.0 * 101.0 / 2.0);
+    EXPECT_DOUBLE_EQ(h.sum(), kThreads * perThread);
+    EXPECT_DOUBLE_EQ(h.min(), 1.0);
+    EXPECT_DOUBLE_EQ(h.max(), 100.0);
+}
+
+TEST(TelemetryQuantiles, RegistryConcurrentLazyCreationIsExact) {
+    obs::MetricRegistry reg;
+    constexpr int kThreads = 8, kPerThread = 5000;
+    std::vector<std::thread> ts;
+    ts.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        ts.emplace_back([&reg] {
+            for (int i = 0; i < kPerThread; ++i) {
+                reg.counter("shared.hits").add(1);
+                reg.histogram("shared.lat_us").record(i % 7 + 1);
+            }
+        });
+    for (auto& t : ts) t.join();
+    EXPECT_EQ(reg.counterValue("shared.hits"), kThreads * kPerThread);
+    EXPECT_EQ(reg.histogram("shared.lat_us").count(), kThreads * kPerThread);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +517,7 @@ TEST(ObsReport, RunReportRoundTripsThroughJson) {
     ASSERT_TRUE(err.empty()) << err;
 
     EXPECT_EQ(r.at("schema").stringValue(), "phpf.run_report");
-    EXPECT_EQ(r.at("schema_version").intValue(), 4);
+    EXPECT_EQ(r.at("schema_version").intValue(), 5);
     EXPECT_EQ(r.at("program").stringValue(), "fig1");
     EXPECT_EQ(r.at("total_procs").intValue(), 4);
     EXPECT_EQ(r.at("induction_rewrites").intValue(), 1);

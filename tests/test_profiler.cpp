@@ -2,8 +2,7 @@
 // exact-count accounting against the simulator's own totals, bit-exact
 // determinism across runs, the run report's
 // profile/calibration sections (added in schema v3), flamegraph folded
-// stacks, Prometheus export of the phpf_stmt_self_time_* and
-// phpf_model_error_* series, service-side profiled-artifact caching
+// stacks, service-side profiled-artifact caching
 // (cold/warm identical calibration), the batch runner's calibration
 // summary, and the histogram/JSON-escaping edge cases the profile
 // surfaces lean on.
@@ -23,7 +22,6 @@
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/prometheus.h"
 #include "programs/programs.h"
 #include "service/batch.h"
 #include "service/compile_service.h"
@@ -35,7 +33,6 @@ using obs::CalibrationReport;
 using obs::CalibrationRow;
 using obs::Histogram;
 using obs::Json;
-using obs::MetricRegistry;
 using obs::StmtProfile;
 
 // ---------------------------------------------------------------------
@@ -319,29 +316,6 @@ TEST(FoldedStacks, FramesSanitizeControlAndSeparatorChars) {
 }
 
 // ---------------------------------------------------------------------
-// Prometheus export of the profile
-// ---------------------------------------------------------------------
-
-TEST(ProfilerMetrics, StmtSelfTimeSeriesReachesPrometheus) {
-    Program p = programs::tomcatv(12, 2);
-    TargetConfig opts;
-    opts.gridExtents = {4};
-    Compilation c = Compiler::compile(p, opts);
-    SimulationRequest req;
-    req.profile = true;
-    auto sim = c.simulate(req);
-    MetricRegistry reg;
-    obs::exportStmtSelfTime(reg, *sim->profile());
-    int executed = 0;
-    for (int s = 0; s < sim->profile()->stmtCount(); ++s)
-        if (sim->profile()->row(s).instances > 0) ++executed;
-    EXPECT_EQ(reg.histogram("stmt_self_time.us").count(), executed);
-    const std::string text = obs::renderPrometheus(reg, "phpf");
-    EXPECT_NE(text.find("phpf_stmt_self_time_us"), std::string::npos);
-    EXPECT_NE(text.find("phpf_stmt_self_time_us_count"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
 // Calibration
 // ---------------------------------------------------------------------
 
@@ -460,22 +434,6 @@ TEST(Calibration, ToJsonShapeAndWorstSection) {
     }
 }
 
-TEST(Calibration, ExportToRegistersModelErrorSeries) {
-    const CalibrationReport cal = calibrationOf(makeTomcatv());
-    MetricRegistry reg;
-    cal.exportTo(reg);
-    EXPECT_DOUBLE_EQ(reg.gauge("model_error.mape_sec_pct").value(),
-                     cal.summary.mapeSecPct);
-    EXPECT_EQ(reg.histogram("model_error.row_err_pct").count(),
-              cal.summary.joined);
-    const std::string text = obs::renderPrometheus(reg, "phpf");
-    EXPECT_NE(text.find("phpf_model_error_mape_sec_pct"), std::string::npos);
-    EXPECT_NE(text.find("phpf_model_error_mape_events_pct"),
-              std::string::npos);
-    EXPECT_NE(text.find("phpf_model_error_rows_joined"), std::string::npos);
-    EXPECT_NE(text.find("phpf_model_error_row_err_pct"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // Run report schema v3
 // ---------------------------------------------------------------------
@@ -489,7 +447,7 @@ TEST(RunReportV3, ProfiledRunCarriesProfileAndCalibrationSections) {
     req.profile = true;
     auto sim = c.simulate(req);
     const Json report = c.buildRunReport(sim.get());
-    EXPECT_EQ(report.at("schema_version").intValue(), 4);
+    EXPECT_EQ(report.at("schema_version").intValue(), 5);
     ASSERT_NE(report.find("profile"), nullptr);
     ASSERT_NE(report.find("calibration"), nullptr);
     EXPECT_GT(report.at("profile").at("stmts").size(), 0u);
@@ -507,7 +465,7 @@ TEST(RunReportV3, UnprofiledRunOmitsTheSections) {
     Compilation c = Compiler::compile(p, opts);
     auto sim = c.simulate(SimulationRequest{});
     const Json report = c.buildRunReport(sim.get());
-    EXPECT_EQ(report.at("schema_version").intValue(), 4);
+    EXPECT_EQ(report.at("schema_version").intValue(), 5);
     EXPECT_EQ(report.find("profile"), nullptr);
     EXPECT_EQ(report.find("calibration"), nullptr);
 }

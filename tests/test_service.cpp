@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -432,6 +433,23 @@ TEST(ArtifactCache, ShardCountNeverExceedsCapacity) {
     ArtifactCache cache(/*capacity=*/2, /*shards=*/8);
     EXPECT_EQ(cache.stats().shards, 2);
     EXPECT_GE(cache.stats().capacity, 2u);
+}
+
+TEST(ArtifactCache, HugeCapacityHoldsEveryEntry) {
+    // The rounded-up per-shard split once wrapped near SIZE_MAX to a
+    // capacity of 0, so every put evicted itself and nothing hit.
+    ArtifactCache cache(SIZE_MAX, /*shards=*/8);
+    for (int i = 0; i < 32; ++i) {
+        auto a = std::make_shared<CompileArtifact>();
+        a->key = "k" + std::to_string(i);
+        cache.put(a->key, a);
+    }
+    for (int i = 0; i < 32; ++i) (void)cache.get("k" + std::to_string(i));
+    const service::CacheStats st = cache.stats();
+    EXPECT_EQ(st.hits, 32);
+    EXPECT_EQ(st.evictions, 0);
+    EXPECT_EQ(st.size, 32u);
+    EXPECT_EQ(st.capacity, SIZE_MAX);
 }
 
 TEST(ArtifactCache, ConcurrentInsertsAndLookupsStayBounded) {
@@ -916,6 +934,31 @@ TEST(Batch, RejectsNonPositiveElemBytesAtLoad) {
                   std::string::npos)
             << err;
     }
+}
+
+TEST(Batch, RejectsUnknownTopLevelJobKeys) {
+    // A misspelt "grid" and an option outside "options" once ran the
+    // job on grid [1] with the default engine and exited 0.
+    std::string perr;
+    const obs::Json doc = obs::Json::parse(
+        R"([{"program": "fig1", "n": 16, "grid": [4]},)"
+        R"( {"program": "fig1", "n": 16, "grd": [4], "sim_engine": "interp"}])",
+        &perr);
+    ASSERT_TRUE(perr.empty()) << perr;
+    service::BatchSpec batch;
+    std::string err;
+    EXPECT_FALSE(service::parseBatchSpec(doc, &batch, &err));
+    EXPECT_EQ(err, "job 1: unknown key 'grd'");
+
+    const obs::Json known = obs::Json::parse(
+        R"([{"name": "k", "program": "tomcatv", "n": 9, "niter": 1,)"
+        R"( "nx": 4, "ny": 4, "nz": 4, "grid": [2], "deadline_ms": 0,)"
+        R"( "profile": false, "options": {"sim_engine": "interp"},)"
+        R"( "repeat": 1}])",
+        &perr);
+    ASSERT_TRUE(perr.empty()) << perr;
+    service::BatchSpec ok;
+    EXPECT_TRUE(service::parseBatchSpec(known, &ok, &err)) << err;
 }
 
 TEST(Batch, DeeplyNestedJobsFileLoadsAsAnError) {
