@@ -2,13 +2,16 @@
 // path.
 //
 // Profiling is strictly opt-in: with SimulationRequest::profile unset
-// the simulator pays one null check per hook site. This bench measures
-// the same TOMCATV workload in two configurations:
+// the simulator pays one null check per statement instance. The
+// profile's counts are the simulator's own per-statement accounting,
+// copied into the profile when the run ends, and every statement takes
+// the same path armed or not; an armed run adds only one clock sample
+// per StmtProfile::kSampleEvery Assign/If instances. This bench
+// measures the same TOMCATV workload in two configurations:
 //
 //   disabled — no profile (the default every plain run gets)
-//   armed    — SimulationRequest::profile: per-statement instance /
-//              per-proc / element / event counters on every statement
-//              boundary plus 1-in-64 sampled phase timing
+//   armed    — SimulationRequest::profile: the per-statement profile
+//              plus 1-in-kSampleEvery sampled instance timing
 //
 // and enforces that the armed profiler stays within 2% of the disabled
 // run (median of interleaved runs; one re-measure round with more
@@ -60,7 +63,8 @@ RunResult runWith(const Compilation& c, bool profile) {
     auto sim = c.simulate(req);
     if (profile) {
         // The profile's totals are the simulator's totals, always; a
-        // mismatch means the hooks drifted and every number below lies.
+        // mismatch means the per-statement attribution drifted and every
+        // number below lies.
         const obs::StmtProfile& prof = *sim->profile();
         std::int64_t procStmts = 0, elements = 0, events = 0;
         for (int s = 0; s < prof.stmtCount(); ++s) {

@@ -23,7 +23,8 @@
 // the service metrics (cache hits/misses/evictions, coalesced joins,
 // per-stage latency histograms). `--workers=0` (the default) sizes the
 // pool from the hardware and `--cache-capacity=0` keeps the default
-// capacity; a negative count is a usage error.
+// capacity; a negative count, or a number with trailing characters
+// (`--workers=1x`, `--procs 4abc`), is a usage error.
 //
 // Exit codes: 0 ok, 1 failures (a parse error, a simulation fault, a
 // failed batch job), 2 usage.
@@ -42,6 +43,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include <iostream>
@@ -62,11 +64,21 @@ using namespace phpf;
 
 namespace {
 
-/// std::stoi with CLI-grade failure: a non-numeric flag value exits 2
-/// with the offending argument instead of an uncaught std::stoi throw.
+/// All of `text` as an int. std::stoi alone stops at the first
+/// non-digit, so "4abc" would read as 4; trailing characters throw
+/// std::invalid_argument here, like a non-numeric value does.
+int wholeInt(const std::string& text) {
+    std::size_t used = 0;
+    const int v = std::stoi(text, &used);
+    if (used != text.size()) throw std::invalid_argument(text);
+    return v;
+}
+
+/// wholeInt with CLI-grade failure: a non-numeric flag value exits 2
+/// with the offending argument instead of an uncaught throw.
 int intFlag(const std::string& arg, std::size_t prefixLen) {
     try {
-        return std::stoi(arg.substr(prefixLen));
+        return wholeInt(arg.substr(prefixLen));
     } catch (const std::exception&) {
         std::fprintf(stderr, "phpfc: bad numeric value in '%s'\n",
                      arg.c_str());
@@ -86,15 +98,19 @@ int countFlag(const std::string& arg, std::size_t prefixLen) {
     return v;
 }
 
-/// Every extent must be a positive integer: "0", "-2" and "0x4" exit 2
-/// here instead of aborting in the processor grid.
+/// Every 'x'-separated extent must be a whole positive integer: "0",
+/// "-2", "0x4", "4abc", "2x2y" and "2x" exit 2 here instead of aborting
+/// in the processor grid or running on a truncated grid.
 std::vector<int> parseGrid(const std::string& spec) {
     std::vector<int> grid;
-    std::stringstream ss(spec);
-    std::string part;
     bool ok = true;
     try {
-        while (std::getline(ss, part, 'x')) grid.push_back(std::stoi(part));
+        for (std::size_t at = 0;;) {
+            const std::size_t x = spec.find('x', at);
+            grid.push_back(wholeInt(spec.substr(at, x - at)));
+            if (x == std::string::npos) break;
+            at = x + 1;
+        }
     } catch (const std::exception&) {
         ok = false;
     }
@@ -104,7 +120,6 @@ std::vector<int> parseGrid(const std::string& spec) {
                      spec.c_str());
         std::exit(2);
     }
-    if (grid.empty()) grid.push_back(1);
     return grid;
 }
 

@@ -140,7 +140,10 @@ obs::Json Compilation::buildRunReport(const SpmdSimulator* sim) const {
     // thread count and parallel-speedup estimate.
     // v5: no "metrics" key (it embedded a process-wide registry that
     // nothing wrote, so it was {} on every run).
-    root.set("schema_version", 5);
+    // v6: profile rows carry one clock sample per timed statement
+    // instance ("samples"/"sampled_us") in place of the separate
+    // eval/merge phase samples.
+    root.set("schema_version", 6);
     root.set("program", program_ != nullptr ? program_->name : "");
 
     obs::Json grid = obs::Json::array();

@@ -47,11 +47,6 @@ Json MetricRegistry::toJson() const {
         for (const auto& [name, m] : counters_) c.set(name, m.value());
         out.set("counters", std::move(c));
     }
-    if (!gauges_.empty()) {
-        Json g = Json::object();
-        for (const auto& [name, m] : gauges_) g.set(name, m.value());
-        out.set("gauges", std::move(g));
-    }
     if (!histograms_.empty()) {
         Json h = Json::object();
         for (const auto& [name, m] : histograms_) {

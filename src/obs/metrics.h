@@ -25,19 +25,6 @@ private:
     std::atomic<std::int64_t> v_{0};
 };
 
-/// Last-value metric. Thread-safe; concurrent set() calls race benignly
-/// (some thread's value wins, never a torn read).
-class Gauge {
-public:
-    void set(double v) { v_.store(v, std::memory_order_relaxed); }
-    [[nodiscard]] double value() const {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-private:
-    std::atomic<double> v_{0.0};
-};
-
 /// Streaming summary of an observed distribution: count / sum / min /
 /// max plus fixed power-of-two magnitude buckets (bucket i counts
 /// samples in [2^(i-1), 2^i); bucket 0 counts samples < 1), with
@@ -139,17 +126,13 @@ private:
 /// iteration); the metric objects themselves are atomic, so the common
 /// pattern — resolve a reference once, update it from many threads —
 /// never takes the lock on the hot path. References returned by
-/// counter()/gauge()/histogram() stay valid for the registry's lifetime
+/// counter()/histogram() stay valid for the registry's lifetime
 /// (std::map nodes are stable).
 class MetricRegistry {
 public:
     Counter& counter(const std::string& name) {
         std::lock_guard<std::mutex> lock(mu_);
         return counters_[name];
-    }
-    Gauge& gauge(const std::string& name) {
-        std::lock_guard<std::mutex> lock(mu_);
-        return gauges_[name];
     }
     Histogram& histogram(const std::string& name) {
         std::lock_guard<std::mutex> lock(mu_);
@@ -163,7 +146,7 @@ public:
         return it == counters_.end() ? 0 : it->second.value();
     }
 
-    /// {"counters": {...}, "gauges": {...}, "histograms": {...}}; empty
+    /// {"counters": {...}, "histograms": {...}}; empty
     /// sections are omitted. Histograms carry count/sum/min/max/mean,
     /// the log2 buckets, and p50/p90/p99 estimates.
     [[nodiscard]] Json toJson() const;
@@ -171,7 +154,6 @@ public:
 private:
     mutable std::mutex mu_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Gauge> gauges_;
     std::map<std::string, Histogram> histograms_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ir/printer.h"
 #include "ir/program.h"
@@ -50,6 +51,19 @@ std::string frameText(std::string s) {
 }
 
 }  // namespace
+
+void StmtProfile::setCounts(int id, std::int64_t instances,
+                            const std::int64_t* perProc,
+                            std::int64_t elements, std::int64_t events) {
+    Row& r = rows_[static_cast<size_t>(id)];
+    r.instances = instances;
+    r.elements = elements;
+    r.events = events;
+    std::int64_t* base = perProc_.data() + static_cast<size_t>(id) *
+                                               static_cast<size_t>(procCount_);
+    std::copy(perProc, perProc + procCount_, base);
+    r.procStmts = std::accumulate(base, base + procCount_, std::int64_t{0});
+}
 
 std::int64_t StmtProfile::maxProcStmts(int id) const {
     const std::int64_t* base =
@@ -102,10 +116,8 @@ Json profileJson(const Program& p, const StmtProfile& prof, int elemBytes) {
         j.set("elements", r.elements);
         j.set("events", r.events);
         j.set("bytes_moved", static_cast<double>(r.elements) * elemBytes);
-        j.set("eval_samples", r.evalSamples);
-        j.set("merge_samples", r.mergeSamples);
-        j.set("eval_us", r.evalUs);
-        j.set("merge_us", r.mergeUs);
+        j.set("samples", r.samples);
+        j.set("sampled_us", r.sampledUs);
         j.set("self_us_est", selfUs);
         stmts.push(std::move(j));
     });

@@ -94,7 +94,9 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
       elemBytes_(elemBytes), engine_(engine), relaxed_(relaxedMerge),
       targetKind_(targetKind), cancel_(std::move(cancel)) {
     procMetrics_.assign(static_cast<size_t>(procCount_), ProcSimMetrics{});
-    execDelta_.assign(static_cast<size_t>(procCount_), 0);
+    stmtAcct_.assign(static_cast<size_t>(prog_.stmtCount()) *
+                         static_cast<size_t>(procCount_ + 2),
+                     0);
 
     allProcs_.resize(static_cast<size_t>(procCount_));
     std::iota(allProcs_.begin(), allProcs_.end(), 0);
@@ -107,6 +109,7 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     eventsPerOp_.assign(nOps, 0);
     elemsPerOp_.assign(nOps, 0);
     opByRef_.assign(static_cast<size_t>(prog_.exprCount()), nullptr);
+    opStmt_.assign(nOps, -1);
     opCtxVars_.resize(nOps);
     ctxMemo_.resize(nOps);
     ctxMemoSet_.assign(nOps, 0);
@@ -166,9 +169,12 @@ void SpmdSimulator::buildPlans() {
                 collectFetchRefs(s->kind == StmtKind::Assign ? s->rhs
                                                              : s->cond,
                                  plan.fetchRefs);
-                for (const Expr* r : plan.fetchRefs)
+                for (const Expr* r : plan.fetchRefs) {
+                    if (const CommOp* op = opByRef_[static_cast<size_t>(r->id)])
+                        opStmt_[static_cast<size_t>(op->id)] = s->id;
                     for (const Expr* sub : r->args)
                         collectArrayRefs(sub, plan.indexRefs);
+                }
                 if (s->kind == StmtKind::Assign)
                     for (const Expr* sub : s->lhs->args)
                         collectArrayRefs(sub, plan.indexRefs);
@@ -207,6 +213,7 @@ void SpmdSimulator::buildPlans() {
                         if (r.stmt == op.atStmt) red = &r;
                     if (red == nullptr || red->loops.front() != s) continue;
                     plan.combines.push_back(CombinePlan{&op, red});
+                    opStmt_[static_cast<size_t>(op.id)] = s->id;
                 }
                 break;
             }
@@ -403,7 +410,6 @@ void SpmdSimulator::noteEvent(const CommOp* op) {
         // Shared memory: each distinct sync event is one barrier epoch
         // (producers reach the barrier, consumers read the lines).
         if (targetKind_ == TargetKind::SharedMemory) ++barrierEvents_;
-        if (profile_ != nullptr) profile_->addEvent();
     }
 }
 
@@ -677,67 +683,18 @@ bool SpmdSimulator::resolveSlots(const StmtPlan& plan,
     return clean;
 }
 
-void SpmdSimulator::evalPhase(const StmtPlan& plan,
+bool SpmdSimulator::evalPhase(const StmtPlan& plan,
                               const std::vector<int>& execs, const Expr* e,
                               SymbolId directSym) {
-    // The profiler samples 1 in StmtProfile::kSampleEvery phases:
-    // unprofiled runs pay a null check, not a clock read.
-    const bool profEval = profile_ != nullptr && profile_->sampleEval();
-    std::chrono::steady_clock::time_point t0;
-    if (profEval) t0 = std::chrono::steady_clock::now();
-    const auto recordEval = [&] {
-        if (!profEval) return;
-        profile_->addEvalSample(std::chrono::duration<double, std::micro>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count());
-    };
-    const bool bcMode = engine_ == SimEngine::Bytecode;
     const size_t ne = execs.size();
-    phaseClean_ = false;
-    if (bcMode) {
-        const size_t nSlots = plan.code.slots.size();
-        phaseClean_ = resolveSlots(plan, execs);
-        if (plan.laneUniform) {
-            // Every lane would compute the oracle's value (see
-            // buildPlans): skip the VM run and record just the
-            // communication — the same misses, in the same slot-major
-            // lane order, with the same pending-copy dedup the VM's
-            // fetches would produce. execStmt broadcasts the oracle's
-            // result to the executors.
-            for (size_t i = 0; i < nSlots; ++i) {
-                if (slotAllValid_[i] != 0) continue;
-                // Runtime aliasing is an SoA-row equality: an earlier
-                // slot with the same row has the same frozen validity,
-                // so every lane missing here already fetched the
-                // element there (all records pending — nothing new);
-                // with no such slot, no pending copy can match and the
-                // records are straight appends of the resolution.
-                bool dup = false;
-                for (size_t j = 0; j < i; ++j)
-                    if (slotRow_[j] == slotRow_[i]) dup = true;
-                if (dup) continue;
-                const char* vrow = soaValid_.data() + slotRow_[i];
-                const bc::FetchSlot& sl = plan.code.slots[i];
-                const std::int64_t flat = sl.isArray ? slotFlat_[i] : 0;
-                const double mv = slotMissV_[i];
-                const int src = slotMissSrc_[i];
-                const CommOp* op = plan.slotOp[i];
-                for (size_t l = 0; l < ne; ++l) {
-                    const int p = execs[l];
-                    if (vrow[p] != 0) continue;
-                    pending_.push_back(PendingWrite{p, sl.sym, flat, mv});
-                    misses_.push_back(MissRecord{op, p, src});
-                }
-            }
-            recordEval();
-            return;
-        }
-    }
+    bool clean = false;
     values_.resize(ne);
-    if (bcMode)
+    if (engine_ == SimEngine::Bytecode) {
+        clean = resolveSlots(plan, execs);
         runLanes(plan, execs);
-    else
+    } else {
         for (size_t i = 0; i < ne; ++i) values_[i] = evalOn(execs[i], e);
+    }
     if (directSym != kNoSymbol) {
         // Relaxed mode: each executor commits its private reduction
         // accumulator immediately. Any cross-processor read of the
@@ -749,13 +706,10 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
             soaValid_[static_cast<size_t>(row + execs[i])] = 1;
         }
     }
-    recordEval();
+    return clean;
 }
 
 void SpmdSimulator::mergePhase() {
-    const bool profMerge = profile_ != nullptr && profile_->sampleMerge();
-    std::chrono::steady_clock::time_point t0;
-    if (profMerge) t0 = std::chrono::steady_clock::now();
     // Event-context memo: the oracle's scalars are constant for the
     // whole merge, so after noteEvent(op) ran once, repeating it for
     // the same op is a guaranteed duplicate (InternedEventSet::record
@@ -771,7 +725,6 @@ void SpmdSimulator::mergePhase() {
         ++elemsPerOp_[static_cast<size_t>(m.op->id)];
         ++procMetrics_[static_cast<size_t>(m.proc)].recvElements;
         ++procMetrics_[static_cast<size_t>(m.src)].sentElements;
-        if (profile_ != nullptr) profile_->addElement();
         std::uint64_t& stamp = opStamp_[static_cast<size_t>(m.op->id)];
         if (stamp != mergeStamp_) {
             noteEvent(m.op);
@@ -780,112 +733,35 @@ void SpmdSimulator::mergePhase() {
     }
     pending_.clear();
     misses_.clear();
-    if (profMerge)
-        profile_->addMergeSample(std::chrono::duration<double, std::micro>(
-                                     std::chrono::steady_clock::now() - t0)
-                                     .count());
 }
 
 void SpmdSimulator::execStmt(const Stmt* s) {
     switch (s->kind) {
-        case StmtKind::Assign: {
-            if (cancel_.armed()) boundary();
-            const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
-            checkSubscripts(s, plan);
-            const std::vector<int>& execs = executorsOf(s);
-            procStmts_ += static_cast<std::int64_t>(execs.size());
-            accountExecutors(execs);
-            if (profile_ != nullptr) {
-                profile_->beginStmt(s->id);
-                profile_->addExecutors(execs);
-            }
-            const bool bcMode = engine_ == SimEngine::Bytecode;
-            if (bcMode && plan.laneUniform && profile_ == nullptr) {
-                // The profiler does not need its tick: take the fused
-                // uniform path.
-                execUniformBc(s, plan, execs);
-                break;
-            }
-            const std::int64_t flat =
-                s->lhs->kind == ExprKind::ArrayRef
-                    ? (bcMode ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
-                              : refFlat_[static_cast<size_t>(s->lhs->id)])
-                    : 0;
-            // Relaxed mode: a scalar reduction accumulator is committed
-            // by each executor as soon as its lane finishes, skipping
-            // the merge-order barrier below. Safe because the combine
-            // is commutative and nobody else may read the accumulator
-            // mid-loop (no communication op exists for it).
-            const bool direct = relaxed_ && plan.isReductionAcc &&
-                                s->lhs->kind == ExprKind::VarRef;
-            // Evaluate on every executor against the pre-statement state.
-            evalPhase(plan, execs, s->rhs,
-                      direct ? s->lhs->sym : kNoSymbol);
-            if (!phaseClean_ || profile_ != nullptr) mergePhase();
-            // The statement's effect on the oracle: the bytecode engine
-            // runs the same chunk on the reference state, so it never
-            // pays a tree walk either.
-            const double* od = oracle_.store().dataRaw();
-            const double v =
-                bcMode ? vm::runScalar(
-                             plan.code.value, oracleRegs_.data(),
-                             [&](int slot) { return od[slotElem_[slot]]; })
-                       : oracle_.eval(s->rhs);
-            const std::int64_t row = soaRowOf(s->lhs->sym, flat);
-            if (!plan.isReductionAcc)
-                // Non-executors' copies become stale: one contiguous
-                // validity-row clear.
-                std::memset(soaValid_.data() + row, 0,
-                            static_cast<size_t>(procCount_));
-            if (plan.laneUniform) {
-                // Uniform phase: every executor's result is the
-                // oracle's value (no per-lane values_ were run).
-                if (&execs == &allProcs_) {
-                    std::fill(soa_.begin() + row,
-                              soa_.begin() + row + procCount_, v);
-                    std::memset(soaValid_.data() + row, 1,
-                                static_cast<size_t>(procCount_));
-                } else {
-                    for (const int p : execs) {
-                        soa_[static_cast<size_t>(row + p)] = v;
-                        soaValid_[static_cast<size_t>(row + p)] = 1;
-                    }
-                }
-            } else if (!direct) {
-                for (size_t i = 0; i < execs.size(); ++i) {
-                    soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-                    soaValid_[static_cast<size_t>(row + execs[i])] = 1;
-                }
-            }
-            oracle_.store().set(s->lhs->sym, flat, v);
-            oracle_.noteStatementExecuted();
-            break;
-        }
+        case StmtKind::Assign:
         case StmtKind::If: {
             if (cancel_.armed()) boundary();
+            // The profiler times 1 in StmtProfile::kSampleEvery
+            // instances: unprofiled runs pay a null check, not a clock
+            // read.
+            const bool timed =
+                profile_ != nullptr &&
+                (sampleTick_++ & (obs::StmtProfile::kSampleEvery - 1)) == 0;
+            std::chrono::steady_clock::time_point t0;
+            if (timed) t0 = std::chrono::steady_clock::now();
             const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
             checkSubscripts(s, plan);
             const std::vector<int>& execs = executorsOf(s);
-            procStmts_ += static_cast<std::int64_t>(execs.size());
-            accountExecutors(execs);
-            if (profile_ != nullptr) {
-                profile_->beginStmt(s->id);
-                profile_->addExecutors(execs);
-            }
-            evalPhase(plan, execs, s->cond);  // predicate comm
-            if (!phaseClean_ || profile_ != nullptr) mergePhase();
-            const bool taken =
-                engine_ == SimEngine::Bytecode
-                    ? vm::runScalar(plan.code.value, oracleRegs_.data(),
-                                    [&](int slot) {
-                                        return oracle_.store().dataRaw()
-                                            [slotElem_[slot]];
-                                    }) != 0.0
-                    : oracle_.eval(s->cond) != 0.0;
-            if (taken)
-                execBlock(s->thenBody);
-            else
-                execBlock(s->elseBody);
+            accountExecutors(s->id, execs);
+            const double v = plan.laneUniform ? execUniformBc(s, plan, execs)
+                                              : execPhases(s, plan, execs);
+            // An If's sample ends before its taken branch runs.
+            if (timed)
+                profile_->addSample(
+                    s->id, std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+            if (s->kind == StmtKind::If)
+                execBlock(v != 0.0 ? s->thenBody : s->elseBody);
             break;
         }
         case StmtKind::Do: {
@@ -922,15 +798,62 @@ void SpmdSimulator::execStmt(const Stmt* s) {
     }
 }
 
-void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
-                                  const std::vector<int>& execs) {
+double SpmdSimulator::execPhases(const Stmt* s, const StmtPlan& plan,
+                                 const std::vector<int>& execs) {
+    const bool bcMode = engine_ == SimEngine::Bytecode;
+    const bool assign = s->kind == StmtKind::Assign;
+    const Expr* e = assign ? s->rhs : s->cond;
+    // Relaxed mode: a scalar reduction accumulator is committed by each
+    // executor as soon as its lane finishes, skipping the merge-order
+    // barrier below. Safe because the combine is commutative and nobody
+    // else may read the accumulator mid-loop (no communication op exists
+    // for it).
+    const bool direct = assign && relaxed_ && plan.isReductionAcc &&
+                        s->lhs->kind == ExprKind::VarRef;
+    // Evaluate on every executor against the pre-statement state (an
+    // If: its predicate's communication).
+    if (!evalPhase(plan, execs, e, direct ? s->lhs->sym : kNoSymbol))
+        mergePhase();
+    // The statement's value on the oracle: the bytecode engine runs the
+    // same chunk on the reference state, so it never pays a tree walk
+    // either.
+    const double* od = oracle_.store().dataRaw();
+    const double v =
+        bcMode ? vm::runScalar(plan.code.value, oracleRegs_.data(),
+                               [&](int slot) { return od[slotElem_[slot]]; })
+               : oracle_.eval(e);
+    if (!assign) return v;
+    const std::int64_t flat =
+        s->lhs->kind == ExprKind::ArrayRef
+            ? (bcMode ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
+                      : refFlat_[static_cast<size_t>(s->lhs->id)])
+            : 0;
+    const std::int64_t row = soaRowOf(s->lhs->sym, flat);
+    if (!plan.isReductionAcc)
+        // Non-executors' copies become stale: one contiguous
+        // validity-row clear.
+        std::memset(soaValid_.data() + row, 0,
+                    static_cast<size_t>(procCount_));
+    if (!direct) {
+        for (size_t i = 0; i < execs.size(); ++i) {
+            soa_[static_cast<size_t>(row + execs[i])] = values_[i];
+            soaValid_[static_cast<size_t>(row + execs[i])] = 1;
+        }
+    }
+    oracle_.store().set(s->lhs->sym, flat, v);
+    oracle_.noteStatementExecuted();
+    return v;
+}
+
+double SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
+                                    const std::vector<int>& execs) {
     const size_t nSlots = plan.code.slots.size();
     const bool dense = &execs == &allProcs_;
     const size_t ne = execs.size();
     if (!resolveSlots(plan, execs)) {
-        // Apply the misses in place — same slot-major lane order, same
-        // row-equality dedup and same per-merge event memo the deferred
-        // evalPhase + mergePhase pair produces (mutating a row here
+        // Apply the misses in place — the slot-major lane order, the
+        // row-equality dedup and the per-merge event memo of the
+        // deferred evalPhase + mergePhase pair (mutating a row here
         // cannot change a later slot's miss set: an equal row is
         // dedup-skipped, a different row is untouched).
         ++mergeStamp_;
@@ -964,11 +887,12 @@ void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
         }
     }
     // Every lane computes the oracle's value (lane uniformity): run the
-    // chunk once on the oracle and broadcast.
+    // chunk once on the oracle; an Assign broadcasts it.
     const double* od = oracle_.store().dataRaw();
     const double v =
         vm::runScalar(plan.code.value, oracleRegs_.data(),
                       [&](int slot) { return od[slotElem_[slot]]; });
+    if (s->kind == StmtKind::If) return v;
     const std::int64_t flat =
         s->lhs->kind == ExprKind::ArrayRef
             ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
@@ -990,6 +914,7 @@ void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
     }
     oracle_.store().set(s->lhs->sym, flat, v);
     oracle_.noteStatementExecuted();
+    return v;
 }
 
 void SpmdSimulator::execLoopBody(const Stmt* s) {
@@ -1011,10 +936,8 @@ void SpmdSimulator::execLoopBody(const Stmt* s) {
 
 void SpmdSimulator::runCombines(const Stmt* s) {
     // Apply global combining for reductions whose nest just ended.
-    // Their events/transfers are attributed to the loop statement.
-    if (profile_ != nullptr &&
-        !plans_[static_cast<size_t>(s->id)].combines.empty())
-        profile_->setCurrent(s->id);
+    // Their events/transfers are attributed to the loop statement
+    // (opStmt_).
     for (const CombinePlan& c : plans_[static_cast<size_t>(s->id)].combines) {
         const CommOp& op = *c.op;
         const bool relaxedOp = relaxed_ && relaxedCombinable(c.red->op);
@@ -1031,7 +954,6 @@ void SpmdSimulator::runCombines(const Stmt* s) {
         noteEvent(&op);
         ++transfers_;
         ++elemsPerOp_[static_cast<size_t>(op.id)];
-        if (profile_ != nullptr) profile_->addElement();
         // The combine delivers the global result everywhere.
         for (int p = 0; p < procCount_; ++p)
             ++procMetrics_[static_cast<size_t>(p)].recvElements;
@@ -1199,34 +1121,55 @@ std::int64_t SpmdSimulator::elementsOfOp(int opId) const {
                : 0;
 }
 
-void SpmdSimulator::accountExecutors(const std::vector<int>& execs) {
+void SpmdSimulator::accountExecutors(int stmt,
+                                     const std::vector<int>& execs) {
     // Guard accounting: processors in `execs` pass their computation-
     // partitioning guard for this statement instance, everyone else
-    // evaluates the guard and skips. skipped = instances - executed, so
-    // only the executed counts (dense int64 array, one cache line for typical
-    // proc counts — or a single counter for guard-All instances) are
-    // touched per instance; flushAccounting materializes the
-    // ProcSimMetrics view at the end of the run.
-    ++accountedInstances_;
+    // evaluates the guard and skips. Only executions are counted;
+    // flushAccounting derives every other view at the end of the run.
+    std::int64_t* row =
+        stmtAcct_.data() +
+        static_cast<size_t>(stmt) * static_cast<size_t>(procCount_ + 2);
+    ++row[procCount_];
     if (&execs == &allProcs_) {
-        ++denseAccounted_;
+        ++row[procCount_ + 1];
         return;
     }
-    for (const int p : execs) ++execDelta_[static_cast<size_t>(p)];
+    for (const int p : execs) ++row[p];
 }
 
 void SpmdSimulator::flushAccounting() {
-    if (accountedInstances_ == 0) return;
-    for (int p = 0; p < procCount_; ++p) {
-        ProcSimMetrics& m = procMetrics_[static_cast<size_t>(p)];
-        const std::int64_t executed =
-            denseAccounted_ + execDelta_[static_cast<size_t>(p)];
-        m.stmtsExecuted += executed;
-        m.stmtsSkipped += accountedInstances_ - executed;
-        execDelta_[static_cast<size_t>(p)] = 0;
+    const auto nProcs = static_cast<size_t>(procCount_);
+    const size_t nStmts = stmtAcct_.size() / (nProcs + 2);
+    std::int64_t instances = 0;
+    for (ProcSimMetrics& m : procMetrics_) m.stmtsExecuted = 0;
+    for (size_t s = 0; s < nStmts; ++s) {
+        std::int64_t* row = stmtAcct_.data() + s * (nProcs + 2);
+        instances += row[nProcs];
+        for (size_t p = 0; p < nProcs; ++p) {
+            row[p] += row[nProcs + 1];
+            procMetrics_[p].stmtsExecuted += row[p];
+        }
+        row[nProcs + 1] = 0;
     }
-    accountedInstances_ = 0;
-    denseAccounted_ = 0;
+    procStmts_ = 0;
+    for (ProcSimMetrics& m : procMetrics_) {
+        m.stmtsSkipped = instances - m.stmtsExecuted;
+        procStmts_ += m.stmtsExecuted;
+    }
+    if (profile_ == nullptr) return;
+    std::vector<std::int64_t> elems(nStmts, 0);
+    std::vector<std::int64_t> events(nStmts, 0);
+    for (size_t op = 0; op < opStmt_.size(); ++op) {
+        if (opStmt_[op] < 0) continue;
+        elems[static_cast<size_t>(opStmt_[op])] += elemsPerOp_[op];
+        events[static_cast<size_t>(opStmt_[op])] += eventsPerOp_[op];
+    }
+    for (size_t s = 0; s < nStmts; ++s) {
+        const std::int64_t* row = stmtAcct_.data() + s * (nProcs + 2);
+        profile_->setCounts(static_cast<int>(s), row[nProcs], row, elems[s],
+                            events[s]);
+    }
 }
 
 double SpmdSimulator::imbalanceRatio() const {

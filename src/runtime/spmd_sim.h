@@ -98,10 +98,11 @@ public:
     /// outside its declared bounds.
     void run();
 
-    /// Opt into the per-statement profiler before run(). Counts
-    /// (instances, per-proc executions, transfers, events) are exact
-    /// and bit-identical across runs; wall time is
-    /// 1-in-kSampleEvery sampled (deterministic sample *counts*,
+    /// Opt into the per-statement profiler before run(). Its counts
+    /// (instances, per-proc executions, transfers, events) are the
+    /// simulator's own per-statement accounting, filled in at the end of
+    /// the run; the armed run adds only a 1-in-kSampleEvery clock sample
+    /// per Assign/If instance (deterministic sample *counts*,
     /// host-dependent durations). The armed overhead budget is <2%
     /// (bench/bench_profile_overhead.cpp enforces it).
     void enableProfiling() {
@@ -222,10 +223,8 @@ private:
         /// Bytecode engine: every lane provably computes the oracle's
         /// value — the statement is not a reduction accumulation and no
         /// fetched symbol is divergent (per-processor copies of every
-        /// read symbol equal the oracle whenever valid). Such phases
-        /// skip the per-lane VM run: misses are recorded for the
-        /// communication accounting, and the oracle's scalar result is
-        /// broadcast to the executors.
+        /// read symbol equal the oracle whenever valid). Such statements
+        /// run through execUniformBc, never the per-lane VM.
         bool laneUniform = false;
     };
 
@@ -250,16 +249,19 @@ private:
     void distributeInputs();
     void execBlock(const std::vector<Stmt*>& block);
     void execStmt(const Stmt* s);
-    /// Bytecode engine, lane-uniform Assign with the profiler unarmed:
-    /// the fused fast path. One pass resolves the fetch slots, applies
-    /// any misses in place (same slot-major lane order and per-merge
-    /// event memo as evalPhase + mergePhase), runs the oracle chunk
-    /// once and broadcasts the result — no deferred record vectors, no
-    /// second slot walk. An armed profiler falls back to the general
-    /// path, which keeps its sampling ticks; the two paths produce
-    /// identical state, metrics and events.
-    void execUniformBc(const Stmt* s, const StmtPlan& plan,
-                       const std::vector<int>& execs);
+    /// General path of Assign/If `s` on its executors: the deferred
+    /// eval and merge phases, then the statement's effect. Returns the
+    /// oracle's value of the rhs/cond.
+    double execPhases(const Stmt* s, const StmtPlan& plan,
+                      const std::vector<int>& execs);
+    /// Bytecode engine, lane-uniform Assign/If: the one lane-uniform
+    /// path. One pass resolves the fetch slots and applies any misses
+    /// in place (the slot-major lane order and per-merge event memo of
+    /// evalPhase + mergePhase, without their deferred record vectors),
+    /// then runs the chunk once on the oracle; an Assign broadcasts the
+    /// result to its executors. Returns the oracle's rhs/cond value.
+    double execUniformBc(const Stmt* s, const StmtPlan& plan,
+                         const std::vector<int>& execs);
     /// One iteration of Do statement `s`'s body, with the forward-goto
     /// continuation handling.
     void execLoopBody(const Stmt* s);
@@ -295,9 +297,13 @@ private:
     /// state, filling values_. `directSym` != kNoSymbol (relaxed merge,
     /// reduction accumulators only) additionally writes each executor's
     /// result straight to its private accumulator copy, skipping the
-    /// ordered post-merge write loop.
-    void evalPhase(const StmtPlan& plan, const std::vector<int>& execs,
-                   const Expr* e, SymbolId directSym = kNoSymbol);
+    /// ordered post-merge write loop. Returns true when the bytecode
+    /// slot pre-scan found every executor valid on every slot: no lane
+    /// recorded a pending write or miss, so the merge is a provable
+    /// no-op and may be skipped.
+    [[nodiscard]] bool evalPhase(const StmtPlan& plan,
+                                 const std::vector<int>& execs, const Expr* e,
+                                 SymbolId directSym = kNoSymbol);
     /// Bytecode engine: run the phase chunk over every lane of the
     /// executor set on the register banks, filling values_.
     void runLanes(const StmtPlan& plan, const std::vector<int>& execs);
@@ -352,13 +358,13 @@ private:
     double fetch(int proc, const Expr* ref);
     /// Account one element transfer's message event.
     void noteEvent(const CommOp* op);
-    /// Per-proc executed/skipped accounting for one statement instance.
-    /// Accumulates into flat delta counters (one int per processor, not
-    /// a ProcSimMetrics sweep); flushAccounting materializes them.
-    void accountExecutors(const std::vector<int>& execs);
-    /// Fold the executed/skipped deltas into procMetrics_. Called at run
-    /// end (normal and fault exits), where procMetrics_ must be
-    /// externally coherent.
+    /// Guard accounting of one instance of statement `stmt` in its row
+    /// of stmtAcct_.
+    void accountExecutors(int stmt, const std::vector<int>& execs);
+    /// Derive procMetrics_'s executed/skipped counts, procStmts_ and
+    /// (when armed) the profile's counts from the per-statement
+    /// accounting. Called at run end (normal and fault exits), where
+    /// they must be externally coherent.
     void flushAccounting();
     /// Bytecode engine: the single processor of a fully-pinned
     /// descriptor (execSingleton / slotSrcSingleton plans).
@@ -397,6 +403,10 @@ private:
     InternedEventSet events_;
     std::vector<std::int64_t> eventsPerOp_;  ///< by CommOp::id (dense)
     std::vector<std::int64_t> elemsPerOp_;   ///< by CommOp::id (dense)
+    /// By CommOp::id: the statement whose fetches (a Do: whose loop-end
+    /// combine) move the op's data, -1 for none — how the profile
+    /// attributes elemsPerOp_/eventsPerOp_ to statements.
+    std::vector<int> opStmt_;
 
     // --- precomputed execution plan (built once in the constructor) ---
     std::vector<StmtPlan> plans_;               ///< by Stmt::id
@@ -444,14 +454,13 @@ private:
     /// the pre-scan (validity is frozen within the phase), so the VM
     /// loads the slot with one contiguous row copy.
     std::vector<char> slotAllValid_;
-    /// Guard-accounting deltas since the last flushAccounting(): number
-    /// of accounted statement instances, how many of those executed on
-    /// every processor (guard All — one counter, no per-proc sweep),
-    /// and per-processor executed counts for the rest
-    /// (skipped = instances - denseAccounted - executed).
-    std::int64_t accountedInstances_ = 0;
-    std::int64_t denseAccounted_ = 0;
-    std::vector<std::int64_t> execDelta_;
+    /// Guard accounting, one row of procCount + 2 counters per Stmt::id
+    /// (a statement's counters share a cache line for typical proc
+    /// counts): executions on each processor, then instances, then
+    /// instances that ran on every processor (one counter, no per-proc
+    /// sweep; flushAccounting folds them into the per-proc columns). A
+    /// processor's skipped count is all instances minus its executions.
+    std::vector<std::int64_t> stmtAcct_;
     /// executorsOf scratch for singleton owner sets (always size 1).
     std::vector<int> singleProcScratch_;
     /// Per-merge noteEvent memo: an op whose stamp equals the current
@@ -464,11 +473,6 @@ private:
     /// whether there is one. A repeat skips the interned sets.
     std::vector<std::vector<std::int64_t>> ctxMemo_;
     std::vector<char> ctxMemoSet_;
-    /// Set by evalPhase: the bytecode slot pre-scan found every executor
-    /// valid on every slot, so no lane can have recorded a pending
-    /// write or miss — the merge is a provable no-op and execStmt skips
-    /// it unless the profiler needs its tick.
-    bool phaseClean_ = false;
     /// Relaxed merge: loop-entry accumulator snapshot by CommOp id.
     std::vector<double> combineInit_;
 
@@ -478,6 +482,7 @@ private:
 
     // --- per-statement profiler (null when not opted in) ---
     std::unique_ptr<obs::StmtProfile> profile_;
+    std::uint32_t sampleTick_ = 0;  ///< profiled Assign/If instances so far
 };
 
 }  // namespace phpf

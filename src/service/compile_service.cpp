@@ -1,6 +1,7 @@
 #include "service/compile_service.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "frontend/parser.h"
 #include "service/fingerprint.h"
@@ -51,8 +52,6 @@ std::shared_future<CompileResult> CompileService::submit(CompileRequest req) {
         registry_.histogram("service.queue_wait_us").record(usSince(submitted));
         promise->set_value(compileAt(req, submitted));
     });
-    registry_.gauge("service.queue.depth")
-        .set(static_cast<double>(pool_->queueDepth()));
     return fut;
 }
 
@@ -318,6 +317,10 @@ ServiceStats CompileService::stats() const {
 }
 
 obs::Json CompileService::metricsJson() const {
+    // A worker marks its job inactive only after it has handed out the
+    // result, so a caller that has every result may still see a job
+    // "active": drain first, then read the queue block.
+    pool_->drain();
     obs::Json root = obs::Json::object();
     root.set("registry", registry_.toJson());
     const CacheStats cs = cache_.stats();
@@ -326,7 +329,10 @@ obs::Json CompileService::metricsJson() const {
     cache.set("misses", cs.misses);
     cache.set("evictions", cs.evictions);
     cache.set("size", static_cast<std::int64_t>(cs.size));
-    cache.set("capacity", static_cast<std::int64_t>(cs.capacity));
+    // Saturated: a library-built cache may hold up to SIZE_MAX entries.
+    cache.set("capacity",
+              static_cast<std::int64_t>(std::min<std::size_t>(
+                  cs.capacity, std::numeric_limits<std::int64_t>::max())));
     cache.set("shards", cs.shards);
     root.set("cache", std::move(cache));
     obs::Json queue = obs::Json::object();

@@ -115,8 +115,8 @@ struct ServiceStats {
 /// bounded sharded LRU of immutable artifacts, coalesces identical
 /// in-flight requests onto one execution, enforces per-request
 /// deadlines via between-pass cancellation, and records service metrics
-/// (hits/misses/evictions, coalesced joins, queue depth, per-stage
-/// latency histograms) in an obs::MetricRegistry.
+/// (hits/misses/evictions, coalesced joins, per-stage latency
+/// histograms) in an obs::MetricRegistry.
 class CompileService {
 public:
     explicit CompileService(ServiceConfig cfg = {});
@@ -135,8 +135,10 @@ public:
 
     [[nodiscard]] ServiceStats stats() const;
     /// Service metric snapshot: the registry (counters + per-stage
-    /// latency histograms) plus live cache/queue state — ready to embed
-    /// in a JSON run report or the batch summary row.
+    /// latency histograms) plus cache/queue state — ready to embed in a
+    /// JSON run report or the batch summary row. Drains the worker pool
+    /// first, so the queue block reads a quiescent pool (never call it
+    /// from inside a submitted job).
     [[nodiscard]] obs::Json metricsJson() const;
 
 private:

@@ -75,14 +75,11 @@ TEST(ObsTracer, DisabledTracerRecordsNothing) {
 // Metrics
 // ---------------------------------------------------------------------------
 
-TEST(ObsMetrics, CounterAndGaugeSemantics) {
+TEST(ObsMetrics, CounterSemantics) {
     obs::MetricRegistry reg;
     reg.counter("a").add();
     reg.counter("a").add(4);
     EXPECT_EQ(reg.counter("a").value(), 5);
-    reg.gauge("g").set(2.5);
-    reg.gauge("g").set(7.0);  // last value wins
-    EXPECT_EQ(reg.gauge("g").value(), 7.0);
 }
 
 TEST(ObsMetrics, HistogramSummaryAndBuckets) {
@@ -517,7 +514,7 @@ TEST(ObsReport, RunReportRoundTripsThroughJson) {
     ASSERT_TRUE(err.empty()) << err;
 
     EXPECT_EQ(r.at("schema").stringValue(), "phpf.run_report");
-    EXPECT_EQ(r.at("schema_version").intValue(), 5);
+    EXPECT_EQ(r.at("schema_version").intValue(), 6);
     EXPECT_EQ(r.at("program").stringValue(), "fig1");
     EXPECT_EQ(r.at("total_procs").intValue(), 4);
     EXPECT_EQ(r.at("induction_rewrites").intValue(), 1);

@@ -58,8 +58,7 @@ Json countsOnlyProfileJson(const Program& p, const StmtProfile& prof,
     Json stmts = Json::array();
     for (const Json& row : j.at("stmts").items()) {
         Json r = row;
-        r.set("eval_us", 0.0);
-        r.set("merge_us", 0.0);
+        r.set("sampled_us", 0.0);
         r.set("self_us_est", 0.0);
         stmts.push(std::move(r));
     }
@@ -158,16 +157,16 @@ TEST(ProfilerTotals, MaxProcAndImbalanceAreConsistent) {
 
 TEST(ProfilerTotals, ExecutedStatementsExistAndSamplesAccrue) {
     const ProfiledRun r = runProfiled(makeTomcatv());
-    std::int64_t instances = 0, evalSamples = 0;
+    std::int64_t instances = 0, samples = 0;
     for (int s = 0; s < r.prof.stmtCount(); ++s) {
         instances += r.prof.row(s).instances;
-        evalSamples += r.prof.row(s).evalSamples;
+        samples += r.prof.row(s).samples;
     }
     EXPECT_GT(instances, 0);
-    // 1-in-64 sampling over a run this size must land at least once
-    // (tick 0 always samples).
-    EXPECT_GT(evalSamples, 0);
-    EXPECT_LE(evalSamples, instances / 4 + 1);
+    // 1-in-kSampleEvery sampling over a run this size must land at least
+    // once (tick 0 always samples).
+    EXPECT_GT(samples, 0);
+    EXPECT_LE(samples, instances / 4 + 1);
 }
 
 TEST(ProfilerTotals, ProfilingIsOffByDefault) {
@@ -181,9 +180,9 @@ TEST(ProfilerTotals, ProfilingIsOffByDefault) {
 
 TEST(ProfilerTotals, SelfTimeEstimateScalesSampledTime) {
     StmtProfile prof(2, 4);
-    prof.beginStmt(1);
-    prof.addEvalSample(3.0);
-    prof.addMergeSample(2.0);
+    prof.addSample(1, 3.0);
+    prof.addSample(1, 2.0);
+    EXPECT_EQ(prof.row(1).samples, 2);
     EXPECT_DOUBLE_EQ(prof.selfUsEst(1),
                      5.0 * static_cast<double>(StmtProfile::kSampleEvery));
     EXPECT_DOUBLE_EQ(prof.selfUsEst(0), 0.0);
@@ -217,8 +216,7 @@ TEST(ProfileJson, SchemaTotalsAndRowShape) {
         for (const char* key :
              {"id", "kind", "text", "instances", "proc_stmts",
               "max_proc_stmts", "imbalance", "elements", "events",
-              "bytes_moved", "eval_samples", "merge_samples",
-              "self_us_est"})
+              "bytes_moved", "samples", "sampled_us", "self_us_est"})
             EXPECT_NE(row.find(key), nullptr) << key;
         instances += row.at("instances").intValue();
         events += row.at("events").intValue();
@@ -447,7 +445,7 @@ TEST(RunReportV3, ProfiledRunCarriesProfileAndCalibrationSections) {
     req.profile = true;
     auto sim = c.simulate(req);
     const Json report = c.buildRunReport(sim.get());
-    EXPECT_EQ(report.at("schema_version").intValue(), 5);
+    EXPECT_EQ(report.at("schema_version").intValue(), 6);
     ASSERT_NE(report.find("profile"), nullptr);
     ASSERT_NE(report.find("calibration"), nullptr);
     EXPECT_GT(report.at("profile").at("stmts").size(), 0u);
@@ -465,7 +463,7 @@ TEST(RunReportV3, UnprofiledRunOmitsTheSections) {
     Compilation c = Compiler::compile(p, opts);
     auto sim = c.simulate(SimulationRequest{});
     const Json report = c.buildRunReport(sim.get());
-    EXPECT_EQ(report.at("schema_version").intValue(), 5);
+    EXPECT_EQ(report.at("schema_version").intValue(), 6);
     EXPECT_EQ(report.find("profile"), nullptr);
     EXPECT_EQ(report.find("calibration"), nullptr);
 }

@@ -407,6 +407,16 @@ TEST(CompileService, MetricsJsonCarriesCacheAndStageData) {
     EXPECT_NE(hist.find("service.stage.spmd-lowering_us"), nullptr);
 }
 
+TEST(CompileService, HugeCacheCapacitySaturatesInMetrics) {
+    // A size_t capacity past INT64_MAX once came out as -1.
+    service::ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.cacheCapacity = SIZE_MAX;
+    CompileService svc(cfg);
+    EXPECT_EQ(svc.metricsJson().at("cache").at("capacity").intValue(),
+              INT64_MAX);
+}
+
 // ---------------------------------------------------------------------
 // Artifact cache.
 
@@ -878,6 +888,41 @@ TEST(Batch, RowsIdenticalAcrossWorkerCounts) {
         for (std::size_t i = 0; i < rows.size(); ++i)
             EXPECT_EQ(rows[i], reference[i])
                 << workers << " workers, row " << i;
+    }
+}
+
+TEST(Batch, SerialSummariesAreIdentical) {
+    // Two serial runs of the smoke file: once timings are removed the
+    // summary rows match, the service's queue block included (a worker
+    // may still count as active after its result is out, so
+    // metricsJson drains the pool before reading it).
+    const std::string root = PHPF_SOURCE_DIR;
+    service::BatchSpec spec;
+    std::string err;
+    ASSERT_TRUE(service::loadBatchFile(root + "/examples/batch_smoke.json",
+                                       &spec, &err))
+        << err;
+    for (service::BatchJob& job : spec.jobs)
+        if (!job.file.empty()) job.file = root + "/" + job.file;
+    std::string reference;
+    for (int run = 0; run < 2; ++run) {
+        service::ServiceConfig cfg;
+        cfg.workers = 1;
+        CompileService svc(cfg);
+        std::ostringstream out;
+        EXPECT_EQ(service::runBatch(svc, spec, out).failed, 0);
+        std::istringstream lines(out.str());
+        std::string line, last;
+        while (std::getline(lines, line)) last = line;
+        const obs::Json summary = obs::Json::parse(last);
+        ASSERT_NE(summary.find("summary"), nullptr) << last;
+        EXPECT_EQ(summary.at("service").at("queue").at("active").intValue(),
+                  0);
+        const std::string stable = withoutTimings(summary).dump(-1);
+        if (run == 0)
+            reference = stable;
+        else
+            EXPECT_EQ(stable, reference);
     }
 }
 

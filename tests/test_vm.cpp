@@ -379,9 +379,32 @@ TEST(VmDifferential, ProfilerCountsIdenticalAcrossEngines) {
             EXPECT_EQ(ra.elements, rb.elements);
             EXPECT_EQ(ra.events, rb.events);
             // Sample *counts* are deterministic (durations are not).
-            EXPECT_EQ(ra.evalSamples, rb.evalSamples);
-            EXPECT_EQ(ra.mergeSamples, rb.mergeSamples);
+            EXPECT_EQ(ra.samples, rb.samples);
         }
+    }
+}
+
+TEST(VmDifferential, ProfiledRunsIdenticalToUnprofiled) {
+    // Arming the profiler adds a clock sample and nothing else: every
+    // statement takes the same path, so state and metrics stay bit
+    // for bit those of the plain run.
+    for (const Kernel& k : kernels()) {
+        Program p = k.build();
+        TargetConfig opts;
+        opts.gridExtents = k.grid;
+        Compilation c = Compiler::compile(p, opts);
+        auto plain = c.simulate({.seed = k.seed,
+                                 .profile = false,
+                                 .engine = SimEngine::Bytecode});
+        auto profiled = c.simulate({.seed = k.seed,
+                                    .profile = true,
+                                    .engine = SimEngine::Bytecode});
+        ASSERT_NE(profiled->profile(), nullptr);
+        SCOPED_TRACE(k.name);
+        expectSnapshotsIdentical(snap(c, *plain, k.outputs),
+                                 snap(c, *profiled, k.outputs));
+        expectOracleStoresIdentical(*plain, *profiled);
+        expectProcStatesIdentical(c.lowering().program(), *plain, *profiled);
     }
 }
 
