@@ -68,6 +68,21 @@ void BM_PredictCostDgefa(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictCostDgefa);
 
+// The same walk with per-statement / per-op attribution (--cost,
+// calibration): it should stay within a small factor of the plain walk.
+void BM_PredictDetailedDgefa(benchmark::State& state) {
+    Program p = programs::dgefa(kN);
+    TargetConfig opts;
+    opts.gridExtents = {16};
+    Compilation c = Compiler::compile(p, opts);
+    const Target& target = c.compileTarget();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            target.predictDetailed(c.lowering(), c.target()).totals.totalSec());
+    }
+}
+BENCHMARK(BM_PredictDetailedDgefa);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <sstream>
 
 #include "support/diagnostics.h"
 
@@ -153,33 +152,6 @@ std::vector<int> Cfg::reversePostOrder() const {
     dfs(entry_);
     std::reverse(order.begin(), order.end());
     return order;
-}
-
-std::string Cfg::dump(const Program& p) const {
-    std::ostringstream os;
-    for (const auto& bb : blocks_) {
-        os << "bb" << bb.id;
-        if (bb.headerOf != nullptr)
-            os << " [header of do " << p.sym(bb.headerOf->loopVar).name << "]";
-        os << " -> {";
-        for (size_t i = 0; i < bb.succs.size(); ++i)
-            os << (i ? "," : "") << "bb" << bb.succs[i];
-        os << "}\n";
-        for (const auto& item : bb.items) {
-            switch (item.kind) {
-                case CfgItem::Kind::Statement:
-                    os << "  s" << item.stmt->id << "\n";
-                    break;
-                case CfgItem::Kind::LoopInit:
-                    os << "  init " << p.sym(item.stmt->loopVar).name << "\n";
-                    break;
-                case CfgItem::Kind::LoopIncr:
-                    os << "  incr " << p.sym(item.stmt->loopVar).name << "\n";
-                    break;
-            }
-        }
-    }
-    return os.str();
 }
 
 }  // namespace phpf

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -57,8 +56,6 @@ public:
 
     /// Reverse post-order from the entry (every reachable block).
     [[nodiscard]] std::vector<int> reversePostOrder() const;
-
-    [[nodiscard]] std::string dump(const Program& p) const;
 
 private:
     int newBlock(Stmt* enclosingLoop);

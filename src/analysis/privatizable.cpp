@@ -42,13 +42,4 @@ bool arrayPrivatizableAt(const Stmt* loop, SymbolId array) {
            loop->newVars.end();
 }
 
-const Stmt* privatizingLoopOfArray(const Program& p, const Stmt* s,
-                                   SymbolId array) {
-    for (const Stmt* l : p.enclosingLoops(s)) {
-        if (arrayPrivatizableAt(l, array)) return l;
-    }
-    if (s->kind == StmtKind::Do && arrayPrivatizableAt(s, array)) return s;
-    return nullptr;
-}
-
 }  // namespace phpf

@@ -24,9 +24,4 @@ namespace phpf {
 /// an INDEPENDENT directive on `loop`.
 [[nodiscard]] bool arrayPrivatizableAt(const Stmt* loop, SymbolId array);
 
-/// The INDEPENDENT loop (enclosing `s` or `s` itself) that names `array`
-/// in its NEW clause, or null.
-[[nodiscard]] const Stmt* privatizingLoopOfArray(const Program& p,
-                                                 const Stmt* s, SymbolId array);
-
 }  // namespace phpf

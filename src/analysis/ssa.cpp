@@ -233,19 +233,6 @@ int SsaForm::defIdOfLoopIncr(const Stmt* s) const {
     return it == loopIncrDef_.end() ? -1 : it->second;
 }
 
-int SsaForm::headerPhiOf(const Stmt* doStmt, SymbolId sym) const {
-    const int header = cfg_.headerOf(doStmt);
-    for (int phiId : blockPhis_[static_cast<size_t>(header)]) {
-        const SsaDef& d = defs_[static_cast<size_t>(phiId)];
-        if (d.sym == sym && !d.phiUses.empty()) return phiId;
-        if (d.sym == sym && !d.uses.empty()) return phiId;
-    }
-    // Also accept a live phi with uses (checked above); otherwise none.
-    for (int phiId : blockPhis_[static_cast<size_t>(header)])
-        if (defs_[static_cast<size_t>(phiId)].sym == sym) return phiId;
-    return -1;
-}
-
 UseClosure SsaForm::reachedUses(int defId) const {
     UseClosure out;
     std::vector<char> seen(defs_.size(), 0);

@@ -70,9 +70,6 @@ public:
     [[nodiscard]] int defIdOfAssign(const Stmt* s) const;
     [[nodiscard]] int defIdOfLoopInit(const Stmt* doStmt) const;
     [[nodiscard]] int defIdOfLoopIncr(const Stmt* doStmt) const;
-    /// Phi at loop `doStmt`'s header for symbol `sym`, or -1 (pruned /
-    /// never merged).
-    [[nodiscard]] int headerPhiOf(const Stmt* doStmt, SymbolId sym) const;
 
     /// Transitive closure def -> real uses, through live phis.
     [[nodiscard]] UseClosure reachedUses(int defId) const;

@@ -33,16 +33,28 @@ struct CostModel {
     /// Neighbour shift exchange: one message each way per processor pair,
     /// modelled as a single message of the boundary volume.
     [[nodiscard]] double shift(double bytes) const { return message(bytes); }
+    /// Stages of a collective over `procs` coordinates: ceil(log2 P).
+    [[nodiscard]] static double stagesFor(int procs) {
+        return std::ceil(std::log2(static_cast<double>(procs)));
+    }
     /// Broadcast of `bytes` along a dimension of `procs` coordinates.
     [[nodiscard]] double broadcast(int procs, double bytes) const {
         if (procs <= 1) return 0.0;
-        return std::ceil(std::log2(static_cast<double>(procs))) * message(bytes);
+        return broadcastIn(stagesFor(procs), bytes);
+    }
+    /// broadcast() over P > 1 coordinates, given stagesFor(P): callers
+    /// that price one pattern many times hoist the stage count.
+    [[nodiscard]] double broadcastIn(double stages, double bytes) const {
+        return stages * message(bytes);
     }
     /// All partitions to every coordinate (total volume `totalBytes`).
     [[nodiscard]] double allGather(int procs, double totalBytes) const {
         if (procs <= 1) return 0.0;
-        return std::ceil(std::log2(static_cast<double>(procs))) * alphaSec +
-               totalBytes * betaSecPerByte;
+        return allGatherIn(stagesFor(procs), totalBytes);
+    }
+    /// allGather() over P > 1 coordinates, given stagesFor(P).
+    [[nodiscard]] double allGatherIn(double stages, double totalBytes) const {
+        return stages * alphaSec + totalBytes * betaSecPerByte;
     }
     /// All partitions to a single coordinate.
     [[nodiscard]] double gather(int procs, double totalBytes) const {
@@ -89,12 +101,19 @@ struct ShmCostModel {
     /// concurrent pulls of the same lines serialize on the bus
     /// logarithmically (snoop/queueing), not linearly.
     [[nodiscard]] double sharedRead(double bytes, int readers = 1) const {
+        return sharedReadAt(contentionFor(readers), bytes);
+    }
+    /// The bus contention factor of `readers` concurrent pulls.
+    [[nodiscard]] static double contentionFor(int readers) {
+        return readers > 1
+                   ? 1.0 + std::ceil(std::log2(static_cast<double>(readers)))
+                   : 1.0;
+    }
+    /// sharedRead() given contentionFor(readers), hoisted by callers
+    /// that price one pattern many times.
+    [[nodiscard]] double sharedReadAt(double contention, double bytes) const {
         const double lines =
             std::ceil(bytes / static_cast<double>(cacheLineBytes));
-        const double contention =
-            readers > 1
-                ? 1.0 + std::ceil(std::log2(static_cast<double>(readers)))
-                : 1.0;
         return lines * lineSec * contention + bytes * sharedBwSecPerByte;
     }
     /// False-sharing penalty: `readers` threads each pulling a line that

@@ -1,6 +1,8 @@
 #include "ir/printer.h"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "support/diagnostics.h"
 
@@ -63,13 +65,14 @@ void printExprTo(const Program& p, const Expr* e, std::ostringstream& os,
             os << e->ival;
             break;
         case ExprKind::RealLit: {
-            std::ostringstream num;
-            num << e->rval;
-            std::string t = num.str();
+            // The shortest text that parses back to the same double.
+            char buf[32];
+            const char* end = std::to_chars(buf, buf + sizeof buf, e->rval).ptr;
+            const std::string_view t(buf, static_cast<size_t>(end - buf));
             os << t;
             // Make the literal recognizably REAL on round trip.
-            if (t.find('.') == std::string::npos &&
-                t.find('e') == std::string::npos)
+            if (t.find('.') == std::string_view::npos &&
+                t.find('e') == std::string_view::npos)
                 os << ".0";
             break;
         }

@@ -116,8 +116,8 @@ CalibrationReport buildCalibration(const SpmdLowering& low,
     // execution count (the measured critical path).
     p.forEachStmt([&](const Stmt* s) {
         if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) return;
-        const auto it = det.stmtCompute.find(s);
-        const double modeled = it != det.stmtCompute.end() ? it->second : 0.0;
+        const double modeled =
+            det.stmtCompute[static_cast<size_t>(s->id)].sec;
         const StmtProfile::Row& r = prof.row(s->id);
         if (modeled <= kEps && r.instances == 0) return;
         const double flops =
@@ -154,11 +154,10 @@ CalibrationReport buildCalibration(const SpmdLowering& low,
     // simulator's exact event/element counts re-costed through the same
     // latency + bandwidth terms.
     for (const CommOp& op : low.commOps()) {
-        const auto cIt = det.opComm.find(op.id);
-        const auto eIt = det.opEvents.find(op.id);
-        const double modeledSec = cIt != det.opComm.end() ? cIt->second : 0.0;
-        const std::int64_t modeledEvents =
-            eIt != det.opEvents.end() ? eIt->second : 0;
+        const DetailedCost::Charge& charge =
+            det.opComm[static_cast<size_t>(op.id)];
+        const double modeledSec = charge.sec;
+        const std::int64_t modeledEvents = charge.events;
         const std::int64_t measuredEvents = sim.eventsOfOp(op.id);
         const std::int64_t measuredElems = sim.elementsOfOp(op.id);
         if (modeledSec <= kEps && measuredEvents == 0) continue;

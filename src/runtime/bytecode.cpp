@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "comm/ref_desc.h"
-#include "ir/printer.h"
 #include "runtime/flat_index.h"
 #include "spmd/lowering.h"
 #include "support/diagnostics.h"
@@ -409,50 +408,6 @@ StmtCode compileStmt(const Program& prog, const Stmt* s, const StmtExec* exec,
         else if (exec->guard == StmtExec::Guard::Union)
             for (const RefDesc* d : unionSrcs)
                 out.unionIndex.push_back(descForms(prog, *d, arena));
-    }
-    return out;
-}
-
-std::string disassemble(const Program& prog, const Chunk& ch,
-                        const std::vector<FetchSlot>& slots) {
-    static constexpr const char* kNames[] = {
-        "const", "fetch", "neg", "not", "abs", "sqrt", "exp",
-        "add", "sub", "mul", "div", "pow",
-        "lt", "le", "gt", "ge", "eq", "ne", "and", "or",
-        "max", "min", "mod", "sign",
-    };
-    std::string out;
-    for (const Inst& in : ch.code) {
-        const auto idx = static_cast<size_t>(in.op);
-        out += 'r';
-        out += std::to_string(in.a);
-        out += " = ";
-        out += kNames[idx];
-        switch (in.op) {
-            case Op::Const:
-                out += ' ';
-                out += std::to_string(ch.consts[in.b]);
-                break;
-            case Op::Fetch:
-                out += ' ';
-                out += printExpr(prog, slots[in.b].ref);
-                break;
-            case Op::Neg:
-            case Op::Not:
-            case Op::Abs:
-            case Op::Sqrt:
-            case Op::Exp:
-                out += " r";
-                out += std::to_string(in.b);
-                break;
-            default:
-                out += " r";
-                out += std::to_string(in.b);
-                out += " r";
-                out += std::to_string(in.c);
-                break;
-        }
-        out += '\n';
     }
     return out;
 }

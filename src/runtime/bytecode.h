@@ -189,9 +189,5 @@ struct StmtCode {
 [[nodiscard]] IndexForm flatIndexForm(const Program& prog, const Expr* ref,
                                       Arena& arena);
 
-/// Human-readable listing of a chunk (debugging / golden tests).
-[[nodiscard]] std::string disassemble(const Program& prog, const Chunk& ch,
-                                      const std::vector<FetchSlot>& slots);
-
 }  // namespace bc
 }  // namespace phpf

@@ -1,7 +1,9 @@
 #include "spmd/cost_eval.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "support/diagnostics.h"
 
@@ -22,36 +24,67 @@ std::int64_t divisorFor(const RefDesc& desc, const Stmt* l) {
     return std::max<std::int64_t>(div, 1);
 }
 
-/// True when the bounds of a loop nested anywhere in `block` read `var`.
-bool boundsRead(const std::vector<Stmt*>& block, SymbolId var) {
-    for (const Stmt* s : block) {
-        if (s->kind == StmtKind::If) {
-            if (boundsRead(s->thenBody, var) || boundsRead(s->elseBody, var))
-                return true;
-            continue;
+/// Add `scale` x `e` to `out` if `e` is affine in scalar variables
+/// (integer literals, variables, negation, sums and products with a
+/// literal); false otherwise.
+template <class Bound>
+bool addAffine(const Expr* e, std::int64_t scale, Bound& out) {
+    switch (e->kind) {
+        case ExprKind::IntLit: out.c0 += scale * e->ival; return true;
+        case ExprKind::VarRef:
+            for (auto& [sym, coeff] : out.terms)
+                if (sym == e->sym) {
+                    coeff += scale;
+                    return true;
+                }
+            out.terms.emplace_back(e->sym, scale);
+            return true;
+        case ExprKind::Unary:
+            return e->uop == UnaryOp::Neg && addAffine(e->args[0], -scale, out);
+        case ExprKind::Binary: {
+            const Expr* a = e->args[0];
+            const Expr* b = e->args[1];
+            switch (e->bop) {
+                case BinaryOp::Add:
+                    return addAffine(a, scale, out) && addAffine(b, scale, out);
+                case BinaryOp::Sub:
+                    return addAffine(a, scale, out) &&
+                           addAffine(b, -scale, out);
+                case BinaryOp::Mul:
+                    if (a->kind == ExprKind::IntLit)
+                        return addAffine(b, scale * a->ival, out);
+                    if (b->kind == ExprKind::IntLit)
+                        return addAffine(a, scale * b->ival, out);
+                    return false;
+                default: return false;
+            }
         }
-        if (s->kind != StmtKind::Do) continue;
-        bool reads = false;
-        for (const Expr* b : {s->lb, s->ub, s->step})
-            Program::walkExpr(const_cast<Expr*>(b), [&](Expr* e) {
-                reads = reads || (e->kind == ExprKind::VarRef && e->sym == var);
-            });
-        if (reads || boundsRead(s->body, var)) return true;
+        default: return false;
     }
-    return false;
+}
+
+/// Call `fn` on every scalar variable `e` reads.
+template <class Fn>
+void forEachVarRef(const Expr* e, const Fn& fn) {
+    if (e->kind == ExprKind::VarRef) fn(e->sym);
+    for (const Expr* a : e->args) forEachVarRef(a, fn);
 }
 
 CostBreakdown& totalsOf(CostBreakdown& acc) { return acc; }
 CostBreakdown& totalsOf(DetailedCost& acc) { return acc.totals; }
 
-void attribute(CostBreakdown&, const Stmt*, double) {}
-void attribute(DetailedCost& acc, const Stmt* s, double sec) {
-    acc.stmtCompute[s] += sec;
+void attributeStmt(CostBreakdown&, int, double) {}
+void attributeStmt(DetailedCost& acc, int stmtId, double sec) {
+    DetailedCost::Charge& c = acc.stmtCompute[static_cast<size_t>(stmtId)];
+    c.sec += sec;
+    c.attributed = true;
 }
-void attribute(CostBreakdown&, int, double) {}
-void attribute(DetailedCost& acc, int opId, double sec) {
-    acc.opComm[opId] += sec;
-    acc.opEvents[opId] += 1;
+void attributeOp(CostBreakdown&, int, double) {}
+void attributeOp(DetailedCost& acc, int opId, double sec) {
+    DetailedCost::Charge& c = acc.opComm[static_cast<size_t>(opId)];
+    c.sec += sec;
+    c.events += 1;
+    c.attributed = true;
 }
 
 /// Add `one` iteration's charges `trips` times over.
@@ -63,64 +96,143 @@ void scaleInto(CostBreakdown& out, const CostBreakdown& one,
     out.messageEvents += one.messageEvents * trips;
     out.commBytes += one.commBytes * t;
 }
-void scaleInto(DetailedCost& out, const DetailedCost& one,
-               std::int64_t trips) {
-    scaleInto(out.totals, one.totals, trips);
-    const double t = static_cast<double>(trips);
-    for (const auto& [st, v] : one.stmtCompute) out.stmtCompute[st] += v * t;
-    for (const auto& [id, v] : one.opComm) out.opComm[id] += v * t;
-    for (const auto& [id, n] : one.opEvents) out.opEvents[id] += n * trips;
+
+void addFlops(const Expr* n, double& flops) {
+    if (n->kind == ExprKind::Binary || n->kind == ExprKind::Unary)
+        flops += 1.0;
+    else if (n->kind == ExprKind::Call)
+        flops += n->fn == Intrinsic::Sqrt || n->fn == Intrinsic::Exp ? 8.0
+                                                                     : 1.0;
+    for (const Expr* a : n->args) addFlops(a, flops);
 }
 
 }  // namespace
 
 double flopsOf(const Expr* e) {
     double flops = 0.0;
-    Program::walkExpr(const_cast<Expr*>(e), [&](Expr* n) {
-        if (n->kind == ExprKind::Binary || n->kind == ExprKind::Unary)
-            flops += 1.0;
-        else if (n->kind == ExprKind::Call)
-            flops += n->fn == Intrinsic::Sqrt || n->fn == Intrinsic::Exp ? 8.0
-                                                                         : 1.0;
-    });
+    if (e != nullptr) addFlops(e, flops);
     return flops;
 }
 
 CostEvaluator::CostEvaluator(const SpmdLowering& low, const CostModel& cm,
                              const ShmCostModel* shm)
     : cm_(cm), shm_(shm), prog_(low.program()),
-      plan_(static_cast<size_t>(prog_.stmtCount())),
-      index_(prog_.symbols.size()) {
-    prog_.forEachStmt([&](const Stmt* s) {
-        StmtPlan& sp = plan_[static_cast<size_t>(s->id)];
-        if (s->kind == StmtKind::Do) {
-            sp.readsIndex = boundsRead(s->body, s->loopVar);
-            return;
+      opCount_(low.commOps().size()), index_(prog_.symbols.size(), 1) {
+    const size_t stmts = static_cast<size_t>(prog_.stmtCount());
+    items_.reserve(stmts);
+    loops_.reserve(stmts);
+    std::vector<int> loopOf(stmts, -1);
+    std::vector<const Stmt*> nest;
+    planBlock(low, prog_.top, nest, loopOf);
+
+    for (const CommOp& op : low.commOps()) {
+        // Outermost first: enclosing[l - 1] is the loop at nesting level l.
+        const std::vector<Stmt*> enclosing = prog_.enclosingLoops(op.atStmt);
+        const size_t level = static_cast<size_t>(op.placementLevel);
+        PHPF_ASSERT(level <= enclosing.size(),
+                    "comm op placed deeper than its nest");
+        Placement& at =
+            level == 0 ? topOps_
+                       : loops_[static_cast<size_t>(loopOf[static_cast<size_t>(
+                                     enclosing[level - 1]->id)])]
+                             .ops;
+        place(low, op,
+              std::span<Stmt* const>(enclosing).subspan(level), loopOf, at);
+    }
+
+    // Fold the leaves and the perfect nests above them, children first
+    // (loops_ is in walk order, so an enclosing loop precedes its body).
+    for (size_t l = loops_.size(); l-- > 0;) {
+        LoopPlan& lp = loops_[l];
+        if (!lp.ops.combines.empty() || !lp.ops.ops.empty()) continue;
+        const bool leaf = std::none_of(
+            items_.begin() + lp.first, items_.begin() + lp.end,
+            [](const Item& it) { return it.loop >= 0; });
+        if (leaf) {
+            lp.foldDepth = 1;
+            for (std::uint32_t i = lp.first; i < lp.end; ++i)
+                lp.foldedSec += items_[i].sec;
+            continue;
         }
-        if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) return;
+        const int child = items_[lp.first].loop;
+        if (lp.readsIndex || child < 0) continue;
+        const LoopPlan& c = loops_[static_cast<size_t>(child)];
+        if (c.end == lp.end && c.foldDepth > 0 && c.foldDepth < kMaxFoldDepth)
+            lp.foldDepth = c.foldDepth + 1;
+    }
+    // Count how deep the scaled loops that are not folded nest.
+    std::vector<int> depth(loops_.size(), 0);
+    for (size_t l = 0; l < loops_.size(); ++l) {
+        const LoopPlan& lp = loops_[l];
+        if (lp.foldDepth > 0) continue;
+        const int own = depth[l] + (lp.readsIndex ? 0 : 1);
+        scopeDepth_ = std::max(scopeDepth_, own);
+        for (std::uint32_t i = lp.first; i < lp.end; ++i)
+            if (items_[i].loop >= 0)
+                depth[static_cast<size_t>(items_[i].loop)] = own;
+    }
+}
+
+void CostEvaluator::planBlock(const SpmdLowering& low,
+                              const std::vector<Stmt*>& block,
+                              std::vector<const Stmt*>& nest,
+                              std::vector<int>& loopOf) {
+    for (const Stmt* s : block) {
+        if (s->kind == StmtKind::Do) {
+            const int l = static_cast<int>(loops_.size());
+            loopOf[static_cast<size_t>(s->id)] = l;
+            items_.push_back({l, -1, 0.0});
+            LoopPlan lp;
+            lp.var = s->loopVar;
+            const Expr* exprs[] = {s->lb, s->ub, s->step};
+            Bound* bounds[] = {&lp.lb, &lp.ub, &lp.step};
+            for (int b = 0; b < 3; ++b) {
+                Bound& bound = *bounds[b];
+                if (exprs[b] == nullptr) {
+                    bound.c0 = 1;
+                    continue;
+                }
+                if (!addAffine(exprs[b], 1, bound)) bound = Bound{0, {}, exprs[b]};
+                // The enclosing loops whose index this bound reads iterate.
+                forEachVarRef(exprs[b], [&](SymbolId sym) {
+                    for (const Stmt* outer : nest)
+                        if (outer->loopVar == sym)
+                            loops_[static_cast<size_t>(
+                                       loopOf[static_cast<size_t>(outer->id)])]
+                                .readsIndex = true;
+                });
+            }
+            lp.unitStep = lp.step.tree == nullptr && lp.step.terms.empty() &&
+                          lp.step.c0 == 1;
+            lp.first = static_cast<std::uint32_t>(items_.size());
+            loops_.push_back(std::move(lp));
+            nest.push_back(s);
+            planBlock(low, s->body, nest, loopOf);
+            nest.pop_back();
+            loops_[static_cast<size_t>(l)].end =
+                static_cast<std::uint32_t>(items_.size());
+            continue;
+        }
+        if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) continue;
         // One instance's flops (+1 for the store/copy), divided by the
         // processors its executor set spreads the enclosing loops over.
         const RefDesc& desc = low.execOf(s).execDesc;
         double div = 1.0;
-        for (const Stmt* l : prog_.enclosingLoops(s))
+        for (const Stmt* l : nest)
             div *= static_cast<double>(divisorFor(desc, l));
         const double flops =
             flopsOf(s->kind == StmtKind::Assign ? s->rhs : s->cond) + 1.0;
-        sp.computeSec = cm_.compute(flops) / div;
-    });
-    for (const CommOp& op : low.commOps()) {
-        Placement* at = &topOps_;
-        if (op.placementLevel != 0) {
-            const Stmt* loop =
-                prog_.enclosingLoopAtLevel(op.atStmt, op.placementLevel);
-            PHPF_ASSERT(loop != nullptr, "comm op placed deeper than its nest");
-            at = &plan_[static_cast<size_t>(loop->id)].ops;
+        items_.push_back({-1, s->id, cm_.compute(flops) / div});
+        if (s->kind == StmtKind::If) {
+            planBlock(low, s->thenBody, nest, loopOf);
+            planBlock(low, s->elseBody, nest, loopOf);
         }
-        place(low, op, *at);
     }
 }
 
 void CostEvaluator::place(const SpmdLowering& low, const CommOp& op,
+                          std::span<Stmt* const> inside,
+                          const std::vector<int>& loopOf,
                           Placement& at) const {
     const ProcGrid& grid = low.dataMapping().grid();
     if (op.isReductionCombine) {
@@ -137,17 +249,23 @@ void CostEvaluator::place(const SpmdLowering& low, const CommOp& op,
         return;
     }
     OpPlan p;
-    p.op = &op;
+    p.op = op.id;
+    p.pattern = op.req.overall;
     for (size_t g = 0; g < op.req.dims.size(); ++g)
         if (op.req.dims[g].pattern != CommPattern::None)
             p.patternProcs *= grid.extent(static_cast<int>(g));
     // A single processor along the affected dims moves nothing.
     if (p.patternProcs <= 1 || op.req.overall == CommPattern::None) return;
-
-    // The message is vectorized over the loops inside its placement.
-    std::vector<const Stmt*> inside;
-    for (const Stmt* l : prog_.enclosingLoops(op.atStmt))
-        if (l->loopNestingLevel() > op.placementLevel) inside.push_back(l);
+    p.stages = CostModel::stagesFor(p.patternProcs);
+    // Shared memory: many threads pull the same lines of a one-to-many
+    // pattern; a moved line always has at least producer + consumer
+    // touching it, so sub-line payloads ping-pong between >= 2 sharers.
+    const bool manyReaders = p.pattern == CommPattern::Broadcast ||
+                             p.pattern == CommPattern::AllGather ||
+                             p.pattern == CommPattern::General;
+    p.contention =
+        ShmCostModel::contentionFor(manyReaders ? p.patternProcs : 1);
+    p.sharers = manyReaders ? p.patternProcs : 2;
 
     // Only loops that index the communicated reference enlarge the
     // message; other loops reuse the same data and vectorization
@@ -155,18 +273,23 @@ void CostEvaluator::place(const SpmdLowering& low, const CommOp& op,
     std::vector<AffineForm> subs;
     if (op.ref->kind == ExprKind::ArrayRef) {
         const AffineAnalyzer aff(prog_, &low.ssa());
-        for (const auto& dim : op.srcDesc.dims)
-            if (dim.partitioned()) subs.push_back(dim.subscript);
+        subs.reserve(op.ref->args.size());
         for (const Expr* sub : op.ref->args) subs.push_back(aff.analyze(sub));
     }
     for (const Stmt* l : inside) {
-        const bool indexes = std::any_of(
-            subs.begin(), subs.end(), [&](const AffineForm& f) {
-                return f.affine ? f.coeffOf(l) != 0
-                                : f.varLevel >= l->loopNestingLevel();
-            });
+        auto indexedBy = [&](const AffineForm& f) {
+            return f.affine ? f.coeffOf(l) != 0
+                            : f.varLevel >= l->loopNestingLevel();
+        };
+        const bool indexes =
+            std::any_of(op.srcDesc.dims.begin(), op.srcDesc.dims.end(),
+                        [&](const RefDim& dim) {
+                            return dim.partitioned() && indexedBy(dim.subscript);
+                        }) ||
+            std::any_of(subs.begin(), subs.end(), indexedBy);
         if (!indexes) continue;
-        SizingLoop s{l, static_cast<double>(divisorFor(op.srcDesc, l)), -1};
+        SizingLoop s{loopOf[static_cast<size_t>(l->id)],
+                     static_cast<double>(divisorFor(op.srcDesc, l)), -1};
         // Shifted dims: only the boundary strip moves.
         for (size_t g = 0; g < op.req.dims.size(); ++g) {
             const RefDim& sd = op.srcDesc.dims[g];
@@ -204,68 +327,143 @@ void CostEvaluator::place(const SpmdLowering& low, const CommOp& op,
             (!dim.subscript.affine || traversedInside(dim.subscript)))
             p.srcSingle = false;
 
-    const int key =
-        cm_.combineMessages
-            ? static_cast<int>(op.req.overall) * 1024 + p.patternProcs
-            : static_cast<int>(at.groups.size());
-    at.groups[key].push_back(p);
+    if (!cm_.combineMessages) {
+        p.key = static_cast<int>(at.ops.size());
+        at.ops.push_back(std::move(p));
+        return;
+    }
+    p.key = static_cast<int>(op.req.overall) * 1024 + p.patternProcs;
+    const auto pos = std::upper_bound(
+        at.ops.begin(), at.ops.end(), p.key,
+        [](int key, const OpPlan& q) { return key < q.key; });
+    at.ops.insert(pos, std::move(p));
 }
 
-CostBreakdown CostEvaluator::evaluate() { return walk<CostBreakdown>(); }
-
-DetailedCost CostEvaluator::evaluateDetailed() {
-    return walk<DetailedCost>();
-}
-
-template <class Acc>
-Acc CostEvaluator::walk() {
-    Acc out;
+CostBreakdown CostEvaluator::evaluate() {
+    CostBreakdown out;
     chargeAt(topOps_, out);
-    walkBlock(prog_.top, out);
+    walkItems(0, static_cast<std::uint32_t>(items_.size()), out);
     return out;
 }
 
+DetailedCost CostEvaluator::evaluateDetailed() {
+    // frames[d + 1] is the fresh accumulator of a scaled loop walked at
+    // depth d; every entry is zero between uses.
+    std::vector<DetailedCost> frames(static_cast<size_t>(scopeDepth_) + 1);
+    for (DetailedCost& f : frames) {
+        f.stmtCompute.resize(static_cast<size_t>(prog_.stmtCount()));
+        f.opComm.resize(opCount_);
+    }
+    DetailedCost& out = frames.front();
+    chargeAt(topOps_, out);
+    walkItems(0, static_cast<std::uint32_t>(items_.size()), out);
+    return std::move(out);
+}
+
 template <class Acc>
-void CostEvaluator::walkBlock(const std::vector<Stmt*>& block, Acc& out) {
-    for (const Stmt* s : block) {
-        if (s->kind == StmtKind::Do) {
-            walkLoop(s, out);
+void CostEvaluator::walkItems(std::uint32_t first, std::uint32_t end,
+                              Acc& out) {
+    for (std::uint32_t i = first; i < end;) {
+        const Item& it = items_[i];
+        if (it.loop < 0) {
+            totalsOf(out).computeSec += it.sec;
+            attributeStmt(out, it.stmt, it.sec);
+            ++i;
             continue;
         }
-        if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) continue;
-        const double sec = plan_[static_cast<size_t>(s->id)].computeSec;
-        totalsOf(out).computeSec += sec;
-        attribute(out, s, sec);
-        if (s->kind == StmtKind::If) {
-            walkBlock(s->thenBody, out);
-            walkBlock(s->elseBody, out);
-        }
+        const LoopPlan& loop = loops_[static_cast<size_t>(it.loop)];
+        walkLoop(loop, out);
+        i = loop.end;
     }
 }
 
 template <class Acc>
-void CostEvaluator::walkLoop(const Stmt* loop, Acc& out) {
-    std::int64_t lb = 0;
-    const std::int64_t trips = tripsOf(loop, &lb);
-    if (trips <= 0) return;
-    const StmtPlan& plan = plan_[static_cast<size_t>(loop->id)];
-    auto& index = index_[static_cast<size_t>(loop->loopVar)];
-    auto iteration = [&](std::int64_t iv, Acc& acc) {
-        index = iv;
-        chargeAt(plan.ops, acc);
-        walkBlock(loop->body, acc);
-        index.reset();
-    };
-
-    if (!plan.readsIndex) {
-        Acc one;
-        iteration(lb, one);
-        scaleInto(out, one, trips);
+void CostEvaluator::walkLoop(const LoopPlan& loop, Acc& out) {
+    if (loop.foldDepth > 0) {
+        chargeFolded(loop, out);
         return;
     }
-    const std::int64_t step = loop->step != nullptr ? evalInt(loop->step) : 1;
-    for (std::int64_t i = 0, iv = lb; i < trips; ++i, iv += step)
+    const Range r = rangeOf(loop);
+    if (r.trips <= 0) return;
+    std::int64_t& index = index_[static_cast<size_t>(loop.var)];
+    auto iteration = [&](std::int64_t iv, Acc& acc) {
+        index = iv;
+        chargeAt(loop.ops, acc);
+        walkItems(loop.first, loop.end, acc);
+        index = 1;
+    };
+
+    if (!loop.readsIndex) {
+        if constexpr (std::is_same_v<Acc, DetailedCost>) {
+            // evaluateDetailed's frames are contiguous, and the one after
+            // `out` is all zero: this scope's fresh accumulator.
+            Acc& one = (&out)[1];
+            iteration(r.lb, one);
+            scaleScope(out, one, loop, r.trips);
+        } else {
+            Acc one;
+            iteration(r.lb, one);
+            scaleInto(out, one, r.trips);
+        }
+        return;
+    }
+    for (std::int64_t i = 0, iv = r.lb; i < r.trips; ++i, iv += r.step)
         iteration(iv, out);
+}
+
+template <class Acc>
+void CostEvaluator::chargeFolded(const LoopPlan& head, Acc& out) {
+    // Each loop of the nest would charge one iteration into a fresh
+    // accumulator and scale it by its trips, so the leaf's sums are
+    // scaled by every loop's trips, innermost first.
+    std::array<double, kMaxFoldDepth> trips{};
+    const LoopPlan* loop = &head;
+    for (int d = 0;; ++d) {
+        const std::int64_t t = rangeOf(*loop).trips;
+        if (t <= 0) return;
+        trips[static_cast<size_t>(d)] = static_cast<double>(t);
+        if (d + 1 == head.foldDepth) break;
+        loop = &loops_[static_cast<size_t>(items_[loop->first].loop)];
+    }
+    auto scaled = [&](double x) {
+        for (int d = head.foldDepth; d-- > 0;) x *= trips[static_cast<size_t>(d)];
+        return x;
+    };
+    totalsOf(out).computeSec += scaled(loop->foldedSec);
+    if constexpr (std::is_same_v<Acc, DetailedCost>)
+        for (std::uint32_t i = loop->first; i < loop->end; ++i)
+            attributeStmt(out, items_[i].stmt, scaled(items_[i].sec));
+}
+
+void CostEvaluator::scaleScope(DetailedCost& out, DetailedCost& one,
+                               const LoopPlan& loop,
+                               std::int64_t trips) const {
+    scaleInto(out.totals, one.totals, trips);
+    one.totals = {};
+    const double t = static_cast<double>(trips);
+    auto move = [&](std::vector<DetailedCost::Charge>& to,
+                    std::vector<DetailedCost::Charge>& from, int id) {
+        DetailedCost::Charge& c = from[static_cast<size_t>(id)];
+        if (!c.attributed) return;
+        DetailedCost::Charge& d = to[static_cast<size_t>(id)];
+        d.sec += c.sec * t;
+        d.events += c.events * trips;
+        d.attributed = true;
+        c = {};
+    };
+    auto moveOps = [&](const Placement& at) {
+        for (const auto& [id, sec] : at.combines)
+            move(out.opComm, one.opComm, id);
+        for (const OpPlan& p : at.ops) move(out.opComm, one.opComm, p.op);
+    };
+    moveOps(loop.ops);
+    for (std::uint32_t i = loop.first; i < loop.end; ++i) {
+        const Item& it = items_[i];
+        if (it.loop < 0)
+            move(out.stmtCompute, one.stmtCompute, it.stmt);
+        else
+            moveOps(loops_[static_cast<size_t>(it.loop)].ops);
+    }
 }
 
 template <class Acc>
@@ -276,35 +474,38 @@ void CostEvaluator::chargeAt(const Placement& at, Acc& out) {
         totals.commSec += sec;
         totals.messageEvents += 1;
         totals.commBytes += cm_.elemBytes;
-        attribute(out, id, sec);
+        attributeOp(out, id, sec);
     }
-    for (const auto& [key, group] : at.groups) {
-        if (!cm_.combineMessages) {
-            const OpCharge c = chargeOf(group[0]);
+    if (!cm_.combineMessages) {
+        for (const OpPlan& p : at.ops) {
+            const OpCharge c = chargeOf(p);
             totals.commSec += c.cost;
             totals.commBytes += c.bytes;
             totals.messageEvents += 1;
-            attribute(out, group[0].op->id, c.cost);
-            continue;
+            attributeOp(out, p.op, c.cost);
         }
-        // Combine: messages of the same pattern/extent placed here share
-        // one latency term; payloads concatenate.
-        std::vector<OpCharge> charges;
+        return;
+    }
+    // Combine: messages of the same pattern/extent placed here share
+    // one latency term; payloads concatenate.
+    for (size_t first = 0, end = 0; first < at.ops.size(); first = end) {
+        charges_.clear();
         double maxLat = 0.0;
-        for (const OpPlan& p : group) {
-            charges.push_back(chargeOf(p));
-            maxLat = std::max(maxLat, charges.back().latency);
+        for (end = first; end < at.ops.size() && at.ops[end].key == at.ops[first].key;
+             ++end) {
+            charges_.push_back(chargeOf(at.ops[end]));
+            maxLat = std::max(maxLat, charges_.back().latency);
         }
         double groupCost = maxLat;
-        for (const OpCharge& c : charges) groupCost += c.cost - c.latency;
+        for (const OpCharge& c : charges_) groupCost += c.cost - c.latency;
         totals.commSec += groupCost;
         totals.messageEvents += 1;
-        for (size_t i = 0; i < group.size(); ++i) {
-            const OpCharge& c = charges[i];
+        for (size_t i = 0; i < charges_.size(); ++i) {
+            const OpCharge& c = charges_[i];
             totals.commBytes += c.bytes;
-            attribute(out, group[i].op->id,
-                      (c.cost - c.latency) +
-                          maxLat / static_cast<double>(group.size()));
+            attributeOp(out, at.ops[first + i].op,
+                        (c.cost - c.latency) +
+                            maxLat / static_cast<double>(charges_.size()));
         }
     }
 }
@@ -313,7 +514,8 @@ CostEvaluator::OpCharge CostEvaluator::chargeOf(const OpPlan& p) const {
     double total = 1.0;     // distinct elements moved
     double srcLocal = 1.0;  // per-source-processor share of them
     for (const SizingLoop& s : p.loops) {
-        const std::int64_t t = tripsOf(s.loop);
+        const std::int64_t t =
+            rangeOf(loops_[static_cast<size_t>(s.loop)]).trips;
         total *= static_cast<double>(t);
         const double local =
             s.shiftClamp >= 0
@@ -325,9 +527,8 @@ CostEvaluator::OpCharge CostEvaluator::chargeOf(const OpPlan& p) const {
 
     const double elemBytes = static_cast<double>(cm_.elemBytes);
     const int procs = p.patternProcs;
-    const CommPattern pattern = p.op->req.overall;
     OpCharge c;
-    switch (pattern) {
+    switch (p.pattern) {
         case CommPattern::None: break;  // never placed
         case CommPattern::Shift:
             c.bytes = srcLocal * elemBytes;
@@ -337,14 +538,14 @@ CostEvaluator::OpCharge CostEvaluator::chargeOf(const OpPlan& p) const {
             break;
         case CommPattern::Broadcast:
             c.bytes = srcLocal * elemBytes;
-            c.cost = cm_.broadcast(procs, c.bytes);
-            c.latency = cm_.broadcast(procs, 0.0);
+            c.cost = cm_.broadcastIn(p.stages, c.bytes);
+            c.latency = cm_.broadcastIn(p.stages, 0.0);
             break;
         case CommPattern::AllGather:
         case CommPattern::Gather:  // cm_.gather is cm_.allGather
             c.bytes = total * elemBytes;
-            c.cost = cm_.allGather(procs, c.bytes);
-            c.latency = cm_.allGather(procs, 0.0);
+            c.cost = cm_.allGatherIn(p.stages, c.bytes);
+            c.latency = cm_.allGatherIn(p.stages, 0.0);
             break;
         case CommPattern::PointToPoint:
             c.bytes = srcLocal * elemBytes;
@@ -356,8 +557,8 @@ CostEvaluator::OpCharge CostEvaluator::chargeOf(const OpPlan& p) const {
             if (p.srcSingle) {
                 // One source per event: a one-to-many broadcast (DGEFA's
                 // pivot column / pivot index), not an all-to-all.
-                c.cost = cm_.broadcast(procs, c.bytes);
-                c.latency = cm_.broadcast(procs, 0.0);
+                c.cost = cm_.broadcastIn(p.stages, c.bytes);
+                c.latency = cm_.broadcastIn(p.stages, 0.0);
             } else {
                 // Irregular redistribution (e.g. transpose): every
                 // processor exchanges its share with every other — α per
@@ -376,32 +577,39 @@ CostEvaluator::OpCharge CostEvaluator::chargeOf(const OpPlan& p) const {
         // coherence read with bus contention when many threads pull the
         // same data, and a false-sharing penalty on sub-line payloads.
         const ShmCostModel& sm = *shm_;
-        const bool manyReaders = pattern == CommPattern::Broadcast ||
-                                 pattern == CommPattern::AllGather ||
-                                 pattern == CommPattern::General;
-        const int readers = manyReaders ? procs : 1;
-        // A moved line always has at least producer + consumer touching
-        // it, so sub-line payloads ping-pong between ≥ 2 sharers.
-        const int sharers = manyReaders ? procs : 2;
-        c.cost = sm.barrier() + sm.sharedRead(c.bytes, readers) +
-                 sm.falseSharing(c.bytes, sharers);
+        c.cost = sm.barrier() + sm.sharedReadAt(p.contention, c.bytes) +
+                 sm.falseSharing(c.bytes, p.sharers);
         c.latency = sm.barrier();
     }
     return c;
 }
 
-std::int64_t CostEvaluator::tripsOf(const Stmt* loop,
-                                    std::int64_t* lbOut) const {
+CostEvaluator::Range CostEvaluator::rangeOf(const LoopPlan& loop) const {
     // A sizing loop's bound may read the index of another loop inside
     // the placement (rare). That index is unbound while the op is
-    // charged, and evalInt reads an unbound scalar as 1.
-    const std::int64_t lb = evalInt(loop->lb);
-    const std::int64_t ub = evalInt(loop->ub);
-    const std::int64_t step = loop->step != nullptr ? evalInt(loop->step) : 1;
-    PHPF_ASSERT(step != 0, "zero loop step");
-    if (lbOut != nullptr) *lbOut = lb;
-    if (step > 0) return ub >= lb ? (ub - lb) / step + 1 : 0;
-    return lb >= ub ? (lb - ub) / (-step) + 1 : 0;
+    // charged, and reads as 1.
+    Range r;
+    r.lb = valueOf(loop.lb);
+    const std::int64_t ub = valueOf(loop.ub);
+    if (loop.unitStep) {
+        r.trips = ub >= r.lb ? ub - r.lb + 1 : 0;
+        return r;
+    }
+    r.step = valueOf(loop.step);
+    PHPF_ASSERT(r.step != 0, "zero loop step");
+    if (r.step > 0)
+        r.trips = ub >= r.lb ? (ub - r.lb) / r.step + 1 : 0;
+    else
+        r.trips = r.lb >= ub ? (r.lb - ub) / (-r.step) + 1 : 0;
+    return r;
+}
+
+std::int64_t CostEvaluator::valueOf(const Bound& b) const {
+    if (b.tree != nullptr) return evalInt(b.tree);
+    std::int64_t v = b.c0;
+    for (const auto& [sym, coeff] : b.terms)
+        v += coeff * index_[static_cast<size_t>(sym)];
+    return v;
 }
 
 std::int64_t CostEvaluator::evalInt(const Expr* e) const {
@@ -409,11 +617,10 @@ std::int64_t CostEvaluator::evalInt(const Expr* e) const {
         case ExprKind::IntLit: return e->ival;
         case ExprKind::RealLit: return static_cast<std::int64_t>(e->rval);
         case ExprKind::VarRef: {
+            // An unbound scalar in a bound expression reads as 1 (the
+            // documented midpoint approximation).
             const size_t sym = static_cast<size_t>(e->sym);
-            if (sym < index_.size() && index_[sym]) return *index_[sym];
-            // Unbound scalar in a bound expression: fall back to the
-            // midpoint assumption of 1 (documented approximation).
-            return 1;
+            return sym < index_.size() ? index_[sym] : 1;
         }
         case ExprKind::Unary:
             return e->uop == UnaryOp::Neg ? -evalInt(e->args[0])

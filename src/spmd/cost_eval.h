@@ -1,8 +1,8 @@
 #pragma once
 
-#include <map>
-#include <optional>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "comm/cost_model.h"
 #include "spmd/lowering.h"
@@ -21,12 +21,19 @@ struct CostBreakdown {
 };
 
 /// CostBreakdown plus per-statement / per-comm-op attribution (used by
-/// the cost report).
+/// the cost report and calibration).
 struct DetailedCost {
+    /// One statement's compute charge or one comm op's charge.
+    /// `attributed` is false for an entry the walk never reached (say,
+    /// inside a zero-trip loop); readers leave such entries out.
+    struct Charge {
+        double sec = 0.0;
+        std::int64_t events = 0;  ///< comm ops: placed messages
+        bool attributed = false;
+    };
     CostBreakdown totals;
-    std::unordered_map<const Stmt*, double> stmtCompute;
-    std::unordered_map<int, double> opComm;          ///< by CommOp::id
-    std::unordered_map<int, std::int64_t> opEvents;  ///< by CommOp::id
+    std::vector<Charge> stmtCompute;  ///< by Stmt::id
+    std::vector<Charge> opComm;       ///< by CommOp::id
 };
 
 /// Flops the evaluator charges for evaluating `e`: one per Unary/Binary
@@ -41,12 +48,21 @@ struct DetailedCost {
 /// count; triangular nests (DGEFA) iterate the outer loop numerically.
 ///
 /// The constructor plans once everything that does not depend on
-/// loop-index values: per statement its compute seconds, per loop the
-/// ops placed there and whether its body reads its index, per comm op
-/// the loops that size its message (with their divisors and shift
-/// clamps) and its pattern's fixed terms. The walk keeps the bound
-/// indices in a flat per-SymbolId vector, so an iteration only
-/// evaluates loop bounds and trip counts.
+/// loop-index values, and both evaluate() and evaluateDetailed() run
+/// that plan:
+///  - each loop's bounds as affine forms over the loop indices (an
+///    unbound index reads as 1), or the bound expression itself when it
+///    is not affine;
+///  - the loop tree as one array of compute items and nested loops in
+///    walk order, where a loop's body and everything nested in it are
+///    contiguous;
+///  - a leaf loop with no ops placed in it, and a perfect nest of such
+///    loops above one, folded into the leaf's body sum, charged as sum x
+///    trips (a fresh accumulator sums the same constants in the same
+///    order on every visit, so this is exact);
+///  - per comm op the loops that size its message (with their divisors
+///    and shift clamps), its pattern's fixed terms and its stage count,
+///    and per placement its message groups in charging order.
 ///
 /// The result is the "execution time" our reproduction reports in place
 /// of the paper's wall-clock SP2 measurements.
@@ -67,34 +83,64 @@ public:
     [[nodiscard]] DetailedCost evaluateDetailed();
 
 private:
+    /// An integer loop bound: `c0 + Σ coeff · index(var)` when it is
+    /// affine in scalar variables, else the expression (`tree`).
+    struct Bound {
+        std::int64_t c0 = 0;
+        std::vector<std::pair<SymbolId, std::int64_t>> terms;
+        const Expr* tree = nullptr;
+    };
     /// A loop between an op's placement and its statement that indexes
     /// the moved reference: its trips multiply the message volume.
     struct SizingLoop {
-        const Stmt* loop = nullptr;
+        int loop = 0;          ///< index into loops_
         double divisor = 1.0;  ///< source processors sharing its iterations
         std::int64_t shiftClamp = -1;  ///< >= 0: only a strip this wide moves
     };
     /// Everything about one message op that no loop index changes.
     struct OpPlan {
-        const CommOp* op = nullptr;
+        int op = 0;   ///< CommOp::id
+        int key = 0;  ///< message group: ops with one key share a charge
+        CommPattern pattern = CommPattern::None;
         std::vector<SizingLoop> loops;
         int patternProcs = 1;
+        double stages = 0.0;         ///< CostModel::stagesFor(patternProcs)
+        double contention = 1.0;     ///< shm: contentionFor(its readers)
+        int sharers = 2;             ///< shm: threads touching a moved line
         double shiftFraction = 1.0;  ///< instance-level shift crossings
         bool srcSingle = true;       ///< General: one source per event
     };
     /// The ops placed at one point, in charging order: reduction combines
-    /// first, then the message groups in ascending key order. With
+    /// first, then the message ops in ascending group key. With
     /// combineMessages the key is pattern x procs, otherwise each op is a
     /// group of its own, keyed by its order.
     struct Placement {
         std::vector<std::pair<int, double>> combines;  ///< (op id, seconds)
-        std::map<int, std::vector<OpPlan>> groups;
+        std::vector<OpPlan> ops;
     };
-    /// What the walk needs of one statement, indexed by Stmt::id.
-    struct StmtPlan {
-        double computeSec = 0.0;  ///< Assign/If: one instance, per processor
-        bool readsIndex = false;  ///< Do: a nested loop bound reads its index
-        Placement ops;            ///< Do: the ops placed in this loop
+    /// One entry of the walk-order item array: a compute charge or a
+    /// nested loop.
+    struct Item {
+        int loop = -1;  ///< >= 0: index into loops_
+        int stmt = -1;  ///< otherwise the Assign/If (Stmt::id) charged
+        double sec = 0.0;
+    };
+    struct LoopPlan {
+        SymbolId var = kNoSymbol;
+        Bound lb, ub, step;
+        bool unitStep = true;
+        bool readsIndex = false;  ///< a nested loop bound reads `var`
+        /// > 0: this loop heads a perfect nest of foldDepth loops without
+        /// ops whose innermost is a leaf; it is charged as the leaf's
+        /// body sum `foldedSec` times each loop's trips.
+        int foldDepth = 0;
+        double foldedSec = 0.0;
+        Placement ops;  ///< the ops placed in this loop
+        /// items_[first, end) is the body and everything nested in it.
+        std::uint32_t first = 0, end = 0;
+    };
+    struct Range {
+        std::int64_t lb = 0, step = 1, trips = 0;
     };
     struct OpCharge {
         double cost = 0.0;     ///< full message cost (latency + volume)
@@ -102,31 +148,53 @@ private:
         double bytes = 0.0;
     };
 
-    /// Plan `op` into the ops of its placement point.
+    /// Plan `block` into items_ and loops_; `nest` holds the enclosing
+    /// loops, outermost first, and loopOf records each Do's loops_ index.
+    void planBlock(const SpmdLowering& low, const std::vector<Stmt*>& block,
+                   std::vector<const Stmt*>& nest,
+                   std::vector<int>& loopOf);
+    /// Plan `op` into the ops of its placement point `at`; `inside` are
+    /// the loops between the placement and the op's statement, outermost
+    /// first, and loopOf maps a Do's Stmt::id to its loops_ index.
     void place(const SpmdLowering& low, const CommOp& op,
+               std::span<Stmt* const> inside, const std::vector<int>& loopOf,
                Placement& at) const;
 
     // Acc is CostBreakdown (evaluate) or DetailedCost (evaluateDetailed).
-    template <class Acc> [[nodiscard]] Acc walk();
     template <class Acc>
-    void walkBlock(const std::vector<Stmt*>& block, Acc& out);
-    template <class Acc> void walkLoop(const Stmt* loop, Acc& out);
+    void walkItems(std::uint32_t first, std::uint32_t end, Acc& out);
+    template <class Acc> void walkLoop(const LoopPlan& loop, Acc& out);
+    template <class Acc> void chargeFolded(const LoopPlan& head, Acc& out);
     template <class Acc> void chargeAt(const Placement& at, Acc& out);
     [[nodiscard]] OpCharge chargeOf(const OpPlan& p) const;
+    /// Move a fresh scope's charges of `loop`'s entries into `out`,
+    /// `trips` times over, and leave them zero in `one`.
+    void scaleScope(DetailedCost& out, DetailedCost& one,
+                    const LoopPlan& loop, std::int64_t trips) const;
 
     [[nodiscard]] std::int64_t evalInt(const Expr* e) const;
-    /// Trip count of `loop` under the bound indices (its lower bound in
-    /// `*lb` when given).
-    [[nodiscard]] std::int64_t tripsOf(const Stmt* loop,
-                                       std::int64_t* lb = nullptr) const;
+    [[nodiscard]] std::int64_t valueOf(const Bound& b) const;
+    /// Lower bound, step and trip count of `loop` under the bound indices.
+    [[nodiscard]] Range rangeOf(const LoopPlan& loop) const;
+
+    /// Deeper perfect nests fold only their innermost kMaxFoldDepth loops.
+    static constexpr int kMaxFoldDepth = 8;
 
     const CostModel& cm_;
     const ShmCostModel* shm_ = nullptr;  ///< non-null: shared-memory charging
     const Program& prog_;
 
-    std::vector<StmtPlan> plan_;
+    std::vector<Item> items_;
+    std::vector<LoopPlan> loops_;
     Placement topOps_;
-    std::vector<std::optional<std::int64_t>> index_;  ///< by SymbolId
+    std::size_t opCount_ = 0;
+    /// Deepest nest of scaled (iterated-once) loops that are not folded:
+    /// evaluateDetailed needs one fresh accumulator per level.
+    int scopeDepth_ = 0;
+    std::vector<OpCharge> charges_;  ///< chargeAt's scratch for a group
+    /// By SymbolId: the bound loop indices' values, 1 for every other
+    /// scalar (an unbound scalar in a bound reads as 1).
+    std::vector<std::int64_t> index_;
 };
 
 }  // namespace phpf

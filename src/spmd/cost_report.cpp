@@ -17,10 +17,13 @@ CostReport buildCostReport(const SpmdLowering& low, const CostModel& cm,
     report.total = detail.totals;
     const Program& p = low.program();
 
-    for (const auto& [stmt, sec] : detail.stmtCompute) {
+    for (size_t id = 0; id < detail.stmtCompute.size(); ++id) {
+        const DetailedCost::Charge& charge = detail.stmtCompute[id];
+        if (!charge.attributed) continue;
+        const Stmt* stmt = p.stmtById(static_cast<int>(id));
         CostItem item;
         item.stmt = stmt;
-        item.seconds = sec;
+        item.seconds = charge.sec;
         item.isComm = false;
         if (stmt->kind == StmtKind::Assign)
             item.what = printExpr(p, stmt->lhs) + " = " +
@@ -30,15 +33,15 @@ CostReport buildCostReport(const SpmdLowering& low, const CostModel& cm,
         report.items.push_back(std::move(item));
     }
     for (const CommOp& op : low.commOps()) {
-        auto it = detail.opComm.find(op.id);
-        if (it == detail.opComm.end()) continue;
+        const DetailedCost::Charge& charge =
+            detail.opComm[static_cast<size_t>(op.id)];
+        if (!charge.attributed) continue;
         CostItem item;
         item.stmt = op.atStmt;
-        item.seconds = it->second;
+        item.seconds = charge.sec;
         item.isComm = true;
         item.op = op.id;
-        auto ev = detail.opEvents.find(op.id);
-        item.events = ev != detail.opEvents.end() ? ev->second : 0;
+        item.events = charge.events;
         if (op.isReductionCombine)
             item.what = "combine " + printExpr(p, op.ref);
         else
@@ -47,8 +50,8 @@ CostReport buildCostReport(const SpmdLowering& low, const CostModel& cm,
                         std::to_string(op.placementLevel);
         report.items.push_back(std::move(item));
     }
-    // The attribution maps iterate in hash order, so equal costs need a
-    // full tie-break for the report to be a function of its inputs.
+    // std::sort is not stable, so equal costs need a full tie-break for
+    // the report to be a function of its inputs.
     std::sort(report.items.begin(), report.items.end(),
               [](const CostItem& a, const CostItem& b) {
                   if (a.seconds != b.seconds) return a.seconds > b.seconds;

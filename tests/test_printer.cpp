@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "frontend/parser.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
@@ -53,6 +56,31 @@ TEST(Printer, IntrinsicsAndComparisons) {
                   return ne(b.lit(1.0), b.lit(2.0));
               }),
               "1.0 /= 2.0");
+}
+
+// A REAL literal prints in the shortest form that parses back to the
+// same double, so print -> parse keeps every digit.
+TEST(Printer, RealLiteralsRoundTripBitExact) {
+    const std::pair<double, const char*> cases[] = {
+        {1.0000002, "1.0000002"},
+        {1e-07, "1e-07"},
+        {6.02214076e+23, "6.02214076e+23"},
+        {1234567.0, "1234567.0"},
+        {0.1, "0.1"},
+    };
+    for (const auto& [value, text] : cases) {
+        ProgramBuilder b("t");
+        auto r = b.realVar("r");
+        b.assign(b.idx(r), b.lit(value));
+        Program p = b.finish();
+        EXPECT_EQ(printExpr(p, p.top[0]->rhs), text);
+        const Program q = parseProgramOrDie(printProgram(p));
+        const Expr* lit = q.top[0]->rhs;
+        ASSERT_EQ(lit->kind, ExprKind::RealLit) << text;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(lit->rval),
+                  std::bit_cast<std::uint64_t>(value))
+            << text;
+    }
 }
 
 TEST(Printer, ArrayBoundsWithLowerBound) {

@@ -207,6 +207,68 @@ TEST(Fingerprint, DifferentProgramsSplitTheFingerprint) {
     EXPECT_NE(service::programFingerprint(a), service::programFingerprint(b));
 }
 
+// Two sources that differ only past a REAL literal's sixth significant
+// digit are different programs: different keys, and the second request
+// is a miss whose SPMD text carries its own literal.
+TEST(Fingerprint, RealLiteralDigitsSplitTheKey) {
+    const auto source = [](const std::string& factor) {
+        return "program k\n  real a(8)\n  do i = 1, 8\n    a(i) = a(i) * " +
+               factor + "\n  end do\nend\n";
+    };
+    const Program a = parseProgramOrDie(source("1.0000002"));
+    const Program b = parseProgramOrDie(source("1.0000003"));
+    EXPECT_NE(service::programFingerprint(a), service::programFingerprint(b));
+
+    CompileService svc;
+    CompileRequest first, second;
+    first.source = source("1.0000002");
+    second.source = source("1.0000003");
+    const CompileResult r1 = svc.compile(first);
+    const CompileResult r2 = svc.compile(second);
+    ASSERT_EQ(r1.status, CompileStatus::Ok) << r1.error;
+    ASSERT_EQ(r2.status, CompileStatus::Ok) << r2.error;
+    EXPECT_NE(r1.key, r2.key);
+    EXPECT_FALSE(r2.cacheHit);
+    EXPECT_NE(r2.artifact->spmdText.find("1.0000003"), std::string::npos)
+        << r2.artifact->spmdText;
+}
+
+// The canonical text, and so the cache key, of every builtin kernel (at
+// its batch default size) and of the three Table kernels at paper size.
+// A printer change that moves one re-keys that kernel's cached entries.
+TEST(Fingerprint, BuiltinKernelFingerprintsArePinned) {
+    const std::vector<std::pair<std::string, std::string>> builtins = {
+        {"fig1", "p55f31792298f7f67a6441500d1189937"},
+        {"fig2", "p30ff0897238f0d0f8c428a4fb8729adf"},
+        {"fig4", "pd9eae6e06c65d241694228ebdb2a1991"},
+        {"fig5", "p0f919e2b6410f96991bc49bde56cf719"},
+        {"fig6", "p2b892b84e1c40982712fa230b8c03ed2"},
+        {"fig7", "p16e8cc3254ea2a7171fb3af3b74e6281"},
+        {"adi", "p9a280d2a885e4977e8825d91c382b107"},
+        {"dgefa", "p7d547bf04bd9c1992f5304d8f20621a9"},
+        {"tomcatv", "p6bf4acfe07c9a2c7a1b0ce1d0c7047b7"},
+        {"appsp", "p7940c64ad8ae15828b4ea7ae862f8732"},
+        {"appsp2d", "pd56129b3a957d4b04acac59270825440"},
+    };
+    ASSERT_EQ(service::builtinProgramNames().size(), builtins.size());
+    for (const auto& [name, fingerprint] : builtins) {
+        service::BatchJob job;
+        job.program = name;
+        CompileRequest req;
+        std::string err;
+        ASSERT_TRUE(service::requestOfJob(job, &req, &err)) << err;
+        EXPECT_EQ(service::programFingerprint(req.build()), fingerprint)
+            << name;
+    }
+    EXPECT_EQ(service::programFingerprint(programs::tomcatv(513, 100)),
+              "padc902e2a9ecd5f6262b67fe278e2166");
+    EXPECT_EQ(service::programFingerprint(programs::dgefa(1000)),
+              "pa8f4bc457dfba794ae0adc60241182a4");
+    EXPECT_EQ(service::programFingerprint(
+                  programs::appsp(64, 64, 64, 50, true)),
+              "p6bc98e346c97ba91e647899229bd6001");
+}
+
 // ---------------------------------------------------------------------
 // Service behavior.
 

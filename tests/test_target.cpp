@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <latch>
 #include <thread>
 
 #include "driver/compiler.h"
+#include "pinned_costs.h"
 #include "programs/programs.h"
 #include "spmd/spmd_text.h"
 #include "target/target.h"
@@ -426,6 +428,35 @@ TEST(Target, CostContractHoldsOnEveryTableCellAndFigure) {
                                c.predictCostFor(TargetKind::MessagePassing));
             expectReportedCost(cmp.at("shm"), "sync_events",
                                c.predictCostFor(TargetKind::SharedMemory));
+        }
+    }
+}
+
+// The evaluator's totals, bit for bit, on every cell and both targets,
+// through both walks (tests/pinned_costs.h).
+TEST(Target, CostBitsPinnedOnEveryTableCellAndFigure) {
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const std::vector<Cell> cells = costContractCells();
+    ASSERT_EQ(std::size(kPinnedCosts), 2 * cells.size());
+    const PinnedCost* pin = kPinnedCosts;
+    for (const Cell& cell : cells) {
+        Program p = cell.build();
+        const Compilation c = Compiler::compile(p, cell.target, cell.passes);
+        for (TargetKind kind :
+             {TargetKind::MessagePassing, TargetKind::SharedMemory}) {
+            SCOPED_TRACE(cell.label + " " + targetKindName(kind));
+            ASSERT_EQ(pin->cell, cell.label);
+            ASSERT_STREQ(pin->target, targetKindName(kind));
+            const Target& t = targetFor(kind);
+            for (const CostBreakdown& cb :
+                 {t.predictCost(c.lowering(), cell.target),
+                  t.predictDetailed(c.lowering(), cell.target).totals}) {
+                EXPECT_EQ(bits(cb.computeSec), bits(pin->computeSec));
+                EXPECT_EQ(bits(cb.commSec), bits(pin->commSec));
+                EXPECT_EQ(cb.messageEvents, pin->messageEvents);
+                EXPECT_EQ(bits(cb.commBytes), bits(pin->commBytes));
+            }
+            ++pin;
         }
     }
 }
