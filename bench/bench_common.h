@@ -115,6 +115,31 @@ inline CostBreakdown predictService(std::function<Program()> build,
     return r.artifact->cost;
 }
 
+/// One simulation of `c` the way a perfbench sim_kernels job runs it
+/// (construct the simulator, seed the oracle, run), with fixed inputs:
+/// every array element in [0.5, 1.5) from a splitmix64 stream (integer
+/// arrays hold 1). Returns the processor statements executed.
+inline std::int64_t simulateSeeded(const Compilation& c) {
+    SpmdSimulator sim(c.lowering(), c.target().costModel.elemBytes);
+    std::uint64_t state = 7;
+    for (const Symbol& s : c.lowering().program().symbols) {
+        if (!s.isArray()) continue;
+        for (std::int64_t f = 0; f < s.elementCount(); ++f) {
+            std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+            z ^= z >> 31;
+            sim.oracle().store().set(
+                s.id, f,
+                s.type == ScalarType::Int
+                    ? 1.0
+                    : 0.5 + static_cast<double>(z >> 11) * 0x1.0p-53);
+        }
+    }
+    sim.run();
+    return sim.statementsExecutedAllProcs();
+}
+
 inline void printHeader(const std::string& title,
                         const std::vector<std::string>& columns) {
     BenchReporter::instance().setHeader(title, columns);

@@ -85,6 +85,23 @@ void BM_PredictCostTomcatv(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictCostTomcatv);
 
+// The simulator on the perfbench sim_kernels cells (n = 65, niter = 3,
+// 16 procs): construction plus run(), per variant.
+void BM_SimulateTomcatv(benchmark::State& state) {
+    Program p = programs::tomcatv(65, 3);
+    TargetConfig opts;
+    PassOptions passes;
+    opts.gridExtents = {16};
+    passes.mapping = variantOpts(static_cast<int>(state.range(0)));
+    const Compilation c = Compiler::compile(p, opts, passes);
+    for (auto _ : state) benchmark::DoNotOptimize(simulateSeeded(c));
+}
+BENCHMARK(BM_SimulateTomcatv)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

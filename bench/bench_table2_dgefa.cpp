@@ -83,6 +83,19 @@ void BM_PredictDetailedDgefa(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictDetailedDgefa);
 
+// The simulator on the perfbench sim_kernels cells (n = 64, 16 procs):
+// construction plus run(); Arg 1 aligns the reduction.
+void BM_SimulateDgefa(benchmark::State& state) {
+    Program p = programs::dgefa(64);
+    TargetConfig opts;
+    PassOptions passes;
+    opts.gridExtents = {16};
+    passes.mapping.reductionAlignment = state.range(0) != 0;
+    const Compilation c = Compiler::compile(p, opts, passes);
+    for (auto _ : state) benchmark::DoNotOptimize(simulateSeeded(c));
+}
+BENCHMARK(BM_SimulateDgefa)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

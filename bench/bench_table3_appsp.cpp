@@ -34,11 +34,16 @@ std::vector<int> grid2d(int procs) {
     return {a, b};
 }
 
-CostBreakdown runVariant(int variant, int procs) {
-    const bool oneD = variant < 2;
+MappingOptions variantOpts(int variant) {
     MappingOptions m;
     m.arrayPrivatization = variant == 1 || variant >= 3;
     m.partialPrivatization = variant >= 3;
+    return m;
+}
+
+CostBreakdown runVariant(int variant, int procs) {
+    const bool oneD = variant < 2;
+    const MappingOptions m = variantOpts(variant);
     // Variant 4: the paper's suggested fix for the 2-D version —
     // global message combining across loop nests.
     CostModel cost;
@@ -74,6 +79,22 @@ void BM_CompileAppsp(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CompileAppsp)->Arg(0)->Arg(1);
+
+// The simulator on the perfbench sim_kernels cells (16^3, niter = 2,
+// 16 procs): construction plus run(), per Table 3 variant.
+void BM_SimulateAppsp(benchmark::State& state) {
+    const int variant = static_cast<int>(state.range(0));
+    const bool oneD = variant < 2;
+    Program p = programs::appsp(16, 16, 16, 2, oneD);
+    TargetConfig opts;
+    PassOptions passes;
+    opts.gridExtents = oneD ? std::vector<int>{16} : grid2d(16);
+    opts.costModel.combineMessages = variant == 4;
+    passes.mapping = variantOpts(variant);
+    const Compilation c = Compiler::compile(p, opts, passes);
+    for (auto _ : state) benchmark::DoNotOptimize(simulateSeeded(c));
+}
+BENCHMARK(BM_SimulateAppsp)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

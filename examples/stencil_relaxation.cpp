@@ -70,8 +70,8 @@ int main() {
     }
 
     std::printf("--- predicted time (sec) by scalar-mapping policy ---\n");
-    std::printf("%-6s %-16s %-20s %-20s\n", "#P", "replication",
-                "producer alignment", "selected alignment");
+    std::printf("%-6s %-16s %-20s %-20s\n", "#P", variantName(0),
+                variantName(1), variantName(2));
     for (int procs : {1, 2, 4, 8, 16}) {
         std::printf("%-6d", procs);
         for (int v = 0; v < 3; ++v) {

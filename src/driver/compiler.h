@@ -30,7 +30,7 @@ struct SimulationRequest {
     int elemBytes = 0;
     /// Seeds the simulator's sequential oracle before the run (input
     /// arrays default to zero otherwise).
-    std::function<void(Interpreter&)> seed;
+    std::function<void(Interpreter&)> seed = {};
     /// Span destination for the sim-setup and sim-exec spans. When
     /// null, spans go to the compilation's own tracer — fine for a
     /// privately owned Compilation, but a Compilation shared read-only
@@ -50,10 +50,10 @@ struct SimulationRequest {
     /// Execution engine override: unset inherits the compilation's
     /// PassOptions::simEngine (default bytecode). Strict-mode results
     /// and metrics are bit-identical across engines.
-    std::optional<SimEngine> engine;
+    std::optional<SimEngine> engine = {};
     /// Relaxed reduction-merge override: unset inherits
     /// PassOptions::relaxedMerge (default off / strict).
-    std::optional<bool> relaxedMerge;
+    std::optional<bool> relaxedMerge = {};
 };
 
 /// Everything one compilation produced, immutable once the pipeline

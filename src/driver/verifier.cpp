@@ -15,14 +15,17 @@ std::vector<std::string> verifyCompilation(const Compilation& c) {
 
     // 1. Every statement lowered; OwnerOf implies a constrained executor.
     p.forEachStmt([&](const Stmt* s) {
+        // Appended, not "s" + std::to_string(...): GCC 12's -Wrestrict
+        // misfires on that operator+ once inlined here.
+        std::string tag = "s";
+        tag += std::to_string(s->id);
         try {
             const StmtExec& ex = c.lowering().execOf(s);
             if (ex.guard == StmtExec::Guard::OwnerOf &&
                 !ex.execDesc.anyConstrained())
-                complain("s" + std::to_string(s->id) +
-                         ": OwnerOf guard with unconstrained executor");
+                complain(tag + ": OwnerOf guard with unconstrained executor");
         } catch (const InternalError&) {
-            complain("s" + std::to_string(s->id) + ": statement not lowered");
+            complain(tag + ": statement not lowered");
         }
     });
 

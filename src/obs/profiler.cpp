@@ -149,14 +149,20 @@ std::string foldedStacks(const Program& p, const StmtProfile& prof) {
         if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) return;
         const StmtProfile::Row& r = prof.row(s->id);
         if (r.instances == 0) return;
+        // Appended piecewise: GCC 12's -Wrestrict misfires on
+        // ";" + std::string once inlined here.
         std::string line = rootFrame;
-        for (const Stmt* l : p.enclosingLoops(s))
-            line += ";" + frameText("do " + p.sym(l->loopVar).name);
-        line += ";" +
-                frameText(stmtText(p, s) + "#" + std::to_string(s->id));
+        for (const Stmt* l : p.enclosingLoops(s)) {
+            line += ';';
+            line += frameText("do " + p.sym(l->loopVar).name);
+        }
+        line += ';';
+        line += frameText(stmtText(p, s) + "#" + std::to_string(s->id));
         const auto us =
             static_cast<std::int64_t>(std::llround(prof.selfUsEst(s->id)));
-        line += " " + std::to_string(us < 0 ? 0 : us) + "\n";
+        line += ' ';
+        line += std::to_string(us < 0 ? 0 : us);
+        line += '\n';
         out += line;
     });
     return out;

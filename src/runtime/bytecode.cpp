@@ -31,7 +31,7 @@ struct Aff {
 /// integer literals and integer scalar symbols. Division, non-integral
 /// reals, array-valued subscripts, and variable*variable products all
 /// refuse (the caller keeps the tree fallback). Restricting terms to
-/// integer-typed scalars keeps the per-term truncation in evalIndexForm
+/// integer-typed scalars keeps the per-term truncation in evalAddr
 /// exact, so the affine value matches the interpreter's
 /// truncate-at-the-end semantics bit for bit.
 bool foldAffine(const Program& prog, const Expr* e, std::int64_t scale,
@@ -247,7 +247,7 @@ IndexForm flatIndexForm(const Program& prog, const Expr* ref, Arena& arena) {
     IndexForm f;
     // The tree fallback stays even when the affine fold succeeds: debug
     // builds re-derive the index through the interpreter's checked path
-    // and compare (evalIndexForm).
+    // and compare (evalAddr).
     f.fallback = ref;
     f.flatFallback = true;
     Aff total;
@@ -269,6 +269,21 @@ IndexForm flatIndexForm(const Program& prog, const Expr* ref, Arena& arena) {
         });
     if (ok) finishForm(total, f);
     return f;
+}
+
+AddrForm bindAddr(const IndexForm& f, std::int64_t offset,
+                  const std::vector<char>& isIv) {
+    AddrForm a;
+    a.base = offset;
+    a.offset = offset;
+    a.tree = f.fallback;
+    a.flat = f.flatFallback;
+    a.affine = f.affine || f.fallback == nullptr;
+    if (!f.affine) return a;
+    a.base += f.base;
+    for (const IndexForm::Term& t : f.terms)
+        (isIv[static_cast<size_t>(t.sym)] != 0 ? a.iv : a.scalars).push_back(t);
+    return a;
 }
 
 namespace {

@@ -66,10 +66,11 @@ struct FetchSlot {
 
 /// An integer index expression strength-reduced to affine form
 /// `base + sum(coeff_i * intval(sym_i))` over integer scalar symbols
-/// (loop variables, induction scalars). Evaluating the affine form is a
-/// few integer multiply-adds instead of a subscript-tree walk per
-/// statement instance; anything non-affine keeps the original tree as a
-/// fallback and evaluates exactly like the interpreter.
+/// (loop variables, induction scalars). The simulator binds it to its
+/// state as an AddrForm, so an instance evaluates a few integer
+/// multiply-adds instead of walking a subscript tree; anything
+/// non-affine keeps the original tree as a fallback and evaluates
+/// exactly like the interpreter.
 struct IndexForm {
     struct Term {
         SymbolId sym;
@@ -89,30 +90,61 @@ struct IndexForm {
     }
 };
 
-/// Evaluate an index form against the oracle interpreter's store.
+/// An IndexForm bound to the simulator's state: `base + sum(coeff *
+/// iv[sym])` over the integer DO variables the simulator keeps in an
+/// int64 iteration vector (indexed by SymbolId), plus `sum(coeff *
+/// intval(scalar))` over the other integer scalars, read from the
+/// oracle's store. An element address folds the symbol's Store offset
+/// into the base; a non-affine form evaluates its tree and adds the
+/// offset.
+struct AddrForm {
+    std::int64_t base = 0;
+    std::vector<IndexForm::Term> iv;
+    std::vector<IndexForm::Term> scalars;
+    /// The subscript tree (the ArrayRef itself when `flat`): evaluated
+    /// when the form is not affine, re-derived by Debug builds when it
+    /// is.
+    const Expr* tree = nullptr;
+    bool flat = false;
+    bool affine = true;
+    std::int64_t offset = 0;
+
+    /// True when the form reads nothing but the iteration vector.
+    [[nodiscard]] bool ivOnly() const { return affine && scalars.empty(); }
+    /// The coefficient of iteration-vector entry `sym`.
+    [[nodiscard]] std::int64_t coeffOf(SymbolId sym) const {
+        for (const IndexForm::Term& t : iv)
+            if (t.sym == sym) return t.coeff;
+        return 0;
+    }
+};
+
+/// Bind `f` (an absent form reads as 0) at Store offset `offset`;
+/// `isIv[sym]` marks the symbols the iteration vector holds.
+[[nodiscard]] AddrForm bindAddr(const IndexForm& f, std::int64_t offset,
+                                const std::vector<char>& isIv);
+
+/// Evaluate `a` over iteration vector `iv` and the oracle's store.
 /// Affine terms truncate each integer scalar individually — exact
 /// whenever the scalars hold integral values, which the compiler
-/// guarantees by folding only integer-typed symbols.
-[[nodiscard]] inline std::int64_t evalIndexForm(const IndexForm& f,
-                                                const Interpreter& oracle) {
-    if (f.affine) {
-        std::int64_t v = f.base;
-        for (const IndexForm::Term& t : f.terms)
-            v += t.coeff *
-                 static_cast<std::int64_t>(oracle.store().get(t.sym));
-        // Debug builds re-derive the index through the interpreter's
-        // bounds-checked tree walk and compare — out-of-range
-        // subscripts trip the interpreter's own assertion first, and
-        // any affine-folding bug trips this one.
-        PHPF_DASSERT(f.fallback == nullptr ||
-                         v == (f.flatFallback
-                                   ? oracle.flatIndexOf(f.fallback)
-                                   : oracle.evalIndex(f.fallback)),
-                     "affine index form diverges from its subscript tree");
-        return v;
-    }
-    return f.flatFallback ? oracle.flatIndexOf(f.fallback)
-                          : oracle.evalIndex(f.fallback);
+/// guarantees by folding only integer-typed symbols. Debug builds
+/// re-derive an affine value through the interpreter's tree walk and
+/// compare, so any folding bug trips the assertion.
+[[nodiscard]] inline std::int64_t evalAddr(const AddrForm& a,
+                                           const std::int64_t* iv,
+                                           const Interpreter& oracle) {
+    const auto tree = [&] {
+        return a.flat ? oracle.flatIndexOf(a.tree) : oracle.evalIndex(a.tree);
+    };
+    if (!a.affine) return a.offset + tree();
+    std::int64_t v = a.base;
+    for (const IndexForm::Term& t : a.iv)
+        v += t.coeff * iv[static_cast<size_t>(t.sym)];
+    for (const IndexForm::Term& t : a.scalars)
+        v += t.coeff * static_cast<std::int64_t>(oracle.store().get(t.sym));
+    PHPF_DASSERT(a.tree == nullptr || v == a.offset + tree(),
+                 "address form diverges from its subscript tree");
+    return v;
 }
 
 /// Bounds check of every subscript of a statement's array refs, folded

@@ -132,12 +132,19 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
                          static_cast<size_t>(oracle_.store().totalElems());
     soa_.assign(lanes, 0.0);
     soaValid_.assign(lanes, 0);
+    iv_.assign(prog_.symbols.size(), 0);
     buildPlans();
     if (engine_ == SimEngine::Bytecode) {
         size_t maxSlots = 1;
-        for (const StmtPlan& p : plans_)
+        size_t maxForms = 1;
+        for (const StmtPlan& p : plans_) {
             maxSlots = std::max(maxSlots, p.code.slots.size());
-        slotFlat_.assign(maxSlots, 0);
+            maxForms = std::max(maxForms, p.strip.forms.size());
+        }
+        stripCur_.assign(maxForms, 0);
+        stripDelta_.assign(maxForms, 0);
+        subsScratch_.assign(
+            static_cast<size_t>(low_.dataMapping().grid().rank()), 0);
         slotRow_.assign(maxSlots, 0);
         slotElem_.assign(maxSlots, 0);
         slotMissV_.assign(maxSlots, 0.0);
@@ -200,6 +207,7 @@ void SpmdSimulator::buildPlans() {
                 break;
             }
             case StmtKind::Do: {
+                plan.loopElem = oracle_.store().elemIndexOf(s->loopVar);
                 collectArrayRefs(s->lb, plan.indexRefs);
                 collectArrayRefs(s->ub, plan.indexRefs);
                 if (s->step != nullptr)
@@ -228,30 +236,8 @@ void SpmdSimulator::buildPlans() {
             vm::validate(plan.code.value,
                          static_cast<int>(plan.code.slots.size()));
             maxRegs_ = std::max(maxRegs_, plan.code.value.numRegs);
-            // Source-descriptor forms per fetch slot, so per-phase miss
-            // resolution evaluates a few affine terms instead of the
-            // descriptor's subscript trees.
-            plan.slotOp.resize(plan.code.slots.size(), nullptr);
-            plan.slotSrcForms.resize(plan.code.slots.size());
-            plan.slotSrcSingleton.resize(plan.code.slots.size(), 0);
-            const auto isSingleton = [](const RefDesc& d) {
-                for (const RefDim& dim : d.dims)
-                    if (dim.kind == RefDim::Kind::Replicated) return false;
-                return true;
-            };
-            plan.execSingleton = plan.exec->guard == StmtExec::Guard::OwnerOf &&
-                                 isSingleton(plan.exec->execDesc);
-            for (size_t i = 0; i < plan.code.slots.size(); ++i) {
-                const CommOp* op = opByRef_[static_cast<size_t>(
-                    plan.code.slots[i].ref->id)];
-                plan.slotOp[i] = op;
-                if (op != nullptr) {
-                    plan.slotSrcForms[i] =
-                        bc::compileDescForms(prog_, op->srcDesc, bcArena_);
-                    plan.slotSrcSingleton[i] =
-                        isSingleton(op->srcDesc) ? 1 : 0;
-                }
-            }
+            for (const bc::FetchSlot& sl : plan.code.slots)
+                plan.slotOp.push_back(opByRef_[static_cast<size_t>(sl.ref->id)]);
         }
     });
     if (engine_ != SimEngine::Bytecode) return;
@@ -296,10 +282,97 @@ void SpmdSimulator::buildPlans() {
             if (divergent[static_cast<size_t>(r->sym)] != 0) uniform = false;
         plan.laneUniform = uniform;
     });
+    planAddresses();
+}
+
+void SpmdSimulator::planAddresses() {
+    // The iteration vector: the integer DO variables no Assign writes.
+    isIv_.assign(prog_.symbols.size(), 0);
+    prog_.forEachStmt([&](const Stmt* s) {
+        if (s->kind == StmtKind::Do &&
+            prog_.sym(s->loopVar).type == ScalarType::Int)
+            isIv_[static_cast<size_t>(s->loopVar)] = 1;
+    });
+    prog_.forEachStmt([&](const Stmt* s) {
+        if (s->kind == StmtKind::Assign && s->lhs->kind == ExprKind::VarRef)
+            isIv_[static_cast<size_t>(s->lhs->sym)] = 0;
+    });
+    const Store& st = oracle_.store();
+    const auto ownerPlan = [&](const RefDesc& d,
+                               const std::vector<bc::IndexForm>& forms) {
+        OwnerPlan o;
+        o.desc = &d;
+        o.single = true;
+        for (size_t g = 0; g < d.dims.size(); ++g) {
+            o.subs.push_back(bc::bindAddr(forms[g], 0, isIv_));
+            if (d.dims[g].kind == RefDim::Kind::Replicated) o.single = false;
+        }
+        o.last.assign(d.dims.size(), 0);
+        return o;
+    };
+    prog_.forEachStmt([&](const Stmt* s) {
+        if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) return;
+        StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
+        const bc::StmtCode& code = plan.code;
+        for (size_t i = 0; i < code.slots.size(); ++i) {
+            plan.slotAddr.push_back(bc::bindAddr(
+                code.slotIndex[i], st.elemIndexOf(code.slots[i].sym), isIv_));
+            const CommOp* op = plan.slotOp[i];
+            plan.slotSrc.push_back(
+                op == nullptr ? OwnerPlan{}
+                              : ownerPlan(op->srcDesc,
+                                          bc::compileDescForms(
+                                              prog_, op->srcDesc, bcArena_)));
+        }
+        if (s->kind == StmtKind::Assign)
+            plan.lhsAddr = bc::bindAddr(code.lhsIndex,
+                                        st.elemIndexOf(s->lhs->sym), isIv_);
+        if (plan.exec->guard == StmtExec::Guard::OwnerOf)
+            plan.execOwner = ownerPlan(plan.exec->execDesc, code.execIndex);
+        for (size_t i = 0; i < plan.unionSrcs.size(); ++i)
+            plan.unionOwners.push_back(
+                ownerPlan(*plan.unionSrcs[i], code.unionIndex[i]));
+    });
+    // Strips: DO loops whose body is only lane-uniform Assigns on every
+    // processor or on one owner, with iv-only forms and no subscript
+    // left to check at run time.
+    prog_.forEachStmt([&](const Stmt* s) {
+        if (s->kind != StmtKind::Do ||
+            isIv_[static_cast<size_t>(s->loopVar)] == 0)
+            return;
+        StripPlan sp;
+        for (const Stmt* t : s->body) {
+            if (t->kind != StmtKind::Assign) return;
+            StmtPlan& tp = plans_[static_cast<size_t>(t->id)];
+            const StmtExec::Guard guard = tp.exec->guard;
+            const bool one =
+                guard == StmtExec::Guard::OwnerOf && tp.execOwner.single;
+            if (!tp.laneUniform || !tp.indexRefs.empty() ||
+                !tp.code.subscripts.ranges.empty() ||
+                tp.code.subscripts.perSubscript ||
+                (guard != StmtExec::Guard::All && !one))
+                return;
+            StripPlan::Member m{t, static_cast<int>(sp.forms.size())};
+            sp.forms.push_back(&tp.lhsAddr);
+            for (const bc::AddrForm& a : tp.slotAddr) sp.forms.push_back(&a);
+            if (one) {
+                m.exec = StripPlan::Member::Exec::Hoisted;
+                for (const bc::AddrForm& a : tp.execOwner.subs) {
+                    sp.forms.push_back(&a);
+                    if (a.coeffOf(s->loopVar) != 0)
+                        m.exec = StripPlan::Member::Exec::Moving;
+                }
+            }
+            sp.members.push_back(m);
+        }
+        for (const bc::AddrForm* a : sp.forms)
+            if (!a->ivOnly()) return;
+        plans_[static_cast<size_t>(s->id)].strip = std::move(sp);
+    });
 }
 
 void SpmdSimulator::evalDescInto(const RefDesc& desc,
-                                 const std::vector<bc::IndexForm>* forms,
+                                 const std::vector<bc::AddrForm>* subs,
                                  GridSet& out) const {
     const ProcGrid& grid = low_.dataMapping().grid();
     out.coord.assign(static_cast<size_t>(grid.rank()), -1);
@@ -315,9 +388,8 @@ void SpmdSimulator::evalDescInto(const RefDesc& desc,
                 PHPF_ASSERT(dim.subscriptExpr != nullptr,
                             "partitioned dim without subscript expr");
                 const std::int64_t v =
-                    forms != nullptr
-                        ? bc::evalIndexForm((*forms)[static_cast<size_t>(g)],
-                                            oracle_)
+                    subs != nullptr
+                        ? evalAddr((*subs)[static_cast<size_t>(g)])
                         : oracle_.evalIndex(dim.subscriptExpr);
                 out.coord[static_cast<size_t>(g)] =
                     dim.dist.ownerOf(v + dim.offset);
@@ -327,42 +399,48 @@ void SpmdSimulator::evalDescInto(const RefDesc& desc,
     }
 }
 
-int SpmdSimulator::singleProcOfBc(const RefDesc& desc,
-                                  const std::vector<bc::IndexForm>& forms) {
+int SpmdSimulator::memoOwner(OwnerPlan& o, const std::int64_t* subs) {
+    const std::vector<RefDim>& dims = o.desc->dims;
+    bool repeat = o.owner >= 0;
+    for (size_t g = 0; g < dims.size(); ++g) {
+        if (dims[g].kind != RefDim::Kind::Partitioned) continue;
+        repeat = repeat && o.last[g] == subs[g];
+        o.last[g] = subs[g];
+    }
+    if (repeat) return o.owner;
     // Every grid dim is Fixed or Partitioned: compute the one
     // coordinate vector directly, skipping the GridSet enumeration.
-    const ProcGrid& grid = low_.dataMapping().grid();
-    const int rank = grid.rank();
-    coordsScratch_.resize(static_cast<size_t>(rank));
-    for (int g = 0; g < rank; ++g) {
-        const RefDim& dim = desc.dims[static_cast<size_t>(g)];
-        coordsScratch_[static_cast<size_t>(g)] =
-            dim.kind == RefDim::Kind::Fixed
-                ? dim.fixedCoord
-                : dim.dist.ownerOf(
-                      bc::evalIndexForm(forms[static_cast<size_t>(g)],
-                                        oracle_) +
-                      dim.offset);
-    }
-    return grid.linearize(coordsScratch_);
+    coordsScratch_.resize(dims.size());
+    for (size_t g = 0; g < dims.size(); ++g)
+        coordsScratch_[g] = dims[g].kind == RefDim::Kind::Fixed
+                                ? dims[g].fixedCoord
+                                : dims[g].dist.ownerOf(o.last[g] + dims[g].offset);
+    o.owner = low_.dataMapping().grid().linearize(coordsScratch_);
+    return o.owner;
+}
+
+int SpmdSimulator::oneOwner(OwnerPlan& o) {
+    for (size_t g = 0; g < o.subs.size(); ++g)
+        if (o.desc->dims[g].kind == RefDim::Kind::Partitioned)
+            subsScratch_[g] = evalAddr(o.subs[g]);
+    return memoOwner(o, subsScratch_.data());
 }
 
 const std::vector<int>& SpmdSimulator::executorsOf(const Stmt* s) {
-    const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
+    StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
     const ProcGrid& grid = low_.dataMapping().grid();
     const bool bcMode = engine_ == SimEngine::Bytecode;
     switch (plan.exec->guard) {
         case StmtExec::Guard::All:
             return allProcs_;
         case StmtExec::Guard::OwnerOf:
-            if (bcMode && plan.execSingleton) {
-                singleProcScratch_[0] =
-                    singleProcOfBc(plan.exec->execDesc, plan.code.execIndex);
+            if (bcMode && plan.execOwner.single) {
+                singleProcScratch_[0] = oneOwner(plan.execOwner);
                 return singleProcScratch_;
             }
             execsScratch_.clear();
             evalDescInto(plan.exec->execDesc,
-                         bcMode ? &plan.code.execIndex : nullptr, gsScratch_);
+                         bcMode ? &plan.execOwner.subs : nullptr, gsScratch_);
             forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
                 execsScratch_.push_back(p);
                 return true;
@@ -373,7 +451,7 @@ const std::vector<int>& SpmdSimulator::executorsOf(const Stmt* s) {
             std::fill(flagsScratch_.begin(), flagsScratch_.end(), 0);
             for (size_t i = 0; i < plan.unionSrcs.size(); ++i) {
                 evalDescInto(*plan.unionSrcs[i],
-                             bcMode ? &plan.code.unionIndex[i] : nullptr,
+                             bcMode ? &plan.unionOwners[i].subs : nullptr,
                              gsScratch_);
                 forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
                     flagsScratch_[static_cast<size_t>(p)] = 1;
@@ -423,8 +501,7 @@ double SpmdSimulator::fetch(int proc, const Expr* ref) {
     // A copy this processor already fetched earlier in the same phase
     // (bank writes are deferred to the merge).
     for (const PendingWrite& pw : pending_)
-        if (pw.proc == proc && pw.sym == ref->sym && pw.flat == flat)
-            return pw.v;
+        if (pw.proc == proc && pw.row == row) return pw.v;
 
     const CommOp* op = opByRef_[static_cast<size_t>(ref->id)];
     PHPF_ASSERT(op != nullptr,
@@ -432,8 +509,8 @@ double SpmdSimulator::fetch(int proc, const Expr* ref) {
                     " reads unavailable data with no communication op: " +
                     printExpr(prog_, ref) + " (program " + prog_.name + ")");
     double v = 0.0;
-    const int src = holderOf(*op, nullptr, false, row, ref, v);
-    pending_.push_back(PendingWrite{proc, ref->sym, flat, v});
+    const int src = holderOf(*op, nullptr, row, ref, v);
+    pending_.push_back(PendingWrite{proc, row, v});
     misses_.push_back(MissRecord{op, proc, src});
     return v;
 }
@@ -540,24 +617,21 @@ void SpmdSimulator::runLanes(const StmtPlan& plan,
 }
 
 double SpmdSimulator::missLaneBc(int proc, const StmtPlan& plan, int slot) {
-    const bc::FetchSlot& sl = plan.code.slots[static_cast<size_t>(slot)];
-    const std::int64_t flat = sl.isArray ? slotFlat_[static_cast<size_t>(slot)]
-                                         : 0;
+    const std::int64_t row = slotRow_[static_cast<size_t>(slot)];
     // A copy this processor already fetched earlier in the same phase
     // (a second slot aliasing the same element at runtime).
     for (const PendingWrite& pw : pending_)
-        if (pw.proc == proc && pw.sym == sl.sym && pw.flat == flat)
-            return pw.v;
+        if (pw.proc == proc && pw.row == row) return pw.v;
     PHPF_DASSERT(slotMissResolved_[static_cast<size_t>(slot)] != 0,
                  "lane miss on a slot the phase pre-resolution skipped");
     const double v = slotMissV_[static_cast<size_t>(slot)];
-    pending_.push_back(PendingWrite{proc, sl.sym, flat, v});
+    pending_.push_back(PendingWrite{proc, row, v});
     misses_.push_back(MissRecord{plan.slotOp[static_cast<size_t>(slot)], proc,
                                  slotMissSrc_[static_cast<size_t>(slot)]});
     return v;
 }
 
-void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
+void SpmdSimulator::resolveSlotMiss(StmtPlan& plan, int slot,
                                     int firstProc) {
     const bc::FetchSlot& sl = plan.code.slots[static_cast<size_t>(slot)];
     const CommOp* op = plan.slotOp[static_cast<size_t>(slot)];
@@ -569,26 +643,24 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
     // to the merge), so one (value, source) resolution is exact for
     // every missing lane — the interpreter's per-lane fetches find the
     // identical holder in the identical order.
-    slotMissSrc_[static_cast<size_t>(slot)] = holderOf(
-        *op, &plan.slotSrcForms[static_cast<size_t>(slot)],
-        plan.slotSrcSingleton[static_cast<size_t>(slot)] != 0,
-        slotRow_[static_cast<size_t>(slot)], sl.ref,
-        slotMissV_[static_cast<size_t>(slot)]);
+    slotMissSrc_[static_cast<size_t>(slot)] =
+        holderOf(*op, &plan.slotSrc[static_cast<size_t>(slot)],
+                 slotRow_[static_cast<size_t>(slot)], sl.ref,
+                 slotMissV_[static_cast<size_t>(slot)]);
     slotMissResolved_[static_cast<size_t>(slot)] = 1;
 }
 
-int SpmdSimulator::holderOf(const CommOp& op,
-                            const std::vector<bc::IndexForm>* forms,
-                            bool singleton, std::int64_t row, const Expr* ref,
-                            double& v) {
+int SpmdSimulator::holderOf(const CommOp& op, OwnerPlan* srcPlan,
+                            std::int64_t row, const Expr* ref, double& v) {
     // Stale-free by construction: writes invalidate every non-executing
     // copy, so any valid copy in the owner set holds the current value.
     int src = -1;
-    if (singleton) {
-        const int p = singleProcOfBc(op.srcDesc, *forms);
+    if (srcPlan != nullptr && srcPlan->single) {
+        const int p = oneOwner(*srcPlan);
         if (soaValid_[static_cast<size_t>(row + p)] != 0) src = p;
     } else {
-        evalDescInto(op.srcDesc, forms, gsScratch_);
+        evalDescInto(op.srcDesc, srcPlan != nullptr ? &srcPlan->subs : nullptr,
+                     gsScratch_);
         forEachGridProc(gsScratch_, low_.dataMapping().grid(), coordsScratch_,
                         [&](int p) {
                             if (soaValid_[static_cast<size_t>(row + p)] == 0)
@@ -641,21 +713,18 @@ void SpmdSimulator::resolveSubscripts(const Stmt* s, const StmtPlan& plan) {
                     " disagrees with its subscript trees");
 }
 
-bool SpmdSimulator::resolveSlots(const StmtPlan& plan,
+void SpmdSimulator::addressSlots(const StmtPlan& plan) {
+    for (size_t i = 0; i < plan.slotAddr.size(); ++i) {
+        slotElem_[i] = evalAddr(plan.slotAddr[i]);
+        slotRow_[i] = slotElem_[i] * procCount_;
+    }
+}
+
+bool SpmdSimulator::resolveSlots(StmtPlan& plan,
                                  const std::vector<int>& execs) {
-    const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-    const Store& st0 = oracle_.store();
     const bool dense = &execs == &allProcs_;
     bool clean = true;
-    for (size_t i = 0; i < slots.size(); ++i) {
-        const std::int64_t flat =
-            slots[i].isArray
-                ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
-                : 0;
-        const std::int64_t elem = st0.elemIndexOf(slots[i].sym, flat);
-        slotFlat_[i] = flat;
-        slotElem_[i] = elem;
-        slotRow_[i] = elem * procCount_;
+    for (size_t i = 0; i < plan.code.slots.size(); ++i) {
         slotMissResolved_[i] = 0;
         // Pre-resolve every slot some executor will miss: validity is
         // frozen for the whole phase, so the resolution is identical for
@@ -683,27 +752,27 @@ bool SpmdSimulator::resolveSlots(const StmtPlan& plan,
     return clean;
 }
 
-bool SpmdSimulator::evalPhase(const StmtPlan& plan,
+bool SpmdSimulator::evalPhase(StmtPlan& plan,
                               const std::vector<int>& execs, const Expr* e,
-                              SymbolId directSym) {
+                              std::int64_t directRow) {
     const size_t ne = execs.size();
     bool clean = false;
     values_.resize(ne);
     if (engine_ == SimEngine::Bytecode) {
+        addressSlots(plan);
         clean = resolveSlots(plan, execs);
         runLanes(plan, execs);
     } else {
         for (size_t i = 0; i < ne; ++i) values_[i] = evalOn(execs[i], e);
     }
-    if (directSym != kNoSymbol) {
+    if (directRow >= 0) {
         // Relaxed mode: each executor commits its private reduction
         // accumulator immediately. Any cross-processor read of the
         // accumulator inside the loop would have tripped the
         // no-communication-op assert in strict mode as well.
-        const std::int64_t row = soaRowOf(directSym, 0);
         for (size_t i = 0; i < ne; ++i) {
-            soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-            soaValid_[static_cast<size_t>(row + execs[i])] = 1;
+            soa_[static_cast<size_t>(directRow + execs[i])] = values_[i];
+            soaValid_[static_cast<size_t>(directRow + execs[i])] = 1;
         }
     }
     return clean;
@@ -716,7 +785,7 @@ void SpmdSimulator::mergePhase() {
     // returns false) — skip the context rebuild and hash probe.
     ++mergeStamp_;
     for (const PendingWrite& pw : pending_) {
-        const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
+        const std::int64_t at = pw.row + pw.proc;
         soa_[static_cast<size_t>(at)] = pw.v;
         soaValid_[static_cast<size_t>(at)] = 1;
     }
@@ -740,33 +809,28 @@ void SpmdSimulator::execStmt(const Stmt* s) {
         case StmtKind::Assign:
         case StmtKind::If: {
             if (cancel_.armed()) boundary();
-            // The profiler times 1 in StmtProfile::kSampleEvery
-            // instances: unprofiled runs pay a null check, not a clock
-            // read.
-            const bool timed =
-                profile_ != nullptr &&
-                (sampleTick_++ & (obs::StmtProfile::kSampleEvery - 1)) == 0;
             std::chrono::steady_clock::time_point t0;
-            if (timed) t0 = std::chrono::steady_clock::now();
-            const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
+            const bool timed = sampleStart(t0);
+            StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
             checkSubscripts(s, plan);
             const std::vector<int>& execs = executorsOf(s);
             accountExecutors(s->id, execs);
-            const double v = plan.laneUniform ? execUniformBc(s, plan, execs)
-                                              : execPhases(s, plan, execs);
+            double v = 0.0;
+            if (plan.laneUniform) {
+                addressSlots(plan);
+                v = execUniformBc(s, plan, execs, evalAddr(plan.lhsAddr));
+            } else {
+                v = execPhases(s, plan, execs);
+            }
             // An If's sample ends before its taken branch runs.
-            if (timed)
-                profile_->addSample(
-                    s->id, std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
+            if (timed) sampleEnd(s->id, t0);
             if (s->kind == StmtKind::If)
                 execBlock(v != 0.0 ? s->thenBody : s->elseBody);
             break;
         }
         case StmtKind::Do: {
-            for (const Expr* r : plans_[static_cast<size_t>(s->id)].indexRefs)
-                (void)checkedFlatIndex(r);
+            StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
+            for (const Expr* r : plan.indexRefs) (void)checkedFlatIndex(r);
             const auto lb = oracle_.evalIndex(s->lb);
             const auto ub = oracle_.evalIndex(s->ub);
             const auto step =
@@ -776,17 +840,23 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                 // value: the relaxed Sum combine is the exact delta sum
                 // init + sum_p (v_p - init), which is order-independent
                 // because integer-valued deltas stay exact in doubles.
-                for (const CombinePlan& c :
-                     plans_[static_cast<size_t>(s->id)].combines)
+                for (const CombinePlan& c : plan.combines)
                     if (relaxedCombinable(c.red->op))
                         combineInit_[static_cast<size_t>(c.op->id)] =
                             oracle_.store().get(c.op->ref->sym);
             }
-            for (std::int64_t iv = lb; step > 0 ? iv <= ub : iv >= ub;
-                 iv += step) {
-                oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-                soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-                execLoopBody(s);
+            if (!plan.strip.members.empty()) {
+                if (step > 0 ? lb <= ub : lb >= ub)
+                    runStrip(s, plan, lb, ub, step);
+            } else {
+                for (std::int64_t iv = lb; step > 0 ? iv <= ub : iv >= ub;
+                     iv += step) {
+                    oracle_.store().setElem(plan.loopElem,
+                                            static_cast<double>(iv));
+                    soaBroadcast(plan.loopElem, static_cast<double>(iv));
+                    iv_[static_cast<size_t>(s->loopVar)] = iv;
+                    execLoopBody(s);
+                }
             }
             runCombines(s);
             break;
@@ -798,7 +868,77 @@ void SpmdSimulator::execStmt(const Stmt* s) {
     }
 }
 
-double SpmdSimulator::execPhases(const Stmt* s, const StmtPlan& plan,
+void SpmdSimulator::runStrip(const Stmt* s, StmtPlan& plan, std::int64_t lb,
+                             std::int64_t ub, std::int64_t step) {
+    StripPlan& sp = plan.strip;
+    const size_t nForms = sp.forms.size();
+    std::int64_t* cur = stripCur_.data();
+    std::int64_t* delta = stripDelta_.data();
+    // The forms see the first iteration's state (Debug builds re-derive
+    // them from the oracle's subscript trees).
+    oracle_.store().setElem(plan.loopElem, static_cast<double>(lb));
+    iv_[static_cast<size_t>(s->loopVar)] = lb;
+    for (size_t k = 0; k < nForms; ++k) {
+        cur[k] = evalAddr(*sp.forms[k]);
+        delta[k] = sp.forms[k]->coeffOf(s->loopVar) * step;
+    }
+    using Exec = StripPlan::Member::Exec;
+    for (StripPlan::Member& m : sp.members) {
+        StmtPlan& mp = plans_[static_cast<size_t>(m.s->id)];
+        if (m.exec == Exec::Hoisted)
+            m.owner = memoOwner(mp.execOwner,
+                                cur + m.at + 1 + mp.slotAddr.size());
+    }
+    const char* valid = soaValid_.data();
+    const double* od = oracle_.store().dataRaw();
+    for (std::int64_t iv = lb; step > 0 ? iv <= ub : iv >= ub; iv += step) {
+        oracle_.store().setElem(plan.loopElem, static_cast<double>(iv));
+        soaBroadcast(plan.loopElem, static_cast<double>(iv));
+        iv_[static_cast<size_t>(s->loopVar)] = iv;
+        for (size_t k = 0; k < nForms; ++k)
+            PHPF_DASSERT(cur[k] == evalAddr(*sp.forms[k]),
+                         "strip address diverges from its form");
+        for (StripPlan::Member& m : sp.members) {
+            if (cancel_.armed()) boundary();
+            std::chrono::steady_clock::time_point t0;
+            const bool timed = sampleStart(t0);
+            StmtPlan& mp = plans_[static_cast<size_t>(m.s->id)];
+            const size_t nSlots = mp.slotAddr.size();
+            const std::int64_t* a = cur + m.at;  // lhs, slots, executor
+            const int p = m.exec == Exec::All      ? -1
+                          : m.exec == Exec::Hoisted ? m.owner
+                                                    : memoOwner(mp.execOwner,
+                                                                a + 1 + nSlots);
+            if (p >= 0) singleProcScratch_[0] = p;
+            const std::vector<int>& execs =
+                p < 0 ? allProcs_ : singleProcScratch_;
+            accountExecutors(m.s->id, execs);
+            bool clean = true;
+            for (size_t k = 0; k < nSlots && clean; ++k) {
+                const char* vrow = valid + a[1 + k] * procCount_;
+                clean = p < 0 ? firstZeroByte(vrow, procCount_) < 0
+                              : vrow[p] != 0;
+            }
+            if (clean) {
+                storeUniform(execs, a[0],
+                             vm::runScalar(mp.code.value, oracleRegs_.data(),
+                                           [&](int slot) {
+                                               return od[a[1 + slot]];
+                                           }));
+            } else {
+                for (size_t k = 0; k < nSlots; ++k) {
+                    slotElem_[k] = a[1 + k];
+                    slotRow_[k] = a[1 + k] * procCount_;
+                }
+                (void)execUniformBc(m.s, mp, execs, a[0]);
+            }
+            if (timed) sampleEnd(m.s->id, t0);
+        }
+        for (size_t k = 0; k < nForms; ++k) cur[k] += delta[k];
+    }
+}
+
+double SpmdSimulator::execPhases(const Stmt* s, StmtPlan& plan,
                                  const std::vector<int>& execs) {
     const bool bcMode = engine_ == SimEngine::Bytecode;
     const bool assign = s->kind == StmtKind::Assign;
@@ -810,10 +950,18 @@ double SpmdSimulator::execPhases(const Stmt* s, const StmtPlan& plan,
     // for it).
     const bool direct = assign && relaxed_ && plan.isReductionAcc &&
                         s->lhs->kind == ExprKind::VarRef;
+    const std::int64_t elem =
+        !assign  ? 0
+        : bcMode ? evalAddr(plan.lhsAddr)
+                 : oracle_.store().elemIndexOf(
+                       s->lhs->sym, s->lhs->kind == ExprKind::ArrayRef
+                                        ? refFlat_[static_cast<size_t>(
+                                              s->lhs->id)]
+                                        : 0);
+    const std::int64_t row = elem * procCount_;
     // Evaluate on every executor against the pre-statement state (an
     // If: its predicate's communication).
-    if (!evalPhase(plan, execs, e, direct ? s->lhs->sym : kNoSymbol))
-        mergePhase();
+    if (!evalPhase(plan, execs, e, direct ? row : -1)) mergePhase();
     // The statement's value on the oracle: the bytecode engine runs the
     // same chunk on the reference state, so it never pays a tree walk
     // either.
@@ -823,12 +971,6 @@ double SpmdSimulator::execPhases(const Stmt* s, const StmtPlan& plan,
                                [&](int slot) { return od[slotElem_[slot]]; })
                : oracle_.eval(e);
     if (!assign) return v;
-    const std::int64_t flat =
-        s->lhs->kind == ExprKind::ArrayRef
-            ? (bcMode ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
-                      : refFlat_[static_cast<size_t>(s->lhs->id)])
-            : 0;
-    const std::int64_t row = soaRowOf(s->lhs->sym, flat);
     if (!plan.isReductionAcc)
         // Non-executors' copies become stale: one contiguous
         // validity-row clear.
@@ -840,15 +982,15 @@ double SpmdSimulator::execPhases(const Stmt* s, const StmtPlan& plan,
             soaValid_[static_cast<size_t>(row + execs[i])] = 1;
         }
     }
-    oracle_.store().set(s->lhs->sym, flat, v);
+    oracle_.store().setElem(elem, v);
     oracle_.noteStatementExecuted();
     return v;
 }
 
-double SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
-                                    const std::vector<int>& execs) {
+double SpmdSimulator::execUniformBc(const Stmt* s, StmtPlan& plan,
+                                    const std::vector<int>& execs,
+                                    std::int64_t lhsElem) {
     const size_t nSlots = plan.code.slots.size();
-    const bool dense = &execs == &allProcs_;
     const size_t ne = execs.size();
     if (!resolveSlots(plan, execs)) {
         // Apply the misses in place — the slot-major lane order, the
@@ -892,13 +1034,14 @@ double SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
     const double v =
         vm::runScalar(plan.code.value, oracleRegs_.data(),
                       [&](int slot) { return od[slotElem_[slot]]; });
-    if (s->kind == StmtKind::If) return v;
-    const std::int64_t flat =
-        s->lhs->kind == ExprKind::ArrayRef
-            ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
-            : 0;
-    const std::int64_t row = soaRowOf(s->lhs->sym, flat);
-    if (dense) {
+    if (s->kind == StmtKind::Assign) storeUniform(execs, lhsElem, v);
+    return v;
+}
+
+void SpmdSimulator::storeUniform(const std::vector<int>& execs,
+                                 std::int64_t elem, double v) {
+    const std::int64_t row = elem * procCount_;
+    if (&execs == &allProcs_) {
         std::fill(soa_.begin() + row, soa_.begin() + row + procCount_, v);
         std::memset(soaValid_.data() + row, 1,
                     static_cast<size_t>(procCount_));
@@ -912,9 +1055,8 @@ double SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
             soaValid_[static_cast<size_t>(row + p)] = 1;
         }
     }
-    oracle_.store().set(s->lhs->sym, flat, v);
+    oracle_.store().setElem(elem, v);
     oracle_.noteStatementExecuted();
-    return v;
 }
 
 void SpmdSimulator::execLoopBody(const Stmt* s) {
@@ -947,9 +1089,9 @@ void SpmdSimulator::runCombines(const Stmt* s) {
         // copies, not the oracle's sequential accumulation; write it
         // back so the reference state agrees with the broadcast.
         if (relaxedOp) oracle_.store().set(op.ref->sym, 0, v);
-        soaBroadcast(op.ref->sym, 0, v);
+        soaBroadcast(oracle_.store().elemIndexOf(op.ref->sym), v);
         if (c.red->locScalar != kNoSymbol)
-            soaBroadcast(c.red->locScalar, 0,
+            soaBroadcast(oracle_.store().elemIndexOf(c.red->locScalar),
                          oracle_.store().get(c.red->locScalar));
         noteEvent(&op);
         ++transfers_;
@@ -1044,7 +1186,7 @@ void SpmdSimulator::distributeInputs() {
     std::vector<size_t> idx;
     for (const Symbol& sym : prog_.symbols) {
         if (!sym.isArray()) {
-            soaBroadcast(sym.id, 0, seeded.get(sym.id));
+            soaBroadcast(seeded.elemIndexOf(sym.id), seeded.get(sym.id));
             continue;
         }
         // ArrayMap::ownerOf, factored per grid dim: the coordinate of the
@@ -1095,6 +1237,10 @@ void SpmdSimulator::distributeInputs() {
 void SpmdSimulator::run() {
     const auto t0 = std::chrono::steady_clock::now();
     distributeInputs();
+    for (size_t s = 0; s < isIv_.size(); ++s)
+        if (isIv_[s] != 0)
+            iv_[s] = static_cast<std::int64_t>(
+                oracle_.store().get(static_cast<SymbolId>(s)));
     try {
         execBlock(prog_.top);
     } catch (...) {

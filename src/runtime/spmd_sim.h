@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 
 #include "obs/profiler.h"
@@ -172,6 +173,12 @@ public:
     [[nodiscard]] std::int64_t statementsExecutedAllProcs() const {
         return procStmts_;
     }
+    /// Bytecode engine: DO loops planned as strips (see runStrip).
+    [[nodiscard]] int stripLoops() const {
+        return static_cast<int>(std::count_if(
+            plans_.begin(), plans_.end(),
+            [](const StmtPlan& p) { return !p.strip.members.empty(); }));
+    }
 
 private:
     struct GotoSignal {
@@ -182,6 +189,40 @@ private:
     struct CombinePlan {
         const CommOp* op = nullptr;
         const ReductionInfo* red = nullptr;
+    };
+
+    /// Bytecode engine: how an executor or comm-op source descriptor
+    /// finds its owners — one subscript form per grid dim (read for
+    /// Partitioned dims only). A fully pinned descriptor (no Replicated
+    /// dim) has one owner, memoized against the subscript values it was
+    /// computed from: a repeat costs a compare.
+    struct OwnerPlan {
+        const RefDesc* desc = nullptr;
+        std::vector<bc::AddrForm> subs;
+        bool single = false;
+        std::vector<std::int64_t> last;  ///< memo: subscript values
+        int owner = -1;                  ///< memo: their owner; -1 none
+    };
+
+    /// Bytecode engine: a DO loop whose body is planned as a strip — only
+    /// lane-uniform Assigns, each on every processor or on one owner,
+    /// whose address and owner forms read only the iteration vector and
+    /// whose subscripts need no check at run time. The strip evaluates
+    /// every form once at loop entry and advances it by coeff x step per
+    /// iteration (see runStrip).
+    struct StripPlan {
+        struct Member {
+            const Stmt* s = nullptr;
+            /// First form of the member in `forms`: its lhs address, then
+            /// one address per fetch slot, then (one owner) its executor's
+            /// subscript per grid dim.
+            int at = 0;
+            enum class Exec : std::uint8_t { All, Hoisted, Moving } exec =
+                Exec::All;
+            int owner = -1;  ///< Hoisted: the owner for the whole strip
+        };
+        std::vector<Member> members;
+        std::vector<const bc::AddrForm*> forms;
     };
 
     /// Precomputed per-statement execution plan: everything executorsOf
@@ -208,18 +249,22 @@ private:
         /// value chunk of this statement (empty under SimEngine::Interp).
         bc::StmtCode code;
         /// Bytecode engine, per fetch slot: the covering communication
-        /// op (null when the slot's data is always local) and its
-        /// compiled source-descriptor subscript forms, so per-phase miss
-        /// resolution never walks a subscript tree.
+        /// op (null when the slot's data is always local), its source
+        /// descriptor's owner plan, and the slot's element address.
         std::vector<const CommOp*> slotOp;
-        std::vector<std::vector<bc::IndexForm>> slotSrcForms;
-        /// Bytecode engine: the OwnerOf executor descriptor pins every
-        /// grid dimension (no Replicated dims), so the executor set is
-        /// one processor computed directly — no grid-set enumeration.
-        bool execSingleton = false;
-        /// Per fetch slot: the comm op's source descriptor is a
-        /// singleton (same condition as execSingleton).
-        std::vector<char> slotSrcSingleton;
+        std::vector<OwnerPlan> slotSrc;
+        std::vector<bc::AddrForm> slotAddr;
+        /// Bytecode engine: element address of an Assign's lhs.
+        bc::AddrForm lhsAddr;
+        /// Bytecode engine: the OwnerOf executor descriptor's owner plan
+        /// (single: the executor set is one processor), and a Union
+        /// guard's contributor plans.
+        OwnerPlan execOwner;
+        std::vector<OwnerPlan> unionOwners;
+        /// Do: element index of the loop variable, and (bytecode engine)
+        /// the strip plan of its body; no members when it is no strip.
+        std::int64_t loopElem = 0;
+        StripPlan strip;
         /// Bytecode engine: every lane provably computes the oracle's
         /// value — the statement is not a reduction accumulation and no
         /// fetched symbol is divergent (per-processor copies of every
@@ -231,8 +276,7 @@ private:
     /// A fetched-copy bank write deferred to the end of the phase.
     struct PendingWrite {
         int proc;
-        SymbolId sym;
-        std::int64_t flat;
+        std::int64_t row;  ///< bank row base of the element
         double v;
     };
     /// One element transfer observed during a phase; accounted (and its
@@ -244,6 +288,9 @@ private:
     };
 
     void buildPlans();
+    /// Bytecode engine: bind the address and owner forms of each plan
+    /// to the iteration vector and plan the strips.
+    void planAddresses();
     /// Place the oracle's seeded values on their owners' lanes (see
     /// oracle()).
     void distributeInputs();
@@ -252,16 +299,32 @@ private:
     /// General path of Assign/If `s` on its executors: the deferred
     /// eval and merge phases, then the statement's effect. Returns the
     /// oracle's value of the rhs/cond.
-    double execPhases(const Stmt* s, const StmtPlan& plan,
+    double execPhases(const Stmt* s, StmtPlan& plan,
                       const std::vector<int>& execs);
-    /// Bytecode engine, lane-uniform Assign/If: the one lane-uniform
-    /// path. One pass resolves the fetch slots and applies any misses
-    /// in place (the slot-major lane order and per-merge event memo of
-    /// evalPhase + mergePhase, without their deferred record vectors),
-    /// then runs the chunk once on the oracle; an Assign broadcasts the
-    /// result to its executors. Returns the oracle's rhs/cond value.
-    double execUniformBc(const Stmt* s, const StmtPlan& plan,
-                         const std::vector<int>& execs);
+    /// Bytecode engine, lane-uniform Assign/If whose slot addresses are
+    /// in slotElem_/slotRow_ and whose lhs is element `lhsElem`: the one
+    /// lane-uniform path. One pass resolves the fetch slots and applies
+    /// any misses in place (the slot-major lane order and per-merge
+    /// event memo of evalPhase + mergePhase, without their deferred
+    /// record vectors), then runs the chunk once on the oracle; an
+    /// Assign stores the result (storeUniform). Returns the oracle's
+    /// rhs/cond value.
+    double execUniformBc(const Stmt* s, StmtPlan& plan,
+                         const std::vector<int>& execs, std::int64_t lhsElem);
+    /// Write a lane-uniform Assign's value `v` to element `elem` on its
+    /// executors (every other copy goes stale) and on the oracle.
+    void storeUniform(const std::vector<int>& execs, std::int64_t elem,
+                      double v);
+    /// Bytecode engine: the iterations lb, lb + step, ... of strip `s`
+    /// (at least one). Each form is evaluated once and then advanced by
+    /// its loop-variable coefficient times `step`; executors that do not
+    /// move along the loop are computed once. A member instance whose
+    /// slots are all valid on its executors runs the VM and
+    /// storeUniform; any other takes execUniformBc at the strip's
+    /// addresses. The cancel poll, the profiler's sample and the
+    /// accounting stay per instance, as in execStmt.
+    void runStrip(const Stmt* s, StmtPlan& plan, std::int64_t lb,
+                  std::int64_t ub, std::int64_t step);
     /// One iteration of Do statement `s`'s body, with the forward-goto
     /// continuation handling.
     void execLoopBody(const Stmt* s);
@@ -270,6 +333,21 @@ private:
     /// Statement-boundary cancel poll. Only called when cancel_ is
     /// armed.
     void boundary();
+    /// Profiler: true when this Assign/If instance is the 1 in
+    /// StmtProfile::kSampleEvery that is timed (t0 then holds its
+    /// start); unprofiled runs pay a null check, not a clock read.
+    bool sampleStart(std::chrono::steady_clock::time_point& t0) {
+        if (profile_ == nullptr ||
+            (sampleTick_++ & (obs::StmtProfile::kSampleEvery - 1)) != 0)
+            return false;
+        t0 = std::chrono::steady_clock::now();
+        return true;
+    }
+    void sampleEnd(int stmt, std::chrono::steady_clock::time_point t0) {
+        profile_->addSample(stmt, std::chrono::duration<double, std::micro>(
+                                      std::chrono::steady_clock::now() - t0)
+                                      .count());
+    }
     /// Set of linear proc ids executing statement `s` now. Returns a
     /// reference to a per-instance scratch (or the constant all-procs
     /// set); valid until the next call.
@@ -294,16 +372,16 @@ private:
     /// reference, dimension, value and bounds.
     [[nodiscard]] std::int64_t checkedFlatIndex(const Expr* ref) const;
     /// Evaluate `e` on every executor against the frozen pre-statement
-    /// state, filling values_. `directSym` != kNoSymbol (relaxed merge,
+    /// state, filling values_. `directRow` >= 0 (relaxed merge,
     /// reduction accumulators only) additionally writes each executor's
     /// result straight to its private accumulator copy, skipping the
     /// ordered post-merge write loop. Returns true when the bytecode
     /// slot pre-scan found every executor valid on every slot: no lane
     /// recorded a pending write or miss, so the merge is a provable
     /// no-op and may be skipped.
-    [[nodiscard]] bool evalPhase(const StmtPlan& plan,
+    [[nodiscard]] bool evalPhase(StmtPlan& plan,
                                  const std::vector<int>& execs, const Expr* e,
-                                 SymbolId directSym = kNoSymbol);
+                                 std::int64_t directRow = -1);
     /// Bytecode engine: run the phase chunk over every lane of the
     /// executor set on the register banks, filling values_.
     void runLanes(const StmtPlan& plan, const std::vector<int>& execs);
@@ -312,22 +390,26 @@ private:
     /// (value, source) with the transfer recorded. Out of line: cold
     /// next to the contiguous bank fast path.
     double missLaneBc(int proc, const StmtPlan& plan, int slot);
-    /// Bytecode engine: resolve each fetch slot's flat index, element
-    /// and bank row, flag the slots every executor holds
+    /// Bytecode engine: each fetch slot's element and bank row
+    /// (slotElem_, slotRow_) from its address form.
+    void addressSlots(const StmtPlan& plan);
+    /// Bytecode engine: flag the slots every executor holds
     /// (slotAllValid_) and resolve every other slot's miss once
     /// (resolveSlotMiss). True when no executor misses any slot.
-    bool resolveSlots(const StmtPlan& plan, const std::vector<int>& execs);
+    bool resolveSlots(StmtPlan& plan, const std::vector<int>& execs);
     /// Bytecode engine: resolve slot's miss once per phase (owner
     /// validity is frozen within a phase, so every missing lane gets the
     /// identical value and source processor), before the lanes run.
-    void resolveSlotMiss(const StmtPlan& plan, int slot, int firstProc);
+    void resolveSlotMiss(StmtPlan& plan, int slot, int firstProc);
     /// First processor of `op`'s source owner set holding a valid copy
-    /// of bank row `row` (value to `v`). `forms`: the bytecode engine's
-    /// compiled source subscripts (null: walk the trees); `singleton`:
-    /// the descriptor pins every grid dim.
-    int holderOf(const CommOp& op, const std::vector<bc::IndexForm>* forms,
-                 bool singleton, std::int64_t row, const Expr* ref,
-                 double& v);
+    /// of bank row `row` (value to `v`). `srcPlan`: the bytecode engine's
+    /// owner plan of the source descriptor (null: walk the trees).
+    int holderOf(const CommOp& op, OwnerPlan* srcPlan, std::int64_t row,
+                 const Expr* ref, double& v);
+    /// Bytecode engine: `a` evaluated over iv_ and the oracle.
+    [[nodiscard]] std::int64_t evalAddr(const bc::AddrForm& a) const {
+        return bc::evalAddr(a, iv_.data(), oracle_);
+    }
     /// Bank row base (element * procCount) of (sym, flat), laid out by
     /// the oracle's Store and bounds-checked through its elemIndexOf.
     [[nodiscard]] std::int64_t soaRowOf(SymbolId sym,
@@ -337,11 +419,10 @@ private:
     /// Bank index of processor `proc`'s copy of (name, flat).
     [[nodiscard]] std::int64_t laneOf(int proc, const std::string& name,
                                       std::int64_t flat) const;
-    /// Write `v` valid to every processor's copy of scalar/element
-    /// (sym, flat) in the banks (loop-variable and combine
-    /// broadcasts).
-    void soaBroadcast(SymbolId sym, std::int64_t flat, double v) {
-        const std::int64_t row = soaRowOf(sym, flat);
+    /// Write `v` valid to every processor's copy of element `elem` in
+    /// the banks (loop-variable and combine broadcasts).
+    void soaBroadcast(std::int64_t elem, double v) {
+        const std::int64_t row = elem * procCount_;
         std::fill(soa_.begin() + row, soa_.begin() + row + procCount_, v);
         std::fill(soaValid_.begin() + row,
                   soaValid_.begin() + row + procCount_,
@@ -366,16 +447,18 @@ private:
     /// accounting. Called at run end (normal and fault exits), where
     /// they must be externally coherent.
     void flushAccounting();
-    /// Bytecode engine: the single processor of a fully-pinned
-    /// descriptor (execSingleton / slotSrcSingleton plans).
-    [[nodiscard]] int singleProcOfBc(const RefDesc& desc,
-                                     const std::vector<bc::IndexForm>& forms);
+    /// Bytecode engine: the one owner of fully pinned plan `o` whose
+    /// subscript values (per grid dim; Partitioned dims are read) are
+    /// `subs` — the memoized owner when they repeat.
+    [[nodiscard]] int memoOwner(OwnerPlan& o, const std::int64_t* subs);
+    /// memoOwner at the subscript values `o`'s forms evaluate to now.
+    [[nodiscard]] int oneOwner(OwnerPlan& o);
     /// Owner set of `desc` on the oracle's state. The bytecode engine
-    /// passes the descriptor's precompiled subscript `forms` (one per
-    /// grid dim, only Partitioned dims present); the interp engine
-    /// passes null and walks the subscript trees.
+    /// passes the descriptor's subscript forms `subs` (one per grid dim,
+    /// only Partitioned dims read); the interp engine passes null and
+    /// walks the subscript trees.
     void evalDescInto(const RefDesc& desc,
-                      const std::vector<bc::IndexForm>* forms,
+                      const std::vector<bc::AddrForm>* subs,
                       GridSet& out) const;
     /// Relaxed merge: combine one reduction from the per-processor
     /// partial accumulators in linear processor order.
@@ -429,9 +512,15 @@ private:
     /// drained by mergePhase.
     std::vector<PendingWrite> pending_;
     std::vector<MissRecord> misses_;
-    /// Bytecode engine: per-instance flat index of each fetch slot
-    /// (resolved once on the oracle, like refFlat_).
-    std::vector<std::int64_t> slotFlat_;
+    /// Bytecode engine: the iteration vector, an int64 copy of every
+    /// integer DO variable no Assign writes, by SymbolId (other entries
+    /// unused). Do loops set it beside the oracle; run() seeds it.
+    std::vector<std::int64_t> iv_;
+    std::vector<char> isIv_;
+    /// Strip scratch: each form's current value and per-iteration step.
+    std::vector<std::int64_t> stripCur_;
+    std::vector<std::int64_t> stripDelta_;
+    std::vector<std::int64_t> subsScratch_;  ///< oneOwner's values
     /// Bytecode engine: SoA register banks, numRegs x procCount doubles
     /// (lane stride is the processor count).
     std::vector<double> regs_;

@@ -55,6 +55,12 @@ public:
     }
     /// Raw value block, indexed by elemIndexOf.
     [[nodiscard]] const double* dataRaw() const { return data_.data(); }
+    /// Write element `elem` (an elemIndexOf value).
+    void setElem(std::int64_t elem, double v) {
+        PHPF_DASSERT(elem >= 0 && elem < totalElems(),
+                     "store element " + std::to_string(elem) + " out of bounds");
+        data_[static_cast<size_t>(elem)] = v;
+    }
 
 private:
     void checkFlat([[maybe_unused]] SymbolId s,

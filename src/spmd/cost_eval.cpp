@@ -5,6 +5,7 @@
 #include <cmath>
 #include <type_traits>
 
+#include "analysis/const_prop.h"
 #include "support/diagnostics.h"
 
 namespace phpf {
@@ -26,12 +27,19 @@ std::int64_t divisorFor(const RefDesc& desc, const Stmt* l) {
 
 /// Add `scale` x `e` to `out` if `e` is affine in scalar variables
 /// (integer literals, variables, negation, sums and products with a
-/// literal); false otherwise.
+/// literal); false otherwise. A scalar read with a value in `consts`
+/// (by Expr::id) adds that constant.
 template <class Bound>
-bool addAffine(const Expr* e, std::int64_t scale, Bound& out) {
+bool addAffine(const Expr* e, std::int64_t scale, Bound& out,
+               const std::vector<std::optional<std::int64_t>>& consts) {
     switch (e->kind) {
         case ExprKind::IntLit: out.c0 += scale * e->ival; return true;
         case ExprKind::VarRef:
+            if (static_cast<size_t>(e->id) < consts.size() &&
+                consts[static_cast<size_t>(e->id)]) {
+                out.c0 += scale * *consts[static_cast<size_t>(e->id)];
+                return true;
+            }
             for (auto& [sym, coeff] : out.terms)
                 if (sym == e->sym) {
                     coeff += scale;
@@ -40,21 +48,23 @@ bool addAffine(const Expr* e, std::int64_t scale, Bound& out) {
             out.terms.emplace_back(e->sym, scale);
             return true;
         case ExprKind::Unary:
-            return e->uop == UnaryOp::Neg && addAffine(e->args[0], -scale, out);
+            return e->uop == UnaryOp::Neg &&
+                   addAffine(e->args[0], -scale, out, consts);
         case ExprKind::Binary: {
             const Expr* a = e->args[0];
             const Expr* b = e->args[1];
             switch (e->bop) {
                 case BinaryOp::Add:
-                    return addAffine(a, scale, out) && addAffine(b, scale, out);
+                    return addAffine(a, scale, out, consts) &&
+                           addAffine(b, scale, out, consts);
                 case BinaryOp::Sub:
-                    return addAffine(a, scale, out) &&
-                           addAffine(b, -scale, out);
+                    return addAffine(a, scale, out, consts) &&
+                           addAffine(b, -scale, out, consts);
                 case BinaryOp::Mul:
                     if (a->kind == ExprKind::IntLit)
-                        return addAffine(b, scale * a->ival, out);
+                        return addAffine(b, scale * a->ival, out, consts);
                     if (b->kind == ExprKind::IntLit)
-                        return addAffine(a, scale * b->ival, out);
+                        return addAffine(a, scale * b->ival, out, consts);
                     return false;
                 default: return false;
             }
@@ -123,7 +133,8 @@ CostEvaluator::CostEvaluator(const SpmdLowering& low, const CostModel& cm,
     loops_.reserve(stmts);
     std::vector<int> loopOf(stmts, -1);
     std::vector<const Stmt*> nest;
-    planBlock(low, prog_.top, nest, loopOf);
+    std::unique_ptr<ConstProp> cp;
+    planBlock(low, prog_.top, nest, loopOf, cp);
 
     for (const CommOp& op : low.commOps()) {
         // Outermost first: enclosing[l - 1] is the loop at nesting level l.
@@ -173,10 +184,27 @@ CostEvaluator::CostEvaluator(const SpmdLowering& low, const CostModel& cm,
     }
 }
 
+void CostEvaluator::foldScalars(const SpmdLowering& low, const Expr* e,
+                                const std::vector<const Stmt*>& nest,
+                                std::unique_ptr<ConstProp>& cp) {
+    if (e->kind == ExprKind::VarRef &&
+        std::none_of(nest.begin(), nest.end(), [&](const Stmt* l) {
+            return l->loopVar == e->sym;
+        })) {
+        if (cp == nullptr) {
+            cp = std::make_unique<ConstProp>(low.ssa());
+            constOfUse_.resize(static_cast<size_t>(prog_.exprCount()));
+        }
+        constOfUse_[static_cast<size_t>(e->id)] = cp->valueOfUse(e);
+    }
+    for (const Expr* a : e->args) foldScalars(low, a, nest, cp);
+}
+
 void CostEvaluator::planBlock(const SpmdLowering& low,
                               const std::vector<Stmt*>& block,
                               std::vector<const Stmt*>& nest,
-                              std::vector<int>& loopOf) {
+                              std::vector<int>& loopOf,
+                              std::unique_ptr<ConstProp>& cp) {
     for (const Stmt* s : block) {
         if (s->kind == StmtKind::Do) {
             const int l = static_cast<int>(loops_.size());
@@ -192,7 +220,9 @@ void CostEvaluator::planBlock(const SpmdLowering& low,
                     bound.c0 = 1;
                     continue;
                 }
-                if (!addAffine(exprs[b], 1, bound)) bound = Bound{0, {}, exprs[b]};
+                foldScalars(low, exprs[b], nest, cp);
+                if (!addAffine(exprs[b], 1, bound, constOfUse_))
+                    bound = Bound{0, {}, exprs[b]};
                 // The enclosing loops whose index this bound reads iterate.
                 forEachVarRef(exprs[b], [&](SymbolId sym) {
                     for (const Stmt* outer : nest)
@@ -207,7 +237,7 @@ void CostEvaluator::planBlock(const SpmdLowering& low,
             lp.first = static_cast<std::uint32_t>(items_.size());
             loops_.push_back(std::move(lp));
             nest.push_back(s);
-            planBlock(low, s->body, nest, loopOf);
+            planBlock(low, s->body, nest, loopOf, cp);
             nest.pop_back();
             loops_[static_cast<size_t>(l)].end =
                 static_cast<std::uint32_t>(items_.size());
@@ -224,8 +254,8 @@ void CostEvaluator::planBlock(const SpmdLowering& low,
             flopsOf(s->kind == StmtKind::Assign ? s->rhs : s->cond) + 1.0;
         items_.push_back({-1, s->id, cm_.compute(flops) / div});
         if (s->kind == StmtKind::If) {
-            planBlock(low, s->thenBody, nest, loopOf);
-            planBlock(low, s->elseBody, nest, loopOf);
+            planBlock(low, s->thenBody, nest, loopOf, cp);
+            planBlock(low, s->elseBody, nest, loopOf, cp);
         }
     }
 }
@@ -617,8 +647,11 @@ std::int64_t CostEvaluator::evalInt(const Expr* e) const {
         case ExprKind::IntLit: return e->ival;
         case ExprKind::RealLit: return static_cast<std::int64_t>(e->rval);
         case ExprKind::VarRef: {
-            // An unbound scalar in a bound expression reads as 1 (the
-            // documented midpoint approximation).
+            if (static_cast<size_t>(e->id) < constOfUse_.size() &&
+                constOfUse_[static_cast<size_t>(e->id)])
+                return *constOfUse_[static_cast<size_t>(e->id)];
+            // Any other unbound scalar in a bound expression reads as 1
+            // (the documented midpoint approximation).
             const size_t sym = static_cast<size_t>(e->sym);
             return sym < index_.size() ? index_[sym] : 1;
         }

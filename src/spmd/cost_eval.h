@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -8,6 +10,8 @@
 #include "spmd/lowering.h"
 
 namespace phpf {
+
+class ConstProp;
 
 /// Predicted execution profile of the SPMD program on the modelled
 /// machine.
@@ -150,9 +154,17 @@ private:
 
     /// Plan `block` into items_ and loops_; `nest` holds the enclosing
     /// loops, outermost first, and loopOf records each Do's loops_ index.
+    /// `cp` is the constant propagation over the lowering's SSA, built
+    /// by the first bound that reads a scalar other than an enclosing
+    /// loop's index.
     void planBlock(const SpmdLowering& low, const std::vector<Stmt*>& block,
-                   std::vector<const Stmt*>& nest,
-                   std::vector<int>& loopOf);
+                   std::vector<const Stmt*>& nest, std::vector<int>& loopOf,
+                   std::unique_ptr<ConstProp>& cp);
+    /// Record in constOfUse_ the ConstProp value of every scalar in
+    /// bound `e` that is no index of a loop in `nest`.
+    void foldScalars(const SpmdLowering& low, const Expr* e,
+                     const std::vector<const Stmt*>& nest,
+                     std::unique_ptr<ConstProp>& cp);
     /// Plan `op` into the ops of its placement point `at`; `inside` are
     /// the loops between the placement and the op's statement, outermost
     /// first, and loopOf maps a Do's Stmt::id to its loops_ index.
@@ -195,6 +207,10 @@ private:
     /// By SymbolId: the bound loop indices' values, 1 for every other
     /// scalar (an unbound scalar in a bound reads as 1).
     std::vector<std::int64_t> index_;
+    /// By Expr::id: a bound's scalar read that constant propagation
+    /// proves constant, folded to its value (empty when no bound reads a
+    /// scalar other than a loop index).
+    std::vector<std::optional<std::int64_t>> constOfUse_;
 };
 
 }  // namespace phpf

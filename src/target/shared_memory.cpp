@@ -66,8 +66,10 @@ private:
             if (d.kind == ArrayPrivDecision::Kind::Partial) {
                 entry += " /partial:";
                 for (size_t g = 0; g < d.privatizedGrid.size(); ++g)
-                    if (d.privatizedGrid[g] != 0)
-                        entry += "g" + std::to_string(g);
+                    if (d.privatizedGrid[g] != 0) {
+                        entry += 'g';
+                        entry += std::to_string(g);
+                    }
                 entry += "/";
             }
             privArrays.insert(std::move(entry));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/compiler.h"
+#include "frontend/parser.h"
 #include "ir/builder.h"
 #include "programs/programs.h"
 
@@ -32,9 +33,39 @@ TEST(Cost, ComputeScalesWithProcessors) {
     for (int procs : {1, 2, 4, 8}) {
         Program p = programs::tomcatv(64, 2);
         const double c = costOf(p, {procs}).computeSec;
-        if (procs > 1) EXPECT_LT(c, prev * 0.75) << procs;
+        if (procs > 1) {
+            EXPECT_LT(c, prev * 0.75) << procs;
+        }
         prev = c;
     }
+}
+
+// A loop bound that reads a scalar constant propagation knows prices
+// the loop at that trip count, exactly as the literal bound does: on
+// the affine path (m) and on the tree fallback (m / 2).
+TEST(Cost, ConstantScalarBoundPricesItsTrips) {
+    const auto cost = [](const std::string& bound) {
+        Program p = parseProgramOrDie(R"(program cb
+  real a(64)
+!hpf$ distribute (block) :: a
+  m = 64
+  do i = 1, )" + bound + R"(
+    a(i) = a(i) + 1.0
+  end do
+end)");
+        TargetConfig target;
+        target.gridExtents = {4};
+        return Compiler::compile(p, target).predictCost();
+    };
+    const CostBreakdown literal = cost("64");
+    const CostBreakdown viaScalar = cost("m");
+    EXPECT_EQ(viaScalar.computeSec, literal.computeSec);
+    EXPECT_EQ(viaScalar.totalSec(), literal.totalSec());
+    const CostBreakdown half = cost("32");
+    const CostBreakdown viaTree = cost("m / 2");
+    EXPECT_EQ(viaTree.computeSec, half.computeSec);
+    EXPECT_EQ(viaTree.totalSec(), half.totalSec());
+    EXPECT_GT(literal.computeSec, half.computeSec);
 }
 
 TEST(Cost, ComputeScalesLinearlyForPerfectlyParallelLoop) {

@@ -351,8 +351,11 @@ TEST(Calibration, JoinsEveryDecisionRecord) {
     // Every privatization decision in this program concerns statements
     // the run actually executed, so every decision row joins a measured
     // cost.
-    for (const CalibrationRow& r : cal.rows)
-        if (r.kind == "decision") EXPECT_TRUE(r.joined) << r.label;
+    for (const CalibrationRow& r : cal.rows) {
+        if (r.kind == "decision") {
+            EXPECT_TRUE(r.joined) << r.label;
+        }
+    }
 }
 
 TEST(Calibration, SummaryCountsAreConsistent) {

@@ -507,16 +507,23 @@ TEST(ArtifactCache, ShardCountNeverExceedsCapacity) {
     EXPECT_GE(cache.stats().capacity, 2u);
 }
 
+/// `prefix` followed by `n`, built by appends: GCC 12's -Wrestrict
+/// misfires on "k" + std::to_string(n) in optimized builds.
+std::string numbered(std::string prefix, int n) {
+    prefix += std::to_string(n);
+    return prefix;
+}
+
 TEST(ArtifactCache, HugeCapacityHoldsEveryEntry) {
     // The rounded-up per-shard split once wrapped near SIZE_MAX to a
     // capacity of 0, so every put evicted itself and nothing hit.
     ArtifactCache cache(SIZE_MAX, /*shards=*/8);
     for (int i = 0; i < 32; ++i) {
         auto a = std::make_shared<CompileArtifact>();
-        a->key = "k" + std::to_string(i);
+        a->key = numbered("k", i);
         cache.put(a->key, a);
     }
-    for (int i = 0; i < 32; ++i) (void)cache.get("k" + std::to_string(i));
+    for (int i = 0; i < 32; ++i) (void)cache.get(numbered("k", i));
     const service::CacheStats st = cache.stats();
     EXPECT_EQ(st.hits, 32);
     EXPECT_EQ(st.evictions, 0);
@@ -547,11 +554,9 @@ TEST(ArtifactCache, ConcurrentInsertsAndLookupsStayBounded) {
             while (!go.load()) {
             }
             for (int i = 0; i < 500; ++i) {
-                const std::string key =
-                    "w" + std::to_string(t) + "-" + std::to_string(i);
+                const std::string key = numbered(numbered("w", t) + "-", i);
                 cache.put(key, art(key));
-                (void)cache.get("w" + std::to_string((t + 1) % 4) + "-" +
-                                std::to_string(i));
+                (void)cache.get(numbered(numbered("w", (t + 1) % 4) + "-", i));
                 if (i % 16 == 0) (void)cache.stats();
             }
         });

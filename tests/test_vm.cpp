@@ -130,6 +130,15 @@ TEST(IndexForm, AffineFormsMatchSubscriptTrees) {
         p.finalize();
         Interpreter interp(p);
         seedEverySymbol(interp, p);
+        // Bound twice: every scalar read from the store, and every
+        // scalar held in an iteration vector.
+        const std::vector<char> none(p.symbols.size(), 0);
+        const std::vector<char> all(p.symbols.size(), 1);
+        std::vector<std::int64_t> iv(p.symbols.size(), 0);
+        for (const Symbol& sym : p.symbols)
+            if (!sym.isArray())
+                iv[static_cast<size_t>(sym.id)] =
+                    static_cast<std::int64_t>(interp.store().get(sym.id));
         Arena arena;
         int affine = 0;
         int total = 0;
@@ -141,9 +150,11 @@ TEST(IndexForm, AffineFormsMatchSubscriptTrees) {
             ASSERT_TRUE(f.present());
             ++total;
             if (f.affine) ++affine;
-            EXPECT_EQ(bc::evalIndexForm(f, interp),
-                      interp.flatIndexOf(s->lhs))
-                << "stmt " << s->id << " of " << p.name;
+            for (const std::vector<char>* isIv : {&none, &all})
+                EXPECT_EQ(bc::evalAddr(bc::bindAddr(f, 5, *isIv), iv.data(),
+                                       interp),
+                          5 + interp.flatIndexOf(s->lhs))
+                    << "stmt " << s->id << " of " << p.name;
         });
         EXPECT_GT(total, 0) << p.name;
         // The kernels' subscripts are loop-var affine: strength
