@@ -9,7 +9,6 @@
 #include "driver/compiler.h"
 #include "obs/json.h"
 #include "programs/programs.h"
-#include "service/compile_service.h"
 
 namespace phpf::bench {
 
@@ -74,45 +73,18 @@ inline std::string fmtSec(double s) {
     return buf;
 }
 
-/// Compile `p` for the given grid/options and return the predicted
-/// execution profile.
+/// Compile `p` for the given grid/options/machine model and return the
+/// predicted execution profile.
 inline CostBreakdown predict(Program& p, std::vector<int> grid,
-                             MappingOptions mapping) {
+                             MappingOptions mapping,
+                             CostModel costModel = {}) {
     TargetConfig target;
     target.gridExtents = std::move(grid);
+    target.costModel = costModel;
     PassOptions passes;
     passes.mapping = mapping;
     Compilation c = Compiler::compile(p, target, passes);
     return c.predictCost();
-}
-
-/// The bench-wide compile service: one process-lifetime instance, so
-/// table benches that revisit a (program, grid, options) point — e.g.
-/// the same variant across repetitions, or the paper's tables rerun for
-/// a report — hit the artifact cache instead of recompiling.
-inline service::CompileService& benchService() {
-    static service::CompileService svc;
-    return svc;
-}
-
-/// Like predict(), but routed through the shared compile service:
-/// identical requests are served from the content-addressed cache.
-/// `build` must return an equivalent fresh Program per call.
-inline CostBreakdown predictService(std::function<Program()> build,
-                                    std::vector<int> grid,
-                                    MappingOptions mapping,
-                                    CostModel costModel = {}) {
-    service::CompileRequest req;
-    req.build = std::move(build);
-    req.target.gridExtents = std::move(grid);
-    req.target.costModel = costModel;
-    req.passes.mapping = mapping;
-    const service::CompileResult r = benchService().compile(req);
-    if (r.status != service::CompileStatus::Ok) {
-        std::fprintf(stderr, "bench compile failed: %s\n", r.error.c_str());
-        std::abort();
-    }
-    return r.artifact->cost;
 }
 
 /// One simulation of `c` the way a perfbench sim_kernels job runs it

@@ -140,7 +140,7 @@ void BM_ServiceWarm(benchmark::State& state) {
 BENCHMARK(BM_ServiceWarm)->Unit(benchmark::kMillisecond);
 
 /// Async submission of the whole matrix on the service worker pool —
-/// exercises queueing and in-flight coalescing under contention.
+/// exercises queueing and concurrent misses on a shared cache.
 void BM_ServiceSubmitAll(benchmark::State& state) {
     const auto reqs = tableMatrix();
     for (auto _ : state) {

@@ -46,10 +46,8 @@ void printTable() {
     for (int procs : {1, 2, 4, 8, 16}) {
         std::vector<double> row;
         for (int variant : {0, 1, 2}) {
-            row.push_back(
-                predictService([] { return programs::tomcatv(kN, kIters); },
-                               {procs}, variantOpts(variant))
-                    .totalSec());
+            Program p = programs::tomcatv(kN, kIters);
+            row.push_back(predict(p, {procs}, variantOpts(variant)).totalSec());
         }
         printRow(procs, row);
     }

@@ -33,9 +33,8 @@ void printTable() {
         for (bool align : {false, true}) {
             MappingOptions m;
             m.reductionAlignment = align;
-            row.push_back(
-                predictService([] { return programs::dgefa(kN); }, {procs}, m)
-                    .totalSec());
+            Program p = programs::dgefa(kN);
+            row.push_back(predict(p, {procs}, m).totalSec());
         }
         printRow(procs, row);
     }

@@ -48,9 +48,8 @@ CostBreakdown runVariant(int variant, int procs) {
     // global message combining across loop nests.
     CostModel cost;
     cost.combineMessages = variant == 4;
-    return predictService(
-        [oneD] { return programs::appsp(kN, kN, kN, kIters, oneD); },
-        oneD ? std::vector<int>{procs} : grid2d(procs), m, cost);
+    Program p = programs::appsp(kN, kN, kN, kIters, oneD);
+    return predict(p, oneD ? std::vector<int>{procs} : grid2d(procs), m, cost);
 }
 
 void printTable() {

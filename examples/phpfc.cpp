@@ -18,10 +18,10 @@
 // openable in chrome://tracing / Perfetto.
 //
 // `--batch=JOBS.json` runs a jobs file (program × grid × option
-// variants) through the concurrent compile service and emits one JSONL
-// row per job on stdout, plus a final {"summary": true, ...} row with
-// the service metrics (cache hits/misses/evictions, coalesced joins,
-// per-stage latency histograms). `--workers=0` (the default) sizes the
+// variants) through the compile service and emits one JSONL row per
+// job on stdout, plus a final {"summary": true, ...} row with the
+// service counts (requests, compiles, cache hits/misses/evictions,
+// queue state). `--workers=0` (the default) sizes the
 // pool from the hardware and `--cache-capacity=0` keeps the default
 // capacity; a negative count, or a number with trailing characters
 // (`--workers=1x`, `--procs 4abc`), is a usage error.
@@ -166,9 +166,9 @@ int runBatchMode(const std::string& jobsFile, int workers,
         service::runBatch(svc, spec, std::cout);
     std::fprintf(stderr,
                  "phpfc: %d job(s), %d ok, %d failed, "
-                 "%d cache hit(s), %d coalesced, %.3f s\n",
+                 "%d cache hit(s), %.3f s\n",
                  outcome.jobs, outcome.ok, outcome.failed, outcome.cacheHits,
-                 outcome.coalesced, outcome.wallSec);
+                 outcome.wallSec);
     return outcome.failed == 0 ? 0 : 1;
 }
 

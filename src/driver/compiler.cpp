@@ -28,9 +28,8 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
         req.elemBytes > 0 ? req.elemBytes : target_.costModel.elemBytes;
     const SimEngine engine = req.engine.value_or(passes_.simEngine);
     const bool relaxed = req.relaxedMerge.value_or(passes_.relaxedMerge);
-    auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes,
-                                               req.cancel, engine, relaxed,
-                                               target_.targetKind);
+    auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes, engine,
+                                               relaxed, target_.targetKind);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());
     const std::int64_t startNs = tr != nullptr ? tr->nowNs() : 0;
@@ -72,22 +71,14 @@ CompilePipeline::CompilePipeline(Program& p, TargetConfig target,
 }
 
 CompilePipeline::~CompilePipeline() {
-    // An abandoned (or cancelled) pipeline must not leave the whole-run
-    // span dangling open on a shared tracer.
+    // An abandoned pipeline must not leave the whole-run span dangling
+    // open on a shared tracer.
     if (c_.tracer_ != nullptr && compileSpan_ >= 0)
         c_.tracer_->endSpan(compileSpan_);
 }
 
 bool CompilePipeline::step() {
-    if (next_ == CompileStage::Done || cancelled_) return false;
-    if (session_.cancel.cancelled()) {
-        cancelled_ = true;
-        if (c_.tracer_ != nullptr && compileSpan_ >= 0) {
-            c_.tracer_->endSpan(compileSpan_);
-            compileSpan_ = -1;
-        }
-        return false;
-    }
+    if (next_ == CompileStage::Done) return false;
 
     obs::Tracer* tr = c_.tracer_.get();
     obs::ScopedSpan span(tr, stageName(next_), "pass");
@@ -173,10 +164,9 @@ bool CompilePipeline::step() {
     return true;
 }
 
-bool CompilePipeline::run() {
+void CompilePipeline::run() {
     while (step()) {
     }
-    return done();
 }
 
 Compilation CompilePipeline::take() && {

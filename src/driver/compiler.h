@@ -37,11 +37,6 @@ struct SimulationRequest {
     /// across threads (compile-service cache) needs a per-request tracer
     /// here to keep simulate() race-free.
     obs::Tracer* tracer = nullptr;
-    /// Cancellation for the simulation itself, polled at statement
-    /// boundaries: a deadline or explicit cancel surfaces as a SimFault
-    /// tagged "sim.cancel" (the compile service maps it to
-    /// DeadlineExceeded / Cancelled).
-    CancelToken cancel = {};
     /// Arm the per-statement profiler (SpmdSimulator::enableProfiling):
     /// the returned simulator carries a StmtProfile, buildRunReport()
     /// adds the schema-v3 "profile" and "calibration" sections, and the
@@ -184,16 +179,14 @@ enum class CompileStage : std::uint8_t {
 /// the stage records, so per-stage latencies can be keyed off either.
 [[nodiscard]] const char* stageName(CompileStage s);
 
-/// One compilation in flight, advanced stage by stage. The session's
-/// cancel token is polled before every stage, so a deadline or an
-/// explicit cancel stops the run cleanly at a stage boundary — no
-/// half-executed pass, no partially rewritten program published.
+/// One compilation in flight, advanced stage by stage.
 ///
 ///     CompilePipeline pipe(p, target, passes, session);
-///     if (pipe.run()) Compilation c = std::move(pipe).take();
+///     pipe.run();
+///     Compilation c = std::move(pipe).take();
 ///
-/// step() exposes the stage granularity directly (schedulers can
-/// interleave many pipelines; tests can stop at a chosen stage).
+/// step() exposes the stage granularity directly (a caller can time
+/// each stage, as perfbench does; tests can stop at a chosen stage).
 class CompilePipeline {
 public:
     CompilePipeline(Program& p, TargetConfig target, PassOptions passes,
@@ -206,14 +199,12 @@ public:
     /// The stage the next step() would run; Done when finished.
     [[nodiscard]] CompileStage next() const { return next_; }
     [[nodiscard]] bool done() const { return next_ == CompileStage::Done; }
-    /// True once a cancelled session token stopped the pipeline.
-    [[nodiscard]] bool cancelled() const { return cancelled_; }
 
     /// Run the next stage. Returns false (and runs nothing) when the
-    /// pipeline is done or the session token is cancelled.
+    /// pipeline is done.
     bool step();
-    /// Run every remaining stage; true when the pipeline reached Done.
-    bool run();
+    /// Run every remaining stage.
+    void run();
 
     /// Take the finished Compilation; valid only when done().
     [[nodiscard]] Compilation take() &&;
@@ -223,7 +214,6 @@ private:
     CompileSession session_;
     Compilation c_;
     CompileStage next_ = CompileStage::Finalize;
-    bool cancelled_ = false;
     int compileSpan_ = -1;  ///< the whole-run "compile" span, open until Done
 };
 

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "privatize/mapping_pass.h"
 #include "runtime/engine.h"
-#include "support/cancellation.h"
 #include "support/diagnostics.h"
 #include "target/target_kind.h"
 
@@ -60,10 +59,9 @@ struct PassOptions {
 };
 
 /// Per-run mutable context of one compilation: everything that is NOT a
-/// property of (program, target, passes) — the span recorder, the
-/// diagnostics sink, and the cancellation token polled between passes.
-/// Keeping these out of the option structs is what makes compilations
-/// cacheable and coalescible (two identical option structs can never
+/// property of (program, target, passes) — the span recorder and the
+/// diagnostics sink. Keeping these out of the option structs is what
+/// makes compilations cacheable (two identical option structs can never
 /// carry different live side channels).
 struct CompileSession {
     /// Span recorder for the run. When null, the pipeline creates one
@@ -76,9 +74,6 @@ struct CompileSession {
     /// every collected diagnostic (parse warnings included) so cached
     /// results stay self-contained.
     DiagEngine* diags = nullptr;
-    /// Polled between pipeline stages; a cancelled token stops the run
-    /// cleanly at the next stage boundary (no partial pass ever runs).
-    CancelToken cancel;
 };
 
 /// The execution-selection block: every "which implementation runs

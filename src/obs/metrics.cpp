@@ -39,38 +39,4 @@ double Histogram::quantile(double q) const {
     return hi;
 }
 
-Json MetricRegistry::toJson() const {
-    Json out = Json::object();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!counters_.empty()) {
-        Json c = Json::object();
-        for (const auto& [name, m] : counters_) c.set(name, m.value());
-        out.set("counters", std::move(c));
-    }
-    if (!histograms_.empty()) {
-        Json h = Json::object();
-        for (const auto& [name, m] : histograms_) {
-            Json one = Json::object();
-            one.set("count", m.count());
-            one.set("sum", m.sum());
-            one.set("min", m.min());
-            one.set("max", m.max());
-            one.set("mean", m.mean());
-            one.set("p50", m.p50());
-            one.set("p90", m.p90());
-            one.set("p99", m.p99());
-            Json buckets = Json::array();
-            // Trailing empty buckets are dropped; bucket i covers
-            // [2^(i-1), 2^i).
-            int last = Histogram::kBuckets - 1;
-            while (last >= 0 && m.bucket(last) == 0) --last;
-            for (int i = 0; i <= last; ++i) buckets.push(m.bucket(i));
-            one.set("log2_buckets", std::move(buckets));
-            h.set(name, std::move(one));
-        }
-        out.set("histograms", std::move(h));
-    }
-    return out;
-}
-
 }  // namespace phpf::obs

@@ -87,12 +87,12 @@ inline int firstZeroByte(const char* v, int n) {
 }  // namespace
 
 SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
-                             CancelToken cancel, SimEngine engine,
-                             bool relaxedMerge, TargetKind targetKind)
+                             SimEngine engine, bool relaxedMerge,
+                             TargetKind targetKind)
     : low_(low), prog_(low.program()), oracle_(prog_),
       procCount_(low.dataMapping().grid().totalProcs()),
       elemBytes_(elemBytes), engine_(engine), relaxed_(relaxedMerge),
-      targetKind_(targetKind), cancel_(std::move(cancel)) {
+      targetKind_(targetKind) {
     procMetrics_.assign(static_cast<size_t>(procCount_), ProcSimMetrics{});
     stmtAcct_.assign(static_cast<size_t>(prog_.stmtCount()) *
                          static_cast<size_t>(procCount_ + 2),
@@ -808,7 +808,6 @@ void SpmdSimulator::execStmt(const Stmt* s) {
     switch (s->kind) {
         case StmtKind::Assign:
         case StmtKind::If: {
-            if (cancel_.armed()) boundary();
             std::chrono::steady_clock::time_point t0;
             const bool timed = sampleStart(t0);
             StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
@@ -899,7 +898,6 @@ void SpmdSimulator::runStrip(const Stmt* s, StmtPlan& plan, std::int64_t lb,
             PHPF_DASSERT(cur[k] == evalAddr(*sp.forms[k]),
                          "strip address diverges from its form");
         for (StripPlan::Member& m : sp.members) {
-            if (cancel_.armed()) boundary();
             std::chrono::steady_clock::time_point t0;
             const bool timed = sampleStart(t0);
             StmtPlan& mp = plans_[static_cast<size_t>(m.s->id)];
@@ -1163,15 +1161,6 @@ void SpmdSimulator::execBlock(const std::vector<Stmt*>& block) {
             if (!handled) throw;
         }
     }
-}
-
-void SpmdSimulator::boundary() {
-    if (cancel_.cancelled())
-        throw SimFault(faultsite::kSimCancel,
-                       "simulation cancelled after " +
-                           std::to_string(oracle_.statementsExecuted()) +
-                           " assignments (deadline or explicit "
-                           "cancellation)");
 }
 
 void SpmdSimulator::distributeInputs() {

@@ -11,7 +11,6 @@
 #include "spmd/lowering.h"
 #include "support/arena.h"
 #include "target/target_kind.h"
-#include "support/cancellation.h"
 #include "support/fault.h"
 #include "support/interned_events.h"
 
@@ -69,11 +68,6 @@ public:
     /// Both produce bit-identical results AND metrics on the same banks;
     /// every other phase (merge, profiling) is shared code.
     ///
-    /// `cancel` is polled at statement boundaries (only when the token
-    /// is armed): a cancelled token (deadline or explicit) stops the run
-    /// with a SimFault at site "sim.cancel", leaving no partially merged
-    /// phase behind.
-    ///
     /// `relaxedMerge` opts into combining commutative reductions
     /// (sum/max/min) from the per-processor partial accumulators in
     /// linear processor order instead of broadcasting the oracle's
@@ -90,13 +84,12 @@ public:
     /// counts barrier epochs (each vectorized sync event is one
     /// producers-then-consumers barrier of the modelled SMP).
     explicit SpmdSimulator(const SpmdLowering& low, int elemBytes = 8,
-                           CancelToken cancel = {},
                            SimEngine engine = SimEngine::Bytecode,
                            bool relaxedMerge = false,
                            TargetKind targetKind = TargetKind::MessagePassing);
 
-    /// Throws SimFault when the cancel token fires or a subscript falls
-    /// outside its declared bounds.
+    /// Throws SimFault when a subscript falls outside its declared
+    /// bounds.
     void run();
 
     /// Opt into the per-statement profiler before run(). Its counts
@@ -321,8 +314,8 @@ private:
     /// move along the loop are computed once. A member instance whose
     /// slots are all valid on its executors runs the VM and
     /// storeUniform; any other takes execUniformBc at the strip's
-    /// addresses. The cancel poll, the profiler's sample and the
-    /// accounting stay per instance, as in execStmt.
+    /// addresses. The profiler's sample and the accounting stay per
+    /// instance, as in execStmt.
     void runStrip(const Stmt* s, StmtPlan& plan, std::int64_t lb,
                   std::int64_t ub, std::int64_t step);
     /// One iteration of Do statement `s`'s body, with the forward-goto
@@ -330,9 +323,6 @@ private:
     void execLoopBody(const Stmt* s);
     /// Loop-end global reduction combines of `s` (a Do statement).
     void runCombines(const Stmt* s);
-    /// Statement-boundary cancel poll. Only called when cancel_ is
-    /// armed.
-    void boundary();
     /// Profiler: true when this Assign/If instance is the 1 in
     /// StmtProfile::kSampleEvery that is timed (t0 then holds its
     /// start); unprofiled runs pay a null check, not a clock read.
@@ -564,10 +554,6 @@ private:
     std::vector<char> ctxMemoSet_;
     /// Relaxed merge: loop-entry accumulator snapshot by CommOp id.
     std::vector<double> combineInit_;
-
-    // --- cancellation (an unarmed token costs one branch per statement
-    // instance) ---
-    CancelToken cancel_;
 
     // --- per-statement profiler (null when not opted in) ---
     std::unique_ptr<obs::StmtProfile> profile_;

@@ -142,8 +142,8 @@ bool parseBatchJob(const obs::Json& j, int index, BatchJob* job,
     // A misspelt key ("grd") or an option outside "options" would
     // otherwise run the job with a default the file did not ask for.
     static constexpr std::string_view kKeys[] = {
-        "name", "program", "file", "source",      "n",       "niter",   "nx",
-        "ny",   "nz",      "grid", "deadline_ms", "profile", "options", "repeat"};
+        "name", "program", "file", "source",  "n",       "niter", "nx",
+        "ny",   "nz",      "grid", "profile", "options", "repeat"};
     for (const std::string& key : j.keys()) {
         if (std::find(std::begin(kKeys), std::end(kKeys), key) ==
             std::end(kKeys)) {
@@ -161,8 +161,6 @@ bool parseBatchJob(const obs::Json& j, int index, BatchJob* job,
     if (const obs::Json* v = j.find("nx")) job->nx = v->intValue();
     if (const obs::Json* v = j.find("ny")) job->ny = v->intValue();
     if (const obs::Json* v = j.find("nz")) job->nz = v->intValue();
-    if (const obs::Json* v = j.find("deadline_ms"))
-        job->deadlineMs = v->intValue();
     if (const obs::Json* v = j.find("profile")) job->profile = v->boolValue();
     if (const obs::Json* v = j.find("grid")) {
         const auto positive = [](const obs::Json& e) {
@@ -229,8 +227,8 @@ bool parseBatchSpec(const obs::Json& doc, BatchSpec* out, std::string* err) {
         *err = "expected {\"jobs\": [...]} or a bare array of jobs";
         return false;
     }
-    // "repeat" duplicates a row N times — handy for cache/coalescing
-    // smoke tests without copy-pasting job objects.
+    // "repeat" duplicates a row N times — handy for cache smoke tests
+    // without copy-pasting job objects.
     int index = 0;
     for (const obs::Json& j : jobs->items()) {
         std::int64_t repeat = 1;
@@ -275,7 +273,6 @@ bool requestOfJob(const BatchJob& job, CompileRequest* out, std::string* err) {
     out->name = job.name;
     out->target = job.target;
     out->passes = job.passes;
-    out->deadlineMs = job.deadlineMs;
     out->profile = job.profile;
     if (!job.source.empty()) {
         out->source = job.source;
@@ -344,20 +341,16 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
         row.set("status", statusName(r.status));
         row.set("code", errorCodeName(r.code));
         row.set("cache_hit", r.cacheHit);
-        row.set("coalesced", r.coalesced);
         row.set("parse_us", r.parseUs);
         row.set("compile_us", r.compileUs);
         row.set("total_us", r.totalUs);
         if (r.status == CompileStatus::Ok) {
             ++outcome.ok;
             if (r.cacheHit) ++outcome.cacheHits;
-            if (r.coalesced) ++outcome.coalesced;
             row.set("program", r.artifact->programName);
-            row.set("cost_total_sec", r.artifact->cost.totalSec());
-            row.set("cost_compute_sec", r.artifact->cost.computeSec);
-            row.set("cost_comm_sec", r.artifact->cost.commSec);
-            row.set("message_events", r.artifact->cost.messageEvents);
-            row.set("comm_bytes", r.artifact->cost.commBytes);
+            // The run report's own object: one schema for the numbers.
+            row.set("cost_prediction",
+                    r.artifact->runReport.at("cost_prediction"));
             row.set("decisions",
                     static_cast<std::int64_t>(
                         r.artifact->runReport.at("decisions").size()));
@@ -400,12 +393,15 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
     // v3: profiled jobs carry a per-row "calibration" object and the
     // summary aggregates their model-error MAPE.
     // v4: no "skipped" count (the journal and resume are gone).
-    summary.set("schema_version", 4);
+    // v5: rows carry the run report's "cost_prediction" object in place
+    // of five flat cost fields and drop "coalesced"; the summary drops
+    // "coalesced_joins", and its "service" block carries plain counts
+    // in place of the metric registry.
+    summary.set("schema_version", 5);
     summary.set("jobs", outcome.jobs);
     summary.set("ok", outcome.ok);
     summary.set("failed", outcome.failed);
     summary.set("cache_hits", outcome.cacheHits);
-    summary.set("coalesced_joins", outcome.coalesced);
     summary.set("wall_sec", outcome.wallSec);
     if (!mapeByJob.empty()) {
         obs::Json cal = obs::Json::object();

@@ -20,7 +20,6 @@ struct BatchJob {
     std::string source;  ///< inline mini-HPF source text
     TargetConfig target;
     PassOptions passes;
-    std::int64_t deadlineMs = 0;
     /// Run the profiled embedded simulation (CompileRequest::profile):
     /// the job row gains a "calibration" object and the batch summary a
     /// per-job model-error MAPE.
@@ -36,7 +35,7 @@ struct BatchSpec {
 
 /// Parse a jobs document: either {"jobs": [...]} or a bare array of job
 /// objects (fields: program|file|source, n/niter/nx/ny/nz, grid,
-/// options{...}, deadline_ms, name, repeat). Returns false with *err
+/// options{...}, name, profile, repeat). Returns false with *err
 /// set on malformed input, including a grid extent or elem_bytes below
 /// 1.
 bool parseBatchSpec(const obs::Json& doc, BatchSpec* out, std::string* err);
@@ -52,16 +51,15 @@ bool requestOfJob(const BatchJob& job, CompileRequest* out, std::string* err);
 struct BatchOutcome {
     int jobs = 0;
     int ok = 0;
-    int failed = 0;  ///< parse errors, deadline misses, internal errors
+    int failed = 0;  ///< bad requests, parse errors, compile failures
     int cacheHits = 0;
-    int coalesced = 0;
     double wallSec = 0;
 };
 
 /// Run every job through the service concurrently (submit() on the
 /// service's worker pool), writing one JSONL row per job in input
 /// order, then a final summary row ({"summary": true, ...}) carrying
-/// the service metrics snapshot.
+/// the service counts (CompileService::metricsJson).
 BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
                       std::ostream& out);
 

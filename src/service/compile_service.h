@@ -1,16 +1,14 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "driver/compiler.h"
-#include "obs/metrics.h"
 #include "service/artifact_cache.h"
 #include "service/error_code.h"
 #include "support/parallel.h"
@@ -21,7 +19,7 @@ namespace phpf::service {
 /// producing a fresh Program per call) plus the canonicalized compile
 /// configuration. Tracer/diagnostics side channels deliberately have no
 /// place here — the service owns per-job sessions, which is what makes
-/// requests safe to fingerprint, cache, and coalesce.
+/// requests safe to fingerprint and cache.
 struct CompileRequest {
     /// Label for logs and batch rows; not part of the cache key.
     std::string name;
@@ -34,9 +32,6 @@ struct CompileRequest {
     std::function<Program()> build;
     TargetConfig target;
     PassOptions passes;
-    /// Wall-clock budget from submission; 0 = none. An expired budget
-    /// cancels the pipeline cleanly at the next stage boundary.
-    std::int64_t deadlineMs = 0;
     /// Run the embedded profiled simulation on a cache miss and cache
     /// the per-statement profile + model-error calibration with the
     /// artifact — warm hits replay the identical calibration without
@@ -47,9 +42,8 @@ struct CompileRequest {
 
 enum class CompileStatus : std::uint8_t {
     Ok,
-    ParseError,        ///< front end rejected the source (not cached)
-    DeadlineExceeded,  ///< cancelled between passes by the deadline
-    Error,             ///< builder/pipeline failure (InternalError etc.)
+    ParseError,  ///< front end rejected the source (not cached)
+    Error,       ///< builder/pipeline/simulation failure (not cached)
 };
 [[nodiscard]] const char* statusName(CompileStatus s);
 
@@ -79,13 +73,10 @@ struct CompileResult {
     ErrorCode code = ErrorCode::Internal;
     std::shared_ptr<const CompileArtifact> artifact;  ///< null unless Ok
     bool cacheHit = false;
-    /// True when this request joined an identical in-flight compile
-    /// instead of running its own.
-    bool coalesced = false;
     std::string key;      ///< empty for parse errors
     std::string error;    ///< message for non-Ok statuses
     double parseUs = 0;   ///< parse/build + fingerprint time
-    double compileUs = 0; ///< pipeline + artifact assembly (0 on hit/join)
+    double compileUs = 0; ///< pipeline + artifact assembly (0 on a hit)
     double totalUs = 0;   ///< submission to completion, queue wait included
 };
 
@@ -94,29 +85,25 @@ struct ServiceConfig {
     /// concurrency). Clamped to 8 either way: compiles are memory-bound
     /// well before that.
     int workers = 0;
-    /// Total artifact-cache entries across shards.
+    /// Artifact-cache entries.
     std::size_t cacheCapacity = 256;
-    int cacheShards = 8;
 };
 
 struct ServiceStats {
     std::int64_t requests = 0;
-    std::int64_t compiles = 0;  ///< misses actually executed
-    std::int64_t coalescedJoins = 0;
+    std::int64_t compiles = 0;  ///< successful compiles (Ok, not a hit)
     std::int64_t parseErrors = 0;
-    std::int64_t deadlineExceeded = 0;
     std::int64_t errors = 0;
     CacheStats cache;
     int workers = 0;
 };
 
-/// Concurrent compile service: fingerprints every request (stable
-/// program hash + normalized options key), serves repeats from a
-/// bounded sharded LRU of immutable artifacts, coalesces identical
-/// in-flight requests onto one execution, enforces per-request
-/// deadlines via between-pass cancellation, and records service metrics
-/// (hits/misses/evictions, coalesced joins, per-stage latency
-/// histograms) in an obs::MetricRegistry.
+/// Compile service: fingerprints every request (stable program hash +
+/// normalized options key), serves repeats from a bounded LRU of
+/// immutable artifacts, and runs misses on the calling thread
+/// (compile()) or on its worker pool (submit()). Two identical requests
+/// that miss at the same time both compile; the results are
+/// bit-identical and the cache keeps one entry.
 class CompileService {
 public:
     explicit CompileService(ServiceConfig cfg = {});
@@ -125,50 +112,41 @@ public:
     CompileService(const CompileService&) = delete;
     CompileService& operator=(const CompileService&) = delete;
 
-    /// Synchronous compile on the calling thread (cache hits and
-    /// coalesced joins return without compiling anything).
+    /// Synchronous compile on the calling thread (a cache hit returns
+    /// without compiling anything).
     [[nodiscard]] CompileResult compile(const CompileRequest& req);
 
-    /// Asynchronous compile on the worker pool. The deadline clock
-    /// starts now, so queue wait counts against it.
+    /// Asynchronous compile on the worker pool; the result's totalUs
+    /// counts the queue wait.
     [[nodiscard]] std::shared_future<CompileResult> submit(CompileRequest req);
 
     [[nodiscard]] ServiceStats stats() const;
-    /// Service metric snapshot: the registry (counters + per-stage
-    /// latency histograms) plus cache/queue state — ready to embed in a
-    /// JSON run report or the batch summary row. Drains the worker pool
-    /// first, so the queue block reads a quiescent pool (never call it
-    /// from inside a submitted job).
+    /// Service snapshot for the batch summary row: the request counts
+    /// plus cache and queue state. Drains the worker pool first, so the
+    /// queue block reads a quiescent pool (never call it from inside a
+    /// submitted job).
     [[nodiscard]] obs::Json metricsJson() const;
 
 private:
-    struct Inflight {
-        std::mutex mu;
-        std::condition_variable cv;
-        bool done = false;
-        CompileResult result;
-    };
-
     using Clock = std::chrono::steady_clock;
 
     [[nodiscard]] CompileResult compileAt(const CompileRequest& req,
                                           Clock::time_point submitted);
-    /// Execute a cache miss: run the pipeline with deadline
-    /// cancellation, assemble the artifact, fill per-stage metrics.
+    /// Execute a cache miss: run the pipeline, assemble the artifact and
+    /// publish it.
     [[nodiscard]] CompileResult runJob(const CompileRequest& req,
                                        const std::string& key,
                                        std::unique_ptr<Program> prog,
-                                       DiagEngine& diags,
-                                       Clock::time_point submitted);
+                                       DiagEngine& diags);
     void recordOutcome(const CompileResult& r);
 
     ArtifactCache cache_;
     std::unique_ptr<TaskPool> pool_;
 
-    std::mutex inflightMu_;
-    std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
-
-    obs::MetricRegistry registry_;
+    std::atomic<std::int64_t> requests_{0};
+    std::atomic<std::int64_t> compiles_{0};
+    std::atomic<std::int64_t> parseErrors_{0};
+    std::atomic<std::int64_t> errors_{0};
 };
 
 }  // namespace phpf::service

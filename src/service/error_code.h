@@ -6,17 +6,16 @@ namespace phpf::service {
 
 /// Machine-readable failure taxonomy of the compile service. Every
 /// CompileResult carries one; `error` strings are for humans only and
-/// never drive control flow.
+/// never drive control flow. Every failure class is permanent: an
+/// identical request fails the same way.
 enum class ErrorCode : std::uint8_t {
-    None = 0,          ///< success
-    ParseError,        ///< front end rejected the source (permanent)
-    EmptyRequest,      ///< neither source nor builder set (permanent)
-    BuilderFailed,     ///< the IR builder callback threw (permanent)
-    DeadlineExceeded,  ///< the request's wall-clock budget ran out
-    Cancelled,         ///< explicit cancellation (not a deadline)
-    Internal,          ///< pipeline invariant failure (permanent)
-    ProgramFault,      ///< the simulated program itself failed, e.g. an
-                       ///< out-of-range subscript (permanent)
+    None = 0,       ///< success
+    ParseError,     ///< front end rejected the source
+    EmptyRequest,   ///< neither source nor builder set
+    BuilderFailed,  ///< the IR builder callback threw
+    Internal,       ///< pipeline invariant failure
+    ProgramFault,   ///< the simulated program itself failed, e.g. an
+                    ///< out-of-range subscript
 };
 
 /// Stable lower-case label ("program-fault") for logs and JSON rows.
@@ -26,8 +25,6 @@ enum class ErrorCode : std::uint8_t {
         case ErrorCode::ParseError: return "parse-error";
         case ErrorCode::EmptyRequest: return "empty-request";
         case ErrorCode::BuilderFailed: return "builder-failed";
-        case ErrorCode::DeadlineExceeded: return "deadline-exceeded";
-        case ErrorCode::Cancelled: return "cancelled";
         case ErrorCode::Internal: return "internal";
         case ErrorCode::ProgramFault: return "program-fault";
     }

@@ -5,11 +5,10 @@
 
 namespace phpf {
 
-/// Typed failure of a simulated run: a cancelled simulation or a fault
-/// of the simulated program itself. Carries the site that stopped the
-/// run so callers can tell "the deadline expired" from "the program
-/// read outside its bounds" without parsing message text — a failed
-/// run is a typed outcome, never garbage data.
+/// Typed failure of a simulated run: a fault of the simulated program
+/// itself. Carries the site that stopped the run so callers can branch
+/// on it without parsing message text — a failed run is a typed
+/// outcome, never garbage data.
 class SimFault : public std::exception {
 public:
     SimFault(std::string site, std::string detail)
@@ -20,8 +19,7 @@ public:
     [[nodiscard]] const char* what() const noexcept override {
         return msg_.c_str();
     }
-    /// Site that stopped the run (faultsite::kSimCancel or
-    /// faultsite::kSimSubscript).
+    /// Site that stopped the run (faultsite::kSimSubscript).
     [[nodiscard]] const std::string& site() const { return site_; }
     [[nodiscard]] const std::string& detail() const { return detail_; }
 
@@ -33,8 +31,6 @@ private:
 
 /// SimFault site names, spelled in one place.
 namespace faultsite {
-/// A cancelled simulation (deadline expiry or explicit CancelToken).
-inline constexpr const char* kSimCancel = "sim.cancel";
 /// A subscript outside its declared bounds in the simulated program — a
 /// fault of the program or its inputs, so re-running cannot help.
 inline constexpr const char* kSimSubscript = "sim.subscript";

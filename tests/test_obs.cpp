@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "driver/compiler.h"
@@ -72,15 +71,8 @@ TEST(ObsTracer, DisabledTracerRecordsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics
+// Histogram
 // ---------------------------------------------------------------------------
-
-TEST(ObsMetrics, CounterSemantics) {
-    obs::MetricRegistry reg;
-    reg.counter("a").add();
-    reg.counter("a").add(4);
-    EXPECT_EQ(reg.counter("a").value(), 5);
-}
 
 TEST(ObsMetrics, HistogramSummaryAndBuckets) {
     obs::Histogram h;
@@ -98,17 +90,8 @@ TEST(ObsMetrics, HistogramSummaryAndBuckets) {
     EXPECT_EQ(h.bucket(3), 0);
 }
 
-TEST(ObsMetrics, RegistryToJsonOmitsEmptySections) {
-    obs::MetricRegistry reg;
-    reg.counter("only.counter").add(3);
-    const obs::Json j = reg.toJson();
-    EXPECT_EQ(j.at("counters").at("only.counter").intValue(), 3);
-    EXPECT_EQ(j.find("gauges"), nullptr);
-    EXPECT_EQ(j.find("histograms"), nullptr);
-}
-
 // ---------------------------------------------------------------------------
-// Histogram quantiles (and concurrent writers)
+// Histogram quantiles
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryQuantiles, UniformDistributionEstimatesAreTight) {
@@ -151,42 +134,6 @@ TEST(TelemetryQuantiles, EmptyHistogramIsZero) {
     obs::Histogram h;
     EXPECT_DOUBLE_EQ(h.p50(), 0.0);
     EXPECT_DOUBLE_EQ(h.p99(), 0.0);
-}
-
-TEST(TelemetryQuantiles, ConcurrentRecordersLoseNothing) {
-    obs::Histogram h;
-    constexpr int kThreads = 8, kPerThread = 20000;
-    std::vector<std::thread> ts;
-    ts.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-        ts.emplace_back([&h] {
-            for (int i = 0; i < kPerThread; ++i)
-                h.record(static_cast<double>(1 + i % 100));
-        });
-    for (auto& t : ts) t.join();
-    EXPECT_EQ(h.count(), kThreads * kPerThread);
-    // Every thread records the same multiset, so the exact sum is known.
-    const double perThread = 20000.0 / 100.0 * (100.0 * 101.0 / 2.0);
-    EXPECT_DOUBLE_EQ(h.sum(), kThreads * perThread);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
-}
-
-TEST(TelemetryQuantiles, RegistryConcurrentLazyCreationIsExact) {
-    obs::MetricRegistry reg;
-    constexpr int kThreads = 8, kPerThread = 5000;
-    std::vector<std::thread> ts;
-    ts.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-        ts.emplace_back([&reg] {
-            for (int i = 0; i < kPerThread; ++i) {
-                reg.counter("shared.hits").add(1);
-                reg.histogram("shared.lat_us").record(i % 7 + 1);
-            }
-        });
-    for (auto& t : ts) t.join();
-    EXPECT_EQ(reg.counterValue("shared.hits"), kThreads * kPerThread);
-    EXPECT_EQ(reg.histogram("shared.lat_us").count(), kThreads * kPerThread);
 }
 
 // ---------------------------------------------------------------------------

@@ -573,7 +573,7 @@ TEST(BatchProfile, RowsAndSummaryCarryCalibration) {
     EXPECT_EQ(plain.find("calibration"), nullptr);
 
     const Json& summary = rows[2];
-    EXPECT_EQ(summary.at("schema_version").intValue(), 4);
+    EXPECT_EQ(summary.at("schema_version").intValue(), 5);
     ASSERT_NE(summary.find("calibration"), nullptr);
     const Json& cal = summary.at("calibration");
     EXPECT_EQ(cal.at("jobs_profiled").intValue(), 1);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "driver/compiler.h"
 #include "programs/programs.h"
 
@@ -248,34 +246,6 @@ TEST(SimMessages, ControlFlowPrivatizationEliminatesPredicateTraffic) {
     }
     EXPECT_EQ(transfers[1], 0);
     EXPECT_GT(transfers[0], 0);
-}
-
-// ---------------------------------------------------------------------------
-// Cancellation mid-simulate (the compile service's deadline path)
-// ---------------------------------------------------------------------------
-
-TEST(SimCancel, CancelledTokenStopsSimulationCleanly) {
-    Program p = makeProgram(6);  // tomcatv(10, 2)
-    TargetConfig opts;
-    opts.gridExtents = {4};
-    Compilation c = Compiler::compile(p, opts);
-    CancelSource src;
-    src.setDeadlineAfter(std::chrono::nanoseconds(1));  // expires at once
-    SimulationRequest req;
-    req.seed = [](Interpreter& o) { seedProgram(6, o); };
-    req.cancel = src.token();
-    try {
-        auto sim = c.simulate(req);
-        FAIL() << "expected SimFault";
-    } catch (const SimFault& e) {
-        EXPECT_EQ(e.site(), faultsite::kSimCancel);
-    }
-    // The compilation (and a fresh simulation) is fully usable after —
-    // the cancelled run left no shared state behind.
-    req.cancel = {};
-    auto sim = c.simulate(req);
-    EXPECT_EQ(sim->maxErrorVsOracle("x"), 0.0);
-    EXPECT_EQ(sim->maxErrorVsOracle("y"), 0.0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <functional>
 #include <sstream>
 
@@ -14,8 +13,6 @@
 #include "frontend/parser.h"
 #include "pinned_sim.h"
 #include "programs/programs.h"
-#include "support/cancellation.h"
-#include "support/fault.h"
 
 namespace phpf {
 namespace {
@@ -294,45 +291,6 @@ end)",
                                  {4})
                   .strips,
               0);
-}
-
-TEST(SimCancel, FiresMidStripAtAnInstanceBoundary) {
-    // The deadline fires inside the strip: the poll stays per instance,
-    // so the run stops between two instances with its accounting and
-    // banks coherent (every valid copy equals the oracle).
-    Program p = parseProgramOrDie(R"(program strips5
-  real a(64), b(64)
-!hpf$ align (i) with a(i) :: b
-!hpf$ distribute (block) :: a
-  do k = 1, 20000
-    do i = 1, 64
-      a(i) = b(i) + k
-    end do
-  end do
-end)");
-    TargetConfig target;
-    target.gridExtents = {4};
-    const Compilation c = Compiler::compile(p, target);
-    CancelSource cancel;
-    SpmdSimulator sim(c.lowering(), 8, cancel.token());
-    ASSERT_EQ(sim.stripLoops(), 1);
-    seedArrays(sim.oracle(), c.lowering().program());
-    cancel.setDeadlineAfter(std::chrono::milliseconds(1));
-    try {
-        sim.run();
-        FAIL() << "the run outlived its deadline";
-    } catch (const SimFault& e) {
-        EXPECT_EQ(e.site(), faultsite::kSimCancel);
-        const std::int64_t n = sim.oracle().statementsExecuted();
-        EXPECT_LT(n, 20000 * 64);
-        EXPECT_NE(e.detail().find("after " + std::to_string(n) + " assignments"),
-                  std::string::npos)
-            << e.detail();
-        for (const ProcSimMetrics& m : sim.procMetrics())
-            EXPECT_EQ(m.stmtsExecuted + m.stmtsSkipped, n);
-        for (const char* name : {"a", "b", "i", "k"})
-            EXPECT_EQ(sim.maxErrorVsOracle(name), 0.0) << name;
-    }
 }
 
 }  // namespace
